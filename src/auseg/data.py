@@ -49,7 +49,8 @@ class DatasetSpec:
 # PPM (P6) / PGM (P5) parsing and writing
 
 
-def _parse_netpbm(raw: bytes, path, magic: bytes, channels: int) -> np.ndarray:
+def _parse_netpbm(raw: bytes, path, magic: bytes, channels: int) -> tuple[np.ndarray, int]:
+    """Parse a binary PPM/PGM, returning the pixels and the byte offset of the data."""
     if raw[:2] != magic:
         raise DataError(f"{path}: expected magic {magic.decode()} at byte 0, "
                         f"got {raw[:2]!r}")
@@ -82,18 +83,18 @@ def _parse_netpbm(raw: bytes, path, magic: bytes, channels: int) -> np.ndarray:
                         f"found {len(payload)}")
     arr = np.frombuffer(payload, dtype=np.uint8)
     if channels == 1:
-        return arr.reshape(height, width)
-    return arr.reshape(height, width, channels)
+        return arr.reshape(height, width), pos
+    return arr.reshape(height, width, channels), pos
 
 
 def read_ppm(path) -> np.ndarray:
     """Binary P6 -> uint8 [H, W, 3]."""
-    return _parse_netpbm(Path(path).read_bytes(), path, b"P6", 3)
+    return _parse_netpbm(Path(path).read_bytes(), path, b"P6", 3)[0]
 
 
 def read_pgm(path) -> np.ndarray:
     """Binary P5 -> uint8 [H, W]."""
-    return _parse_netpbm(Path(path).read_bytes(), path, b"P5", 1)
+    return _parse_netpbm(Path(path).read_bytes(), path, b"P5", 1)[0]
 
 
 def write_ppm(path, image: np.ndarray) -> None:
@@ -113,17 +114,16 @@ def write_pgm(path, label: np.ndarray) -> None:
 def load_sample(image_path, label_path, spec: DatasetSpec) -> Sample:
     """Parse one image/label pair, scaling the image to [0, 1]."""
     rgb = read_ppm(image_path)
-    lab = read_pgm(label_path)
+    lab, data_offset = _parse_netpbm(Path(label_path).read_bytes(), label_path, b"P5", 1)
     if rgb.shape[:2] != lab.shape:
         raise DataError(f"extent mismatch: {image_path} is {rgb.shape[1]}x{rgb.shape[0]} "
                         f"but {label_path} is {lab.shape[1]}x{lab.shape[0]}")
     bad = (lab >= spec.num_classes) & (lab != spec.ignore_index)
     if np.any(bad):
         idx = int(np.argwhere(bad.reshape(-1))[0][0])
-        # header is "P5\n{w} {h}\n255\n"; data starts right after
-        offset = len(b"P5\n%d %d\n255\n" % (lab.shape[1], lab.shape[0])) + idx
         raise DataError(f"{label_path}: label value {int(lab.reshape(-1)[idx])} >= "
-                        f"{spec.num_classes} and != ignore {spec.ignore_index} at byte {offset}")
+                        f"{spec.num_classes} and != ignore {spec.ignore_index} "
+                        f"at byte {data_offset + idx}")
     image = rgb.astype(np.float64).transpose(2, 0, 1) / 255.0
     stem = Path(image_path).name
     if stem.endswith(IMG_SUFFIX):

@@ -1,9 +1,16 @@
 """Convolution, pooling, activation, concat, and dropout kernels.
 
-All ops take NCHW tensors, run vectorized numpy forward passes (direct
-convolution looped over kernel offsets only -- no im2col/FFT variants), and
-register analytic backward rules on the active tape. Every kernel is checked
-against a brute-force loop oracle in the test suite.
+All ops take NCHW tensors, run vectorized numpy forward passes, and register
+analytic backward rules on the active tape. Every kernel is checked against a
+brute-force loop oracle in the test suite.
+
+Both convolutions share one core of three helpers (forward, kernel gradient,
+input gradient). Each loops over the kh*kw kernel offsets and issues one 2-D
+BLAS matmul per offset on [N*Ho*Wo, C] pixel rows, copied from an NHWC view
+of the padded input one offset at a time, so no full im2col buffer exists.
+``transposed_conv2d`` is the adjoint of ``conv2d`` and has no kernels of its
+own: its forward pass is the input-gradient helper and its backward pass the
+other two.
 """
 from __future__ import annotations
 
@@ -53,6 +60,63 @@ def _resolve_padding(p: Conv2dParams) -> int:
     return int(p.padding)
 
 
+def _nhwc_padded(x: Array, pad: int) -> Array:
+    """NCHW array -> contiguous NHWC copy, zero-padded by ``pad`` on each side."""
+    n, c, h, w = x.shape
+    xh = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    xh[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    return xh
+
+
+def _flat_nhwc(x: Array) -> Array:
+    """NCHW array -> [N*H*W, C] rows, one per pixel."""
+    return x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1])
+
+
+# The convolution core: a padded NHWC input ``xh`` [N, Hp, Wp, C], a kernel
+# ``k`` [O, C, kh, kw] and an output (or output gradient ``g2``) of flat NHWC
+# rows [N*Ho*Wo, O]. Each helper loops over the kernel offsets (u, v) and
+# issues one 2-D matmul per offset; an offset's input rows are copied from the
+# strided view of the taps it reads. Kernels are regrouped into one contiguous
+# block per offset once per call: a matmul on a strided kernel slice is slower.
+
+def _taps(kh: int, kw: int, s: int, ho: int, wo: int):
+    for u in range(kh):
+        for v in range(kw):
+            yield u, v, (slice(None), slice(u, u + s * (ho - 1) + 1, s),
+                         slice(v, v + s * (wo - 1) + 1, s))
+
+
+def _conv_forward(xh: Array, k: Array, s: int, ho: int, wo: int) -> Array:
+    """out = sum over offsets of rows(u, v) @ k[:, :, u, v].T, as [N*Ho*Wo, O]."""
+    c = xh.shape[3]
+    kt = np.ascontiguousarray(k.transpose(2, 3, 1, 0))  # [kh, kw, C, O]
+    out = np.zeros((xh.shape[0] * ho * wo, k.shape[0]))
+    for u, v, taps in _taps(k.shape[2], k.shape[3], s, ho, wo):
+        out += xh[taps].reshape(-1, c) @ kt[u, v]
+    return out
+
+
+def _conv_kernel_grad(xh: Array, g2: Array, kh: int, kw: int, s: int, ho: int, wo: int) -> Array:
+    """gk[:, :, u, v] = g2.T @ rows(u, v), as [O, C, kh, kw]."""
+    c = xh.shape[3]
+    gk = np.empty((kh, kw, g2.shape[1], c))
+    for u, v, taps in _taps(kh, kw, s, ho, wo):
+        np.matmul(g2.T, xh[taps].reshape(-1, c), out=gk[u, v])
+    return gk.transpose(2, 3, 0, 1)
+
+
+def _conv_input_grad(g2: Array, k: Array, padded_shape: tuple[int, ...], s: int,
+                     ho: int, wo: int) -> Array:
+    """Scatter-add g2 @ k[:, :, u, v] into the taps of a zero padded NHWC input."""
+    gxh = np.zeros(padded_shape)
+    n, c = padded_shape[0], padded_shape[3]
+    kt = np.ascontiguousarray(k.transpose(2, 3, 0, 1))  # [kh, kw, O, C]
+    for u, v, taps in _taps(k.shape[2], k.shape[3], s, ho, wo):
+        gxh[taps] += (g2 @ kt[u, v]).reshape(n, ho, wo, c)
+    return gxh
+
+
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """Cross-correlation (no kernel flip) plus bias, NCHW -> NOH'W'."""
     _require_nchw(x, "conv2d")
@@ -71,34 +135,24 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     if ho < 1 or wo < 1:
         raise ShapeError(f"degenerate conv2d output {ho}x{wo}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
     kd = kernel.data
-    out = np.empty((n, out_ch, ho, wo))
-    out[:] = bias.data[None, :, None, None]
-    for u in range(kh):
-        for v in range(kw):
-            xs = xp[:, :, u:u + s * (ho - 1) + 1:s, v:v + s * (wo - 1) + 1:s]
-            out += np.einsum("nchw,oc->nohw", xs, kd[:, :, u, v])
+    out = _conv_forward(_nhwc_padded(x.data, pad), kd, s, ho, wo)
+    out += bias.data
 
     def bwd(g: Array):
         gx = gk = gb = None
+        g2 = _flat_nhwc(g)
         if bias.requires_grad:
-            gb = g.sum(axis=(0, 2, 3))
+            gb = g2.sum(axis=0)
         if kernel.requires_grad:
-            gk = np.zeros_like(kd)
-            for u in range(kh):
-                for v in range(kw):
-                    xs = xp[:, :, u:u + s * (ho - 1) + 1:s, v:v + s * (wo - 1) + 1:s]
-                    gk[:, :, u, v] = np.einsum("nohw,nchw->oc", g, xs)
+            # rebuilt, not kept from the forward pass: the tape holds no second copy of x
+            gk = _conv_kernel_grad(_nhwc_padded(x.data, pad), g2, kh, kw, s, ho, wo)
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for u in range(kh):
-                for v in range(kw):
-                    gxp[:, :, u:u + s * (ho - 1) + 1:s, v:v + s * (wo - 1) + 1:s] += \
-                        np.einsum("nohw,oc->nchw", g, kd[:, :, u, v])
-            gx = gxp[:, :, pad:pad + h, pad:pad + w] if pad else gxp
+            gxh = _conv_input_grad(g2, kd, (n, h + 2 * pad, w + 2 * pad, c), s, ho, wo)
+            gx = gxh[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
         return gx, gk, gb
 
+    out = out.reshape(n, ho, wo, out_ch).transpose(0, 3, 1, 2)
     return record_op("conv2d", (x, kernel, bias), out, bwd)
 
 
@@ -106,6 +160,8 @@ def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """Stride-s learned upsampling; the adjoint of conv2d with the same kernel.
 
     Kernel layout is [in_ch, out_ch, kh, kw]; output extent (H-1)*s + kh - 2*pad.
+    The forward pass is conv2d's input gradient, the input gradient is conv2d's
+    forward pass, and the kernel gradient is conv2d's with the operands swapped.
     """
     _require_nchw(x, "transposed_conv2d")
     kernel, bias, s = p.kernel, p.bias, p.stride
@@ -125,34 +181,21 @@ def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         raise ShapeError(f"degenerate transposed_conv2d output {ho}x{wo}")
 
     kd = kernel.data
-    full = np.zeros((n, out_ch, hf, wf))
-    for u in range(kh):
-        for v in range(kw):
-            full[:, :, u:u + s * (h - 1) + 1:s, v:v + s * (w - 1) + 1:s] += \
-                np.einsum("nihw,io->nohw", x.data, kd[:, :, u, v])
-    out = full[:, :, pad:pad + ho, pad:pad + wo] if pad else full
-    out = out + bias.data[None, :, None, None]
+    full = _conv_input_grad(_flat_nhwc(x.data), kd, (n, hf, wf, out_ch), s, h, w)
+    out = full[:, pad:pad + ho, pad:pad + wo] + bias.data
 
     def bwd(g: Array):
         gx = gk = gb = None
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
-        gf = np.pad(g, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else g
+        gfh = _nhwc_padded(g, pad)
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            for u in range(kh):
-                for v in range(kw):
-                    gs = gf[:, :, u:u + s * (h - 1) + 1:s, v:v + s * (w - 1) + 1:s]
-                    gx += np.einsum("nohw,io->nihw", gs, kd[:, :, u, v])
+            gx = _conv_forward(gfh, kd, s, h, w).reshape(n, h, w, in_ch).transpose(0, 3, 1, 2)
         if kernel.requires_grad:
-            gk = np.zeros_like(kd)
-            for u in range(kh):
-                for v in range(kw):
-                    gs = gf[:, :, u:u + s * (h - 1) + 1:s, v:v + s * (w - 1) + 1:s]
-                    gk[:, :, u, v] = np.einsum("nihw,nohw->io", x.data, gs)
+            gk = _conv_kernel_grad(gfh, _flat_nhwc(x.data), kh, kw, s, h, w)
         return gx, gk, gb
 
-    return record_op("transposed_conv2d", (x, kernel, bias), out, bwd)
+    return record_op("transposed_conv2d", (x, kernel, bias), out.transpose(0, 3, 1, 2), bwd)
 
 
 def maxpool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:

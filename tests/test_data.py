@@ -87,6 +87,14 @@ class TestLoadSample:
         with pytest.raises(DataError, match="label value 9 .* at byte 14"):
             load_sample(tmp_path / "a_img.ppm", tmp_path / "a_lab.pgm", spec)
 
+    def test_label_offset_with_non_canonical_header(self, tmp_path):
+        # valid header with runs of whitespace: the data starts at byte 14, not 11
+        write_ppm(tmp_path / "a_img.ppm", np.zeros((2, 2, 3), dtype=np.uint8))
+        (tmp_path / "a_lab.pgm").write_bytes(b"P5  2   2\n255\n" + bytes([0, 0, 0, 9]))
+        spec = DatasetSpec(root=tmp_path, split=".", num_classes=3)
+        with pytest.raises(DataError, match="label value 9 .* at byte 17"):
+            load_sample(tmp_path / "a_img.ppm", tmp_path / "a_lab.pgm", spec)
+
     def test_ignore_sentinel_allowed(self, tmp_path):
         write_ppm(tmp_path / "a_img.ppm", np.zeros((2, 2, 3), dtype=np.uint8))
         lab = np.full((2, 2), 255, dtype=np.uint8)

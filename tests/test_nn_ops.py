@@ -148,6 +148,80 @@ class TestTransposedConv2d:
         assert grad_check(f, [x, k, b], tol=1e-5, rng=rng(14)).passed
 
 
+# Shapes the shared convolution core must get right beyond 3x3 "same" at
+# stride 1: (n, c, o, h, w, k, stride, pad).
+CONV_CASES = {
+    "stride2_pad1": (2, 3, 4, 7, 6, 3, 2, 1),
+    "head_1x1": (2, 8, 3, 5, 5, 1, 1, 0),
+    "spatial_attention_7x7_same": (2, 2, 1, 6, 6, 7, 1, 3),
+    "h_ne_w": (1, 2, 3, 4, 7, 3, 1, 1),
+}
+
+# (n, c, o, h, w, k, stride, pad) for transposed_conv2d, kernel [c, o, k, k].
+TRANSPOSED_CASES = {
+    "k2_s2_pad1": (2, 3, 2, 3, 4, 2, 2, 1),
+    "k3_s2_overlapping_taps": (1, 2, 3, 3, 2, 3, 2, 0),
+    "k3_s1": (2, 2, 2, 4, 3, 3, 1, 0),
+}
+
+
+@pytest.mark.parametrize("case", CONV_CASES.values(), ids=CONV_CASES.keys())
+def test_conv2d_core_cases_vs_oracle(case):
+    n, c, o, h, w, k, s, pad = case
+    r = rng(40)
+    x = r.uniform(-2, 2, size=(n, c, h, w))
+    kern = r.uniform(-2, 2, size=(o, c, k, k))
+    b = r.uniform(-1, 1, size=o)
+    out = conv2d(Tensor(x), params(kern, b, stride=s, padding=pad))
+    assert np.max(np.abs(out.data - loop_conv2d(x, kern, b, s, pad))) < 1e-12
+
+    xt = Tensor(r.normal(size=x.shape), requires_grad=True)
+    kt = Tensor(r.normal(size=kern.shape), requires_grad=True)
+    bt = Tensor(r.normal(size=o), requires_grad=True)
+
+    def f(x, kk, bb):
+        y = conv2d(x, Conv2dParams(kk, bb, stride=s, padding=pad))
+        return reduce_sum(mul_elementwise(y, y))
+
+    assert grad_check(f, [xt, kt, bt], tol=1e-5, rng=rng(41)).passed
+
+
+@pytest.mark.parametrize("case", TRANSPOSED_CASES.values(), ids=TRANSPOSED_CASES.keys())
+def test_transposed_conv2d_core_cases_vs_oracle(case):
+    n, c, o, h, w, k, s, pad = case
+    r = rng(42)
+    x = r.uniform(-2, 2, size=(n, c, h, w))
+    kern = r.uniform(-2, 2, size=(c, o, k, k))
+    b = r.uniform(-1, 1, size=o)
+    out = transposed_conv2d(Tensor(x), Conv2dParams(Tensor(kern), Tensor(b), stride=s,
+                                                    padding=pad))
+    assert np.max(np.abs(out.data - loop_transposed_conv2d(x, kern, b, s, pad))) < 1e-12
+
+    xt = Tensor(r.normal(size=x.shape), requires_grad=True)
+    kt = Tensor(r.normal(size=kern.shape), requires_grad=True)
+    bt = Tensor(r.normal(size=o), requires_grad=True)
+
+    def f(x, kk, bb):
+        y = transposed_conv2d(x, Conv2dParams(kk, bb, stride=s, padding=pad))
+        return reduce_sum(mul_elementwise(y, y))
+
+    assert grad_check(f, [xt, kt, bt], tol=1e-5, rng=rng(43)).passed
+
+
+def test_conv_adjoint_identity_padded_stride2():
+    # <conv(x), g> == <x, conv^T(g)> with one kernel, stride 2, padding 1
+    r = rng(44)
+    kern = r.normal(size=(3, 2, 3, 3))  # conv: 2 -> 3 channels
+    x = r.normal(size=(2, 2, 7, 9))
+    g = r.normal(size=(2, 3, 4, 5))
+    y = conv2d(Tensor(x), params(kern, np.zeros(3), stride=2, padding=1)).data
+    xt = transposed_conv2d(Tensor(g), Conv2dParams(Tensor(kern), Tensor(np.zeros(2)),
+                                                   stride=2, padding=1)).data
+    assert y.shape == g.shape and xt.shape == x.shape
+    lhs, rhs = float(np.sum(y * g)), float(np.sum(x * xt))
+    assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+
 class TestMaxpool:
     def test_hand_window(self):
         out = maxpool2d(Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]), 2, 2)

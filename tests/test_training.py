@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from oracles import adam_reference_step
 from conftest import desk_unet_config
 
 from auseg.data import synth_generate
+import auseg
 from auseg.errors import ConfigError, NumericError, TrainingError
 from auseg.losses_metrics import LossConfig
 from auseg.tensor import Parameter, Tensor
@@ -264,3 +269,39 @@ class TestSweep:
         grid = [5e-3, 5e-4]
         rows = lr_sweep(cfg, train_s, val_s, settings, grid)
         assert [r.lr for r in rows] == grid
+
+
+# One desk-config training step (8 images, batch 8) plus a one-image validation
+# pass; prints the loss bytes and a digest of every parameter's bytes.
+_THREAD_STEP = """
+import hashlib
+from dataclasses import replace
+from conftest import desk_train_settings, desk_unet_config, rng
+from auseg.data import synth_generate
+from auseg.training import init_rng, train
+from auseg.unet import build_model
+settings = replace(desk_train_settings(), epochs=1)
+model = build_model(desk_unet_config(), init_rng(settings.seed))
+result = train(model, synth_generate(8, 32, 32, 3, rng(100)),
+               synth_generate(1, 32, 32, 3, rng(200)), settings)
+digest = hashlib.sha256()
+for _, p in sorted(model.params.items()):
+    digest.update(p.tensor.data.tobytes())
+row = result.log.rows[0]
+print(row.train_loss.hex(), row.val_loss.hex(), digest.hexdigest())
+"""
+
+
+def test_train_step_bytes_independent_of_blas_threads():
+    # every convolution is a BLAS matmul, so the thread count must not leak into results
+    paths = [str(Path(auseg.__file__).parents[1]), str(Path(__file__).parent)]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(paths)}
+        done = subprocess.run([sys.executable, "-c", _THREAD_STEP], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1]
