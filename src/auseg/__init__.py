@@ -7,7 +7,7 @@ from .attention import (ChannelAttentionParams, SpatialAttentionParams, channel_
 from .errors import (AusegError, ConfigError, ContractError, CorruptionError, DataError,
                      NumericError, ShapeError, TrainingError)
 from .losses_metrics import (ConfusionMatrix, LossConfig, combined_loss, confusion_accumulate,
-                             cross_entropy, dice_loss, miou, pixel_accuracy)
+                             miou, pixel_accuracy)
 from .tensor import Parameter, Tape, Tensor, backward, grad_check
 from .unet import UnetConfig, UnetModel, build_model, forward, predict_labels
 

@@ -1,20 +1,22 @@
 """Training objective (weighted cross-entropy + soft Dice) and segmentation
 metrics (confusion matrix, mIoU, pixel accuracy) with report formatting.
 
-Both loss terms are fused ops with analytic gradients, registered on the
-active tape and verified against finite differences in the tests. Pixels
-labeled with the ignore sentinel contribute nothing to values or gradients.
+The objective is one op, ``combined_loss``, with an analytic gradient: both
+terms share one softmax and one label check, the op registers one node on the
+active tape, and the tests verify it against loop oracles and finite
+differences. Pixels labeled with the ignore sentinel contribute nothing to
+values or gradients.
 mIoU averages over observed classes only (any TP+FP+FN > 0), and ignored
 pixels are excluded from every metric; the report header says so.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DataError, NumericError, ShapeError
-from .tensor import Array, Tensor, add, record_op, scale
+from .tensor import Array, Tensor, record_op
 from .unet import LabelMap
 
 DEFAULT_IGNORE = 255
@@ -59,84 +61,62 @@ def _check_loss_inputs(logits: Tensor, y: LabelMap, cfg: LossConfig) -> tuple[Ar
     return y, valid
 
 
-def _log_softmax(z: Array) -> Array:
-    zs = z - z.max(axis=1, keepdims=True)
-    return zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
+def combined_loss(logits: Tensor, y: LabelMap, cfg: LossConfig) -> Tensor:
+    """alpha * cross-entropy + (1 - alpha) * soft Dice, as one op.
 
-
-def cross_entropy(logits: Tensor, y: LabelMap, cfg: LossConfig) -> Tensor:
-    """Mean over non-ignored pixels of -w[y] * log softmax(logits)[y]."""
+    Cross-entropy is the mean over non-ignored pixels of -w[y] * log softmax(z)[y];
+    Dice is 1 - (2 I_k + s) / (A_k + B_k + s) averaged over the classes present
+    in y, with I_k, A_k, B_k the soft intersection, prediction mass and label
+    count of class k. Both terms read one max-subtracted softmax.
+    """
     y, valid = _check_loss_inputs(logits, y, cfg)
     n, k, h, w = logits.shape
-    count = int(valid.sum())
-    y_safe = np.where(valid, y, 0)
-    lsm = _log_softmax(logits.data)
-    picked = np.take_along_axis(lsm, y_safe[:, None], axis=1)[:, 0]
-    weights = cfg.class_weights if cfg.class_weights is not None else np.ones(k)
-    w_pix = weights[y_safe] * valid
-    value = -(w_pix * picked).sum() / count
-    if not np.isfinite(value):
-        raise NumericError("cross-entropy overflowed to a non-finite value")
-
-    probs = np.exp(lsm)
-    onehot_scale = w_pix / count  # [N, H, W]
-
-    def bwd(g: Array):
-        gs = float(g.reshape(-1)[0])
-        dz = probs * onehot_scale[:, None]
-        flat = dz.reshape(n, k, h * w)
-        idx = y_safe.reshape(n, h * w)
-        rows = np.arange(n)[:, None]
-        flat[rows, idx, np.arange(h * w)[None, :]] -= onehot_scale.reshape(n, h * w)
-        return (gs * dz,)
-
-    return record_op("cross_entropy", (logits,), np.float64(value), bwd)
-
-
-def dice_loss(logits: Tensor, y: LabelMap, cfg: LossConfig) -> Tensor:
-    """Soft Dice over softmax probabilities, averaged over classes present in y."""
-    y, valid = _check_loss_inputs(logits, y, cfg)
-    n, k, h, w = logits.shape
+    alpha = float(cfg.alpha)
     s = cfg.dice_smooth
     y_safe = np.where(valid, y, 0)
     zs = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(zs)
-    probs = e / e.sum(axis=1, keepdims=True)
+    total = e.sum(axis=1, keepdims=True)
+    probs = e / total
 
-    onehot = np.zeros((n, k, h, w))
-    flat = onehot.reshape(n, k, h * w)
-    flat[np.arange(n)[:, None], y_safe.reshape(n, h * w), np.arange(h * w)[None, :]] = 1.0
-    onehot *= valid[:, None]
+    count = int(valid.sum())
+    log_p = np.take_along_axis(zs, y_safe[:, None], axis=1)[:, 0] - np.log(total[:, 0])
+    weights = cfg.class_weights if cfg.class_weights is not None else np.ones(k)
+    w_pix = weights[y_safe] * valid
+    ce = -(w_pix * log_p).sum() / count
 
+    onehot = ((y_safe[:, None] == np.arange(k)[:, None, None]) & valid[:, None]).astype(np.float64)
     vmask = valid[:, None].astype(np.float64)
-    inter = (probs * onehot * vmask).sum(axis=(0, 2, 3))   # I_k
-    p_sum = (probs * vmask).sum(axis=(0, 2, 3))            # A_k
-    y_sum = onehot.sum(axis=(0, 2, 3))                     # B_k
+    inter = (probs * onehot).sum(axis=(0, 2, 3))   # I_k
+    p_sum = (probs * vmask).sum(axis=(0, 2, 3))    # A_k
+    y_sum = onehot.sum(axis=(0, 2, 3))             # B_k
     present = y_sum > 0
     n_present = int(present.sum())
     denom = p_sum + y_sum + s
     per_class = 1.0 - (2.0 * inter + s) / denom
-    value = per_class[present].sum() / n_present
+    dice = per_class[present].sum() / n_present
+
+    value = alpha * ce + (1.0 - alpha) * dice
     if not np.isfinite(value):
-        raise NumericError("dice loss overflowed to a non-finite value")
+        raise NumericError("loss overflowed to a non-finite value")
 
     def bwd(g: Array):
+        # (g * alpha) * dz_ce + (g * (1 - alpha)) * dz_dice, built in place
         gs = float(g.reshape(-1)[0])
+        dz = probs - onehot
+        dz *= (w_pix / count)[:, None]
+        dz *= gs * alpha
         # dL/dP per class, zero for classes absent from the ground truth
         coeff = np.where(present, (2.0 * inter + s) / denom ** 2, 0.0) / n_present
         lin = np.where(present, 2.0 / denom, 0.0) / n_present
         dP = vmask * (coeff[None, :, None, None] - onehot * lin[None, :, None, None])
-        dz = probs * (dP - (probs * dP).sum(axis=1, keepdims=True))
-        return (gs * dz,)
+        dP -= (probs * dP).sum(axis=1, keepdims=True)
+        dP *= probs
+        dP *= gs * (1.0 - alpha)
+        dz += dP
+        return (dz,)
 
-    return record_op("dice_loss", (logits,), np.float64(value), bwd)
-
-
-def combined_loss(logits: Tensor, y: LabelMap, cfg: LossConfig) -> Tensor:
-    """alpha * cross-entropy + (1 - alpha) * Dice; grads flow through both."""
-    ce = cross_entropy(logits, y, cfg)
-    dc = dice_loss(logits, y, cfg)
-    return add(scale(ce, cfg.alpha), scale(dc, 1.0 - cfg.alpha))
+    return record_op("combined_loss", (logits,), np.float64(value), bwd)
 
 
 def inverse_frequency_weights(labels: list[LabelMap], num_classes: int,

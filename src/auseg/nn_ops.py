@@ -289,19 +289,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return record_op("sigmoid", (x,), out, lambda g: (g * out * (1.0 - out),))
 
 
-def softmax_channel(x: Tensor) -> Tensor:
-    """Per-pixel softmax over the channel axis, max-subtracted for stability."""
-    _require_nchw(x, "softmax_channel")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g: Array):
-        return (out * (g - (out * g).sum(axis=1, keepdims=True)),)
-
-    return record_op("softmax_channel", (x,), out, bwd)
-
-
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero with prob ``rate``, scale survivors by 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:

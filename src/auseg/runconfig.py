@@ -47,19 +47,12 @@ class RunConfig:
     crop_w: int = 0
     flip_p: float = 0.5
     jitter_delta: float = 0.1
-    normalization: str = "identity"
-    threads: int = 1
 
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.normalization != "identity":
-            raise ConfigError(f"only identity normalization is supported, got "
-                              f"{self.normalization!r}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if not 0.0 <= self.flip_p <= 1.0:
             raise ConfigError(f"flip_p must lie in [0, 1], got {self.flip_p}")
         if (self.crop_h > 0) != (self.crop_w > 0):
@@ -144,6 +137,18 @@ def _parse_value(key: str, raw: str, target_type: type):
                           f"{target_type.__name__}") from exc
 
 
+def _check_retired_key(key: str, raw: str) -> None:
+    """``normalization`` and ``threads`` configured nothing and are gone, but
+    config echoes in older checkpoints still carry them: accept the values
+    that were valid then, reject the rest."""
+    if key == "normalization":
+        value = _parse_value(key, raw, str)
+        if value != "identity":
+            raise ConfigError(f"only identity normalization is supported, got {value!r}")
+    elif _parse_value(key, raw, int) < 1:
+        raise ConfigError(f"threads must be >= 1, got {raw.strip()}")
+
+
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     cfg = base if base is not None else RunConfig()
     known = {f.name: f.type for f in fields(RunConfig)}
@@ -156,6 +161,9 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
+        if key in ("normalization", "threads"):
+            _check_retired_key(key, raw)
+            continue
         if key not in known:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
         setattr(cfg, key, _parse_value(key, raw, types[known[key]]))

@@ -67,9 +67,6 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
     def __mul__(self, other: "Tensor") -> "Tensor":
         return mul_elementwise(self, other)
 
@@ -165,20 +162,13 @@ def backward(tape: Tape, root: Tensor) -> None:
     for key, t in tensors.items():
         if not t.requires_grad:
             continue
-        g = np.ascontiguousarray(acc[key])
-        t.grad = g.copy() if t.grad is None else t.grad + g
+        # always a fresh C-order copy: acc entries may alias other gradients
+        g = acc[key]
+        t.grad = np.array(g, order="C") if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------
 # factories
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(_check_shape(shape)))
-
-
-def ones(shape) -> Tensor:
-    return Tensor(np.ones(_check_shape(shape)))
 
 
 def full(shape, value: float) -> Tensor:
@@ -217,13 +207,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
     return record_op("add", (a, b), out,
                      lambda g: (g, _reduce_to(g, b.shape, axes)))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    axes = _broadcast_axes(a.shape, b.shape)
-    out = a.data - b.data
-    return record_op("sub", (a, b), out,
-                     lambda g: (g, -_reduce_to(g, b.shape, axes)))
 
 
 def mul_elementwise(a: Tensor, b: Tensor) -> Tensor:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -187,24 +186,12 @@ def init_rng(seed: int) -> np.random.Generator:
 def _augmentations(cfg: TrainSettings):
     augs = []
     if cfg.crop_h > 0 and cfg.crop_w > 0:
-        augs.append(partial(_crop, ch=cfg.crop_h, cw=cfg.crop_w))
+        augs.append(lambda s, rng: random_crop(s, cfg.crop_h, cfg.crop_w, rng))
     if cfg.flip_p > 0:
-        augs.append(partial(_flip, p=cfg.flip_p))
+        augs.append(lambda s, rng: horizontal_flip(s, rng, cfg.flip_p))
     if cfg.jitter_delta > 0:
-        augs.append(partial(_jitter, max_delta=cfg.jitter_delta))
+        augs.append(lambda s, rng: color_jitter(s, cfg.jitter_delta, rng))
     return augs
-
-
-def _crop(s, rng, ch, cw):
-    return random_crop(s, ch, cw, rng)
-
-
-def _flip(s, rng, p):
-    return horizontal_flip(s, rng, p)
-
-
-def _jitter(s, rng, max_delta):
-    return color_jitter(s, max_delta, rng)
 
 
 def evaluate(model: UnetModel, samples: Sequence[Sample], loss_cfg: LossConfig,
@@ -301,13 +288,8 @@ def lr_sweep(unet_cfg: UnetConfig, train_samples: Sequence[Sample],
         raise ConfigError("learning-rate sweep needs at least one rate")
     rows = []
     for lr in lrs:
-        run_cfg = TrainSettings(
-            epochs=cfg.epochs, batch_size=cfg.batch_size, seed=cfg.seed, loss=cfg.loss,
-            schedule=CosineSchedule(eta_max=lr, eta_min=min(cfg.schedule.eta_min, lr),
-                                    total_epochs=cfg.schedule.total_epochs),
-            weight_decay=cfg.weight_decay, patience=cfg.patience, min_delta=cfg.min_delta,
-            flip_p=cfg.flip_p, jitter_delta=cfg.jitter_delta,
-            crop_h=cfg.crop_h, crop_w=cfg.crop_w)
+        run_cfg = replace(cfg, schedule=replace(cfg.schedule, eta_max=lr,
+                                                eta_min=min(cfg.schedule.eta_min, lr)))
         model = build_model(unet_cfg, init_rng(cfg.seed))
         result = train(model, train_samples, val_samples, run_cfg, log_line=log_line)
         model.load_state_arrays(result.best_state)

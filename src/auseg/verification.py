@@ -3,7 +3,7 @@
 Each unit builds a deterministic scalar function and checks reverse-mode
 gradients with central differences on a few sampled coordinates per input,
 across several seeds. Single kernels default to tolerance 1e-5, composed
-blocks (attention, the full model, the losses) to 1e-4.
+blocks (attention, the full model, the loss) to 1e-4.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 from . import nn_ops as F
 from .attention import (channel_attention, hybrid_attention_block, init_channel_attention,
                         init_spatial_attention, spatial_attention)
-from .losses_metrics import LossConfig, combined_loss, cross_entropy, dice_loss
+from .losses_metrics import LossConfig, combined_loss
 from .nn_ops import Conv2dParams
 from .tensor import (Tensor, grad_check, matmul, mul_elementwise, reduce_mean, reduce_sum,
                      scale)
@@ -48,11 +48,6 @@ def _mean_sq(t: Tensor) -> Tensor:
 def _unit_add(rng):
     a, b = _t(rng, 2, 3, 4, 4), _t(rng, 2, 3, 4, 4)
     return lambda a, b: _mean_sq(a + b), [a, b]
-
-
-def _unit_sub(rng):
-    a, b = _t(rng, 3, 5), _t(rng, 3, 5)
-    return lambda a, b: _mean_sq(a - b), [a, b]
 
 
 def _unit_mul_broadcast(rng):
@@ -90,11 +85,6 @@ def _unit_relu(rng):
 def _unit_sigmoid(rng):
     a = _t(rng, 2, 3, 4, 4, lo=-3.0, hi=3.0)
     return lambda a: _mean_sq(F.sigmoid(a)), [a]
-
-
-def _unit_softmax(rng):
-    a = _t(rng, 2, 4, 3, 3)
-    return lambda a: _mean_sq(F.softmax_channel(a)), [a]
 
 
 def _unit_conv2d(rng):
@@ -189,30 +179,18 @@ def _random_labels(rng, n, k, h, w, ignore_index=255, ignore_frac=0.0):
     return y.astype(np.int64)
 
 
-def _unit_cross_entropy(rng):
-    z = _t(rng, 1, 3, 4, 4)
-    y = _random_labels(rng, 1, 3, 4, 4, ignore_frac=0.15)
-    cfg = LossConfig(alpha=1.0, class_weights=rng.uniform(0.5, 2.0, size=3))
-    return lambda z: cross_entropy(z, y, cfg), [z]
-
-
-def _unit_dice(rng):
-    z = _t(rng, 1, 3, 4, 4)
-    y = _random_labels(rng, 1, 3, 4, 4, ignore_frac=0.15)
-    cfg = LossConfig()
-    return lambda z: dice_loss(z, y, cfg), [z]
-
-
-def _unit_combined(rng):
-    z = _t(rng, 1, 2, 4, 4)
-    y = _random_labels(rng, 1, 2, 4, 4)
-    cfg = LossConfig(alpha=0.5)
-    return lambda z: combined_loss(z, y, cfg), [z]
+def _loss_unit(alpha: float, k: int):
+    """Builder for ``combined_loss`` with class weights and ignored pixels."""
+    def build(rng):
+        z = _t(rng, 1, k, 4, 4)
+        y = _random_labels(rng, 1, k, 4, 4, ignore_frac=0.15)
+        cfg = LossConfig(alpha=alpha, class_weights=rng.uniform(0.5, 2.0, size=k))
+        return lambda z: combined_loss(z, y, cfg), [z]
+    return build
 
 
 UNITS: list[tuple[str, float, object]] = [
     ("add", TOL_SINGLE, _unit_add),
-    ("sub", TOL_SINGLE, _unit_sub),
     ("mul_broadcast", TOL_SINGLE, _unit_mul_broadcast),
     ("scale", TOL_SINGLE, _unit_scale),
     ("matmul", TOL_SINGLE, _unit_matmul),
@@ -220,7 +198,6 @@ UNITS: list[tuple[str, float, object]] = [
     ("reduce_mean", TOL_SINGLE, _unit_reduce_mean),
     ("relu", TOL_SINGLE, _unit_relu),
     ("sigmoid", TOL_SINGLE, _unit_sigmoid),
-    ("softmax_channel", TOL_SINGLE, _unit_softmax),
     ("conv2d", TOL_SINGLE, _unit_conv2d),
     ("transposed_conv2d", TOL_SINGLE, _unit_transposed_conv2d),
     ("maxpool2d", TOL_SINGLE, _unit_maxpool),
@@ -233,9 +210,9 @@ UNITS: list[tuple[str, float, object]] = [
     ("spatial_attention", TOL_COMPOSED, _unit_spatial_attention),
     ("hybrid_attention_block", TOL_COMPOSED, _unit_hybrid_block),
     ("unet_forward", TOL_COMPOSED, _unit_unet),
-    ("cross_entropy", TOL_COMPOSED, _unit_cross_entropy),
-    ("dice_loss", TOL_COMPOSED, _unit_dice),
-    ("combined_loss", TOL_COMPOSED, _unit_combined),
+    ("combined_loss_ce", TOL_COMPOSED, _loss_unit(alpha=1.0, k=3)),
+    ("combined_loss_dice", TOL_COMPOSED, _loss_unit(alpha=0.0, k=3)),
+    ("combined_loss", TOL_COMPOSED, _loss_unit(alpha=0.5, k=2)),
 ]
 
 

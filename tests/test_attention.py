@@ -13,7 +13,7 @@ from auseg.attention import (ChannelAttentionParams, SpatialAttentionParams,
                              spatial_attention)
 from auseg.errors import ConfigError, ShapeError
 from auseg.nn_ops import Conv2dParams
-from auseg.tensor import Tensor, grad_check, mul_elementwise, ones, reduce_sum
+from auseg.tensor import Tensor, full, grad_check, mul_elementwise, reduce_sum
 
 
 def rng(seed=0):
@@ -146,12 +146,12 @@ class TestSpatialAttention:
 class TestHybridApply:
     def test_identity_gates(self):
         f = Tensor(rng(10).normal(size=(2, 3, 4, 4)))
-        out = hybrid_apply(f, ones([2, 3, 1, 1]), ones([2, 1, 4, 4]))
+        out = hybrid_apply(f, full([2, 3, 1, 1], 1.0), full([2, 1, 4, 4], 1.0))
         assert np.array_equal(out.data, f.data)
 
     def test_zero_spatial_gate_annihilates(self):
         f = Tensor(rng(11).normal(size=(2, 3, 4, 4)))
-        out = hybrid_apply(f, ones([2, 3, 1, 1]), Tensor(np.zeros((2, 1, 4, 4))))
+        out = hybrid_apply(f, full([2, 3, 1, 1], 1.0), Tensor(np.zeros((2, 1, 4, 4))))
         assert np.all(out.data == 0.0)
 
     def test_vs_triple_loop_oracle(self):
@@ -171,7 +171,7 @@ class TestHybridApply:
     def test_broadcast_mismatch(self):
         f = Tensor(np.zeros((2, 3, 4, 4)))
         with pytest.raises(ShapeError):
-            hybrid_apply(f, ones([2, 2, 1, 1]), ones([2, 1, 4, 4]))
+            hybrid_apply(f, full([2, 2, 1, 1], 1.0), full([2, 1, 4, 4], 1.0))
 
 
 class TestHybridBlock:

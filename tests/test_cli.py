@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from auseg.checkpoint import load_checkpoint
 from auseg.cli import TRAIN_ARTIFACTS, main
 from auseg.data import read_pgm, write_ppm
+from auseg.runconfig import parse_config_text
 from auseg.training import TrainLog
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 CONFIG = """\
 seed = 3
@@ -72,6 +77,15 @@ class TestTrain:
         bad.write_text(CONFIG.format(root=trained["data"]) + "momentum = 0.9\n")
         assert main(["train", "--config", str(bad), "--out", str(trained["tmp"] / "x")]) == 2
         assert "momentum" in capsys.readouterr().err
+
+    def test_retired_keys_accept_only_their_old_values(self, tmp_path):
+        cfg = parse_config_text("normalization = identity\nthreads = 4\n")
+        assert "normalization" not in cfg.resolved_text()
+        assert "threads" not in cfg.resolved_text()
+        for line in ("normalization = zscore", "threads = 0", "threads = two"):
+            bad = write_config(tmp_path, tmp_path)
+            bad.write_text(bad.read_text() + line + "\n")
+            assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
     def test_missing_data_exit_3(self, trained, tmp_path):
         cfg = write_config(tmp_path, tmp_path / "nowhere")
@@ -158,6 +172,19 @@ class TestPredict:
         pa = float((pred == truth).mean())
         best = TrainLog.from_csv((trained["out"] / "trainlog.csv").read_text()).best_row()
         assert pa >= best.val_pa - 0.1
+
+    def test_old_checkpoint_predicts_recorded_labels(self, tmp_path):
+        # v1.ckpt, a depth-1 two-class model, and v1_labels.pgm, its prediction
+        # for v1_image.ppm, were written by `auseg train` and `auseg predict`
+        # while configs still had the `normalization` and `threads` keys
+        config_text, _ = load_checkpoint(FIXTURES / "v1.ckpt")
+        assert "normalization = identity" in config_text and "threads = 1" in config_text
+        out = tmp_path / "pred.pgm"
+        assert main(["predict", "--ckpt", str(FIXTURES / "v1.ckpt"),
+                     "--image", str(FIXTURES / "v1_image.ppm"), "--out", str(out)]) == 0
+        expected = read_pgm(FIXTURES / "v1_labels.pgm")
+        assert np.array_equal(read_pgm(out), expected)
+        assert set(np.unique(expected)) == {0, 1}
 
     def test_missing_image_exit_3(self, trained, tmp_path):
         assert main(["predict", "--ckpt", str(trained["out"] / "best.ckpt"),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from oracles import (loop_confusion, loop_cross_entropy, loop_dice, loop_miou,
 
 from auseg.errors import ContractError, DataError, ShapeError
 from auseg.losses_metrics import (ConfusionMatrix, LossConfig, combined_loss,
-                                  confusion_accumulate, cross_entropy, dice_loss,
-                                  eval_report_csv, format_eval_report,
+                                  confusion_accumulate, eval_report_csv, format_eval_report,
                                   inverse_frequency_weights, miou, per_class_iou,
                                   pixel_accuracy)
 from auseg.tensor import Tape, Tensor, backward, grad_check
@@ -19,6 +19,16 @@ from auseg.tensor import Tape, Tensor, backward, grad_check
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def ce_term(logits, y, cfg):
+    """The cross-entropy term alone: the combined loss at alpha = 1."""
+    return combined_loss(logits, y, replace(cfg, alpha=1.0))
+
+
+def dice_term(logits, y, cfg):
+    """The Dice term alone: the combined loss at alpha = 0."""
+    return combined_loss(logits, y, replace(cfg, alpha=0.0))
 
 
 def one_hot_logits(y, k, margin=40.0):
@@ -34,7 +44,7 @@ class TestCrossEntropy:
         y = rng(1).integers(0, 3, size=(1, 4, 4))
         prev = None
         for margin in (5.0, 10.0, 20.0):
-            loss = cross_entropy(Tensor(one_hot_logits(y, 3, margin)), y, LossConfig()).item()
+            loss = ce_term(Tensor(one_hot_logits(y, 3, margin)), y, LossConfig()).item()
             if prev is not None:
                 assert loss < prev
             prev = loss
@@ -42,14 +52,14 @@ class TestCrossEntropy:
 
     def test_uniform_logits_log_k(self):
         y = rng(2).integers(0, 4, size=(1, 3, 3))
-        loss = cross_entropy(Tensor(np.zeros((1, 4, 3, 3))), y, LossConfig()).item()
+        loss = ce_term(Tensor(np.zeros((1, 4, 3, 3))), y, LossConfig()).item()
         assert abs(loss - math.log(4)) < 1e-12
 
     def test_random_vs_per_pixel_oracle(self):
         r = rng(3)
         logits = r.normal(size=(1, 3, 4, 4))
         y = r.integers(0, 3, size=(1, 4, 4))
-        loss = cross_entropy(Tensor(logits), y, LossConfig()).item()
+        loss = ce_term(Tensor(logits), y, LossConfig()).item()
         assert abs(loss - loop_cross_entropy(logits, y)) < 1e-12
 
     def test_weights_and_ignore_vs_oracle(self):
@@ -59,7 +69,7 @@ class TestCrossEntropy:
         y[0, 0, :] = 255
         weights = [0.5, 2.0, 1.25]
         cfg = LossConfig(class_weights=np.array(weights))
-        loss = cross_entropy(Tensor(logits), y, cfg).item()
+        loss = ce_term(Tensor(logits), y, cfg).item()
         assert abs(loss - loop_cross_entropy(logits, y, weights)) < 1e-12
 
     def test_ignored_pixels_have_zero_gradient(self):
@@ -67,7 +77,7 @@ class TestCrossEntropy:
         logits = Tensor(r.normal(size=(1, 3, 2, 2)), requires_grad=True)
         y = np.array([[[0, 255], [1, 255]]])
         with Tape() as tape:
-            backward(tape, cross_entropy(logits, y, LossConfig()))
+            backward(tape, ce_term(logits, y, LossConfig()))
         g = logits.grad
         assert np.all(g[0, :, 0, 1] == 0.0)
         assert np.all(g[0, :, 1, 1] == 0.0)
@@ -75,20 +85,20 @@ class TestCrossEntropy:
 
     def test_all_ignored_is_contract_error(self):
         with pytest.raises(ContractError):
-            cross_entropy(Tensor(np.zeros((1, 2, 2, 2))), np.full((1, 2, 2), 255), LossConfig())
+            combined_loss(Tensor(np.zeros((1, 2, 2, 2))), np.full((1, 2, 2), 255), LossConfig())
 
     def test_label_out_of_range_names_value_and_location(self):
         y = np.zeros((1, 2, 2), dtype=np.int64)
         y[0, 1, 0] = 7
         with pytest.raises(DataError, match=r"7.*\(0, 1, 0\)"):
-            cross_entropy(Tensor(np.zeros((1, 3, 2, 2))), y, LossConfig())
+            combined_loss(Tensor(np.zeros((1, 3, 2, 2))), y, LossConfig())
 
     def test_gradcheck(self):
         r = rng(6)
         logits = Tensor(r.normal(size=(1, 3, 4, 4)), requires_grad=True)
         y = r.integers(0, 3, size=(1, 4, 4))
         cfg = LossConfig(class_weights=r.uniform(0.5, 2.0, size=3))
-        report = grad_check(lambda z: cross_entropy(z, y, cfg), [logits], tol=1e-5, rng=rng(7))
+        report = grad_check(lambda z: ce_term(z, y, cfg), [logits], tol=1e-5, rng=rng(7))
         assert report.passed
 
 
@@ -96,7 +106,7 @@ class TestDiceLoss:
     def test_perfect_overlap_within_smoothing_bound(self):
         y = rng(8).integers(0, 2, size=(1, 4, 4))
         cfg = LossConfig()
-        loss = dice_loss(Tensor(one_hot_logits(y, 2)), y, cfg).item()
+        loss = dice_term(Tensor(one_hot_logits(y, 2)), y, cfg).item()
         n_min = min(np.count_nonzero(y == 0), np.count_nonzero(y == 1))
         assert 0.0 <= loss <= cfg.dice_smooth / (2 * n_min + cfg.dice_smooth) + 1e-12
 
@@ -107,7 +117,7 @@ class TestDiceLoss:
         values = []
         for smooth in (1e-2, 1e-5, 1e-9):
             cfg = LossConfig(dice_smooth=smooth)
-            values.append(dice_loss(Tensor(one_hot_logits(flipped, 2)), y, cfg).item())
+            values.append(dice_term(Tensor(one_hot_logits(flipped, 2)), y, cfg).item())
         assert values[0] < values[1] < values[2]
         assert values[-1] > 1.0 - 1e-6
 
@@ -116,7 +126,7 @@ class TestDiceLoss:
         logits = r.normal(size=(1, 3, 4, 4))
         y = r.integers(0, 3, size=(1, 4, 4))
         cfg = LossConfig()
-        loss = dice_loss(Tensor(logits), y, cfg).item()
+        loss = dice_term(Tensor(logits), y, cfg).item()
         assert abs(loss - loop_dice(logits, y, cfg.dice_smooth)) < 1e-12
 
     def test_ignore_vs_oracle(self):
@@ -125,7 +135,7 @@ class TestDiceLoss:
         y = r.integers(0, 3, size=(2, 3, 3))
         y[1, 2, :] = 255
         cfg = LossConfig()
-        loss = dice_loss(Tensor(logits), y, cfg).item()
+        loss = dice_term(Tensor(logits), y, cfg).item()
         assert abs(loss - loop_dice(logits, y, cfg.dice_smooth)) < 1e-12
 
     def test_absent_class_skipped(self):
@@ -133,34 +143,46 @@ class TestDiceLoss:
         logits = r.normal(size=(1, 4, 3, 3))
         y = np.zeros((1, 3, 3), dtype=np.int64)  # only class 0 present
         cfg = LossConfig()
-        loss = dice_loss(Tensor(logits), y, cfg).item()
+        loss = dice_term(Tensor(logits), y, cfg).item()
         assert abs(loss - loop_dice(logits, y, cfg.dice_smooth)) < 1e-12
 
     def test_gradcheck(self):
         r = rng(12)
         logits = Tensor(r.normal(size=(1, 3, 4, 4)), requires_grad=True)
         y = r.integers(0, 3, size=(1, 4, 4))
-        report = grad_check(lambda z: dice_loss(z, y, LossConfig()), [logits],
+        report = grad_check(lambda z: dice_term(z, y, LossConfig()), [logits],
                             tol=1e-5, rng=rng(13))
         assert report.passed
 
 
 class TestCombined:
+    @staticmethod
+    def _value_and_grad(logits, y, cfg):
+        z = Tensor(logits, requires_grad=True)
+        with Tape() as tape:
+            loss = combined_loss(z, y, cfg)
+            backward(tape, loss)
+        return loss.data.tobytes(), z.grad.tobytes()
+
     def test_alpha_one_is_cross_entropy_bitwise(self):
+        # no trace of the Dice term, so its smoothing cannot move a bit
         r = rng(14)
         logits = r.normal(size=(1, 3, 4, 4))
         y = r.integers(0, 3, size=(1, 4, 4))
-        cfg = LossConfig(alpha=1.0)
-        assert combined_loss(Tensor(logits), y, cfg).item() == \
-            cross_entropy(Tensor(logits), y, cfg).item()
+        y[0, 0, 0] = 255
+        cfg = LossConfig(alpha=1.0, class_weights=np.array([0.5, 2.0, 1.25]))
+        assert self._value_and_grad(logits, y, cfg) == \
+            self._value_and_grad(logits, y, replace(cfg, dice_smooth=0.5))
 
     def test_alpha_zero_is_dice_bitwise(self):
+        # no trace of the cross-entropy term, so its class weights cannot move a bit
         r = rng(15)
         logits = r.normal(size=(1, 3, 4, 4))
         y = r.integers(0, 3, size=(1, 4, 4))
+        y[0, 0, 0] = 255
         cfg = LossConfig(alpha=0.0)
-        assert combined_loss(Tensor(logits), y, cfg).item() == \
-            dice_loss(Tensor(logits), y, cfg).item()
+        assert self._value_and_grad(logits, y, cfg) == \
+            self._value_and_grad(logits, y, replace(cfg, class_weights=np.array([0.5, 2.0, 1.25])))
 
     def test_alpha_half_affine_identity(self):
         r = rng(16)
@@ -168,8 +190,8 @@ class TestCombined:
         y = r.integers(0, 3, size=(1, 4, 4))
         cfg = LossConfig(alpha=0.5)
         combo = combined_loss(Tensor(logits), y, cfg).item()
-        ce = cross_entropy(Tensor(logits), y, cfg).item()
-        dc = dice_loss(Tensor(logits), y, cfg).item()
+        ce = ce_term(Tensor(logits), y, cfg).item()
+        dc = dice_term(Tensor(logits), y, cfg).item()
         assert abs(combo - 0.5 * (ce + dc)) < 1e-15
 
     def test_non_negative_across_alpha(self):

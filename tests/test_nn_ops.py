@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import (formula_sigmoid, loop_channel_avg, loop_channel_max, loop_conv2d,
-                     loop_global_avg_pool, loop_maxpool2d, loop_softmax_channel,
-                     loop_transposed_conv2d)
+                     loop_global_avg_pool, loop_maxpool2d, loop_transposed_conv2d)
 
 from auseg.errors import ConfigError, ContractError, ShapeError
 from auseg.nn_ops import (Conv2dParams, channel_avg_pool, channel_max_pool, concat_channels,
                           conv2d, dropout, global_avg_pool, maxpool2d, relu, sigmoid,
-                          softmax_channel, transposed_conv2d)
+                          transposed_conv2d)
 from auseg.tensor import Tape, Tensor, backward, grad_check, mul_elementwise, reduce_sum
 
 
@@ -352,31 +349,6 @@ class TestActivations:
         out = sigmoid(Tensor([-800.0, 800.0]))
         assert np.all(np.isfinite(out.data))
         assert out.data[0] == 0.0 and out.data[1] == 1.0
-
-
-class TestSoftmax:
-    def test_uniform_case(self):
-        out = softmax_channel(Tensor(np.zeros((1, 4, 2, 2))))
-        assert np.allclose(out.data, 0.25, atol=1e-15)
-
-    def test_shift_invariance(self):
-        x = rng(24).normal(size=(1, 3, 2, 2))
-        a = softmax_channel(Tensor(x)).data
-        b = softmax_channel(Tensor(x + 37.5)).data
-        assert np.max(np.abs(a - b)) < 1e-12
-
-    def test_vs_formula_oracle(self):
-        x = rng(25).uniform(-2, 2, size=(2, 4, 3, 3))
-        out = softmax_channel(Tensor(x))
-        assert np.max(np.abs(out.data - loop_softmax_channel(x))) < 1e-12
-
-    @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=2, max_value=6))
-    @settings(max_examples=60, deadline=None)
-    def test_output_is_distribution(self, seed, k):
-        x = np.random.default_rng(seed).normal(scale=5.0, size=(1, k, 3, 3))
-        out = softmax_channel(Tensor(x)).data
-        assert np.all(out >= 0.0) and np.all(out <= 1.0)
-        assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
 
 
 class TestDropout:
