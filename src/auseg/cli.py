@@ -13,17 +13,16 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import DatasetSpec, load_sample, load_split, save_sample, synth_generate
+from .data import DatasetSpec, load_split, save_sample, synth_generate
 from .errors import (ConfigError, ContractError, CorruptionError, DataError, NumericError,
                      ShapeError, TrainingError)
-from .losses_metrics import (ConfusionMatrix, confusion_accumulate, eval_report_csv,
-                             format_eval_report, miou, pixel_accuracy)
+from .losses_metrics import eval_report_csv, format_eval_report
 from .runconfig import RunConfig, load_config, parse_config_text
 from .svgplot import write_loss_svg
 from .tensor import Tensor
 from .training import (evaluate, format_sweep_report, init_rng, lr_sweep, sweep_report_csv,
                        train)
-from .unet import build_model, forward, predict_labels
+from .unet import build_model, predict_labels
 from .verification import format_gradcheck_table, run_gradcheck_suite
 
 EXIT_OK = 0

@@ -4,12 +4,13 @@ All ops take NCHW tensors, run vectorized numpy forward passes, and register
 analytic backward rules on the active tape. Every kernel is checked against a
 brute-force loop oracle in the test suite.
 
-Both convolutions share one core of three helpers (forward, kernel gradient,
-input gradient). Each loops over the kh*kw kernel offsets and issues one 2-D
-BLAS matmul per offset on [N*Ho*Wo, C] pixel rows, copied from an NHWC view
-of the padded input one offset at a time, so no full im2col buffer exists.
+Both convolutions share one core: one BLAS GEMM per sample between the kernel
+as stored, viewed as a matrix [O, C*kh*kw], and the im2col columns of one
+zero-padded NCHW sample. The forward pass multiplies them, the kernel gradient
+multiplies the output gradient by the transposed columns, and the input
+gradient scatters ``kernel.T @ grad`` back through the adjoint of im2col.
 ``transposed_conv2d`` is the adjoint of ``conv2d`` and has no kernels of its
-own: its forward pass is the input-gradient helper and its backward pass the
+own: its forward pass is conv2d's input gradient and its backward pass the
 other two.
 """
 from __future__ import annotations
@@ -60,61 +61,39 @@ def _resolve_padding(p: Conv2dParams) -> int:
     return int(p.padding)
 
 
-def _nhwc_padded(x: Array, pad: int) -> Array:
-    """NCHW array -> contiguous NHWC copy, zero-padded by ``pad`` on each side."""
+def _padded(x: Array, pad: int) -> Array:
+    """NCHW array zero-padded by ``pad`` on each spatial side (``x`` itself at 0)."""
+    if pad == 0:
+        return x
     n, c, h, w = x.shape
-    xh = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
-    xh[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
-    return xh
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    return xp
 
 
-def _flat_nhwc(x: Array) -> Array:
-    """NCHW array -> [N*H*W, C] rows, one per pixel."""
-    return x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1])
+# The convolution core runs one GEMM per padded [C, Hp, Wp] sample. A sample's
+# im2col columns [C*kh*kw, Ho*Wo] are in the (c, u, v) order of a stored
+# kernel [O, C, kh, kw], so ``kernel.reshape(O, -1)`` is the GEMM operand as is
+# (a view, never copied). One sample's columns are live at a time: a
+# batch-wide column buffer costs more peak memory than it saves in time.
+
+def _cols(xp: Array, kh: int, kw: int, s: int, ho: int, wo: int) -> Array:
+    """Padded batch [N, C, Hp, Wp] -> read-only view [N, C, kh, kw, Ho, Wo] of its taps.
+
+    ``taps[i].reshape(-1, Ho*Wo)`` copies sample i's im2col columns [C*kh*kw, Ho*Wo].
+    """
+    sn, sc, sh, sw = xp.strides
+    shape = xp.shape[:2] + (kh, kw, ho, wo)
+    return np.lib.stride_tricks.as_strided(xp, shape, (sn, sc, sh, sw, s * sh, s * sw),
+                                           writeable=False)
 
 
-# The convolution core: a padded NHWC input ``xh`` [N, Hp, Wp, C], a kernel
-# ``k`` [O, C, kh, kw] and an output (or output gradient ``g2``) of flat NHWC
-# rows [N*Ho*Wo, O]. Each helper loops over the kernel offsets (u, v) and
-# issues one 2-D matmul per offset; an offset's input rows are copied from the
-# strided view of the taps it reads. Kernels are regrouped into one contiguous
-# block per offset once per call: a matmul on a strided kernel slice is slower.
-
-def _taps(kh: int, kw: int, s: int, ho: int, wo: int):
+def _uncols(cols: Array, xp: Array, kh: int, kw: int, s: int, ho: int, wo: int) -> None:
+    """Adjoint of ``_cols``: add columns [C*kh*kw, Ho*Wo] into padded sample ``xp``."""
+    cols = cols.reshape(xp.shape[0], kh, kw, ho, wo)
     for u in range(kh):
         for v in range(kw):
-            yield u, v, (slice(None), slice(u, u + s * (ho - 1) + 1, s),
-                         slice(v, v + s * (wo - 1) + 1, s))
-
-
-def _conv_forward(xh: Array, k: Array, s: int, ho: int, wo: int) -> Array:
-    """out = sum over offsets of rows(u, v) @ k[:, :, u, v].T, as [N*Ho*Wo, O]."""
-    c = xh.shape[3]
-    kt = np.ascontiguousarray(k.transpose(2, 3, 1, 0))  # [kh, kw, C, O]
-    out = np.zeros((xh.shape[0] * ho * wo, k.shape[0]))
-    for u, v, taps in _taps(k.shape[2], k.shape[3], s, ho, wo):
-        out += xh[taps].reshape(-1, c) @ kt[u, v]
-    return out
-
-
-def _conv_kernel_grad(xh: Array, g2: Array, kh: int, kw: int, s: int, ho: int, wo: int) -> Array:
-    """gk[:, :, u, v] = g2.T @ rows(u, v), as [O, C, kh, kw]."""
-    c = xh.shape[3]
-    gk = np.empty((kh, kw, g2.shape[1], c))
-    for u, v, taps in _taps(kh, kw, s, ho, wo):
-        np.matmul(g2.T, xh[taps].reshape(-1, c), out=gk[u, v])
-    return gk.transpose(2, 3, 0, 1)
-
-
-def _conv_input_grad(g2: Array, k: Array, padded_shape: tuple[int, ...], s: int,
-                     ho: int, wo: int) -> Array:
-    """Scatter-add g2 @ k[:, :, u, v] into the taps of a zero padded NHWC input."""
-    gxh = np.zeros(padded_shape)
-    n, c = padded_shape[0], padded_shape[3]
-    kt = np.ascontiguousarray(k.transpose(2, 3, 0, 1))  # [kh, kw, O, C]
-    for u, v, taps in _taps(k.shape[2], k.shape[3], s, ho, wo):
-        gxh[taps] += (g2 @ kt[u, v]).reshape(n, ho, wo, c)
-    return gxh
+            xp[:, u:u + s * (ho - 1) + 1:s, v:v + s * (wo - 1) + 1:s] += cols[:, u, v]
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
@@ -135,25 +114,34 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     if ho < 1 or wo < 1:
         raise ShapeError(f"degenerate conv2d output {ho}x{wo}")
 
-    kd = kernel.data
-    out = _conv_forward(_nhwc_padded(x.data, pad), kd, s, ho, wo)
-    out += bias.data
+    k2 = kernel.data.reshape(out_ch, -1)
+    taps = _cols(_padded(x.data, pad), kh, kw, s, ho, wo)
+    out = np.empty((n, out_ch, ho * wo))
+    for i in range(n):
+        np.matmul(k2, taps[i].reshape(-1, ho * wo), out=out[i])
+    out += bias.data[:, None]
 
     def bwd(g: Array):
         gx = gk = gb = None
-        g2 = _flat_nhwc(g)
         if bias.requires_grad:
-            gb = g2.sum(axis=0)
-        if kernel.requires_grad:
-            # rebuilt, not kept from the forward pass: the tape holds no second copy of x
-            gk = _conv_kernel_grad(_nhwc_padded(x.data, pad), g2, kh, kw, s, ho, wo)
-        if x.requires_grad:
-            gxh = _conv_input_grad(g2, kd, (n, h + 2 * pad, w + 2 * pad, c), s, ho, wo)
-            gx = gxh[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
+            gb = g.sum(axis=(0, 2, 3))
+        # columns are rebuilt, not kept from the forward pass: the tape holds no im2col buffer
+        taps = _cols(_padded(x.data, pad), kh, kw, s, ho, wo) if kernel.requires_grad else None
+        gk2 = np.zeros_like(k2) if kernel.requires_grad else None
+        gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad)) if x.requires_grad else None
+        for i in range(n):
+            gi = g[i].reshape(out_ch, -1)
+            if gk2 is not None:
+                gk2 += gi @ taps[i].reshape(-1, ho * wo).T
+            if gxp is not None:
+                _uncols(k2.T @ gi, gxp[i], kh, kw, s, ho, wo)
+        if gk2 is not None:
+            gk = gk2.reshape(kernel.shape)
+        if gxp is not None:
+            gx = gxp[:, :, pad:pad + h, pad:pad + w]
         return gx, gk, gb
 
-    out = out.reshape(n, ho, wo, out_ch).transpose(0, 3, 1, 2)
-    return record_op("conv2d", (x, kernel, bias), out, bwd)
+    return record_op("conv2d", (x, kernel, bias), out.reshape(n, out_ch, ho, wo), bwd)
 
 
 def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
@@ -180,22 +168,32 @@ def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     if ho < 1 or wo < 1:
         raise ShapeError(f"degenerate transposed_conv2d output {ho}x{wo}")
 
-    kd = kernel.data
-    full = _conv_input_grad(_flat_nhwc(x.data), kd, (n, hf, wf, out_ch), s, h, w)
-    out = full[:, pad:pad + ho, pad:pad + wo] + bias.data
+    k2 = kernel.data.reshape(in_ch, -1)
+    full = np.zeros((n, out_ch, hf, wf))
+    for i in range(n):
+        _uncols(k2.T @ x.data[i].reshape(in_ch, -1), full[i], kh, kw, s, h, w)
+    out = full[:, :, pad:pad + ho, pad:pad + wo] + bias.data[:, None, None]
 
     def bwd(g: Array):
         gx = gk = gb = None
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
-        gfh = _nhwc_padded(g, pad)
-        if x.requires_grad:
-            gx = _conv_forward(gfh, kd, s, h, w).reshape(n, h, w, in_ch).transpose(0, 3, 1, 2)
-        if kernel.requires_grad:
-            gk = _conv_kernel_grad(gfh, _flat_nhwc(x.data), kh, kw, s, h, w)
+        taps = _cols(_padded(g, pad), kh, kw, s, h, w)
+        gx = np.empty((n, in_ch, h * w)) if x.requires_grad else None
+        gk2 = np.zeros_like(k2) if kernel.requires_grad else None
+        for i in range(n):
+            cols = taps[i].reshape(-1, h * w)
+            if gx is not None:
+                np.matmul(k2, cols, out=gx[i])
+            if gk2 is not None:
+                gk2 += x.data[i].reshape(in_ch, -1) @ cols.T
+        if gx is not None:
+            gx = gx.reshape(x.shape)
+        if gk2 is not None:
+            gk = gk2.reshape(kernel.shape)
         return gx, gk, gb
 
-    return record_op("transposed_conv2d", (x, kernel, bias), out.transpose(0, 3, 1, 2), bwd)
+    return record_op("transposed_conv2d", (x, kernel, bias), out, bwd)
 
 
 def maxpool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:

@@ -137,16 +137,19 @@ def record_op(op: str, inputs: Sequence[Tensor], out_data: Array,
 
 
 def backward(tape: Tape, root: Tensor) -> None:
-    """Accumulate d(root)/d(leaf) into every requires_grad tensor's ``grad``.
+    """Accumulate d(root)/d(leaf) into every requires_grad leaf's ``grad``.
 
-    Gradients add onto whatever is already stored; callers zero between steps.
+    A leaf is a tensor no recorded node produced (the root counts when it is
+    one). Intermediate tensors get no ``grad``: each node's output gradient is
+    dropped as soon as that node has run. Gradients add onto whatever is
+    already stored; callers zero between steps.
     """
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
     acc: dict[int, Array] = {id(root): np.ones_like(root.data)}
     tensors: dict[int, Tensor] = {id(root): root}
     for node in reversed(tape.nodes):
-        g = acc.get(id(node.output))
+        g = acc.pop(id(node.output), None)
         if g is None:
             continue
         grads = node.backward(g)
@@ -159,11 +162,12 @@ def backward(tape: Tape, root: Tensor) -> None:
             else:
                 acc[key] = gi
                 tensors[key] = inp
-    for key, t in tensors.items():
+    # what is left belongs to leaves: their producers, if any, are not on the tape
+    for key, g in acc.items():
+        t = tensors[key]
         if not t.requires_grad:
             continue
         # always a fresh C-order copy: acc entries may alias other gradients
-        g = acc[key]
         t.grad = np.array(g, order="C") if t.grad is None else t.grad + g
 
 

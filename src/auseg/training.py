@@ -47,19 +47,28 @@ def adamw_step(params: Sequence[Parameter], grads: Sequence[np.ndarray],
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
+    # in place through two scratch rows shared by every parameter, in the order of
+    # p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * p)
+    scratch = np.empty((2, max((p.tensor.size for p in params), default=0)))
     for p, g in zip(params, grads):
         if g is None or not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter {p.name!r}")
         m = state.m[p.name]
         v = state.v[p.name]
+        w = p.tensor.data
+        a, b = (row[:w.size].reshape(w.shape) for row in scratch)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(1.0 - state.beta1, g, out=a)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.tensor.data -= lr * (m_hat / (np.sqrt(v_hat) + state.eps)
-                               + state.weight_decay * p.tensor.data)
+        np.multiply(1.0 - state.beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += state.eps
+        np.divide(m, bc1, out=b)
+        b /= a
+        b += np.multiply(state.weight_decay, w, out=a)
+        w -= np.multiply(lr, b, out=b)
 
 
 @dataclass

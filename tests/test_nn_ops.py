@@ -219,6 +219,43 @@ def test_conv_adjoint_identity_padded_stride2():
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
+# (op, c, o, h, w, k, stride, padding): the convolutions run one GEMM per sample
+BATCH_CASES = {
+    "conv_stride2_pad1": (conv2d, 3, 4, 7, 6, 3, 2, 1),
+    "conv_7x7_same": (conv2d, 2, 1, 6, 6, 7, 1, "same"),
+    "transposed_k3_s2_pad1": (transposed_conv2d, 3, 2, 3, 4, 3, 2, 1),
+    "transposed_k7_s1_pad3": (transposed_conv2d, 2, 1, 6, 6, 7, 1, 3),
+}
+
+
+@pytest.mark.parametrize("case", BATCH_CASES.values(), ids=BATCH_CASES.keys())
+def test_conv_sample_of_batch_equals_sample_alone(case):
+    # sample i of a batch-3 call has the bytes of the same sample run at batch 1,
+    # so a batch-1 predict sees the same convolutions as a batched evaluate
+    op, c, o, h, w, k, s, pad = case
+    r = rng(45)
+    kern = r.normal(size=(o, c, k, k) if op is conv2d else (c, o, k, k))
+    b = r.normal(size=o)
+    x = r.normal(size=(3, c, h, w))
+
+    def run(xs, gs=None):
+        xt = Tensor(xs, requires_grad=True)
+        with Tape() as tape:
+            y = op(xt, Conv2dParams(Tensor(kern), Tensor(b), stride=s, padding=pad))
+            if gs is None:
+                return y.data, None
+            backward(tape, reduce_sum(mul_elementwise(y, Tensor(gs))))
+        return y.data, xt.grad
+
+    y, _ = run(x)
+    g = r.normal(size=y.shape)
+    y, gx = run(x, g)
+    for i in range(3):
+        yi, gxi = run(x[i:i + 1], g[i:i + 1])
+        assert yi.tobytes() == y[i:i + 1].tobytes()
+        assert gxi.tobytes() == gx[i:i + 1].tobytes()
+
+
 class TestMaxpool:
     def test_hand_window(self):
         out = maxpool2d(Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]), 2, 2)

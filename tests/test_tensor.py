@@ -152,6 +152,20 @@ class TestBackward:
             backward(tape, reduce_sum(y))
         assert x.grad.tolist() == [2.0]
 
+    def test_only_leaves_keep_gradients(self):
+        # intermediate gradients are dropped during the sweep; each leaf gets its own copy
+        x = Tensor(rng(16).normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng(17).normal(size=(2, 3)), requires_grad=True)
+        with Tape() as tape:
+            m = mul_elementwise(x, x)
+            y = add(m, b)
+            z = add(y, x)
+            backward(tape, reduce_sum(z))
+        assert m.grad is None and y.grad is None and z.grad is None
+        assert np.array_equal(x.grad, (1.0 + x.data) + x.data)
+        assert np.array_equal(b.grad, np.ones((2, 3)))
+        assert not np.shares_memory(x.grad, b.grad)
+
     def test_recording_is_topological(self):
         x = Tensor(rng(8).normal(size=(2, 2)), requires_grad=True)
         with Tape() as tape:

@@ -84,6 +84,34 @@ class TestAdamW:
             theta, m, v = adam_reference_step(theta, g, m, v, t, lr=0.01)
             assert np.max(np.abs(params[0].tensor.data - theta)) < 1e-15
 
+    def test_in_place_update_bytes_match_expression(self):
+        # the update runs in place; its bytes must equal the plain expression's
+        shapes = ((8, 3, 3, 3), (8,), (2, 8, 1, 1), (5, 7))
+        params = make_params(9, shapes=shapes)
+        state = AdamWState.init(params, weight_decay=0.02)
+        theta = {p.name: p.tensor.data.copy() for p in params}
+        m = {name: np.zeros_like(t) for name, t in theta.items()}
+        v = {name: np.zeros_like(t) for name, t in theta.items()}
+        b1, b2, eps, wd = 0.9, 0.999, 1e-8, 0.02
+        r = rng(10)
+        for t in range(1, 6):
+            lr = 0.01 / t
+            grads = [r.normal(scale=10.0 ** r.integers(-3, 2), size=p.tensor.shape)
+                     for p in params]
+            adamw_step(params, grads, state, lr=lr)
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for p, g in zip(params, grads):
+                name = p.name
+                m[name] = m[name] * b1 + (1.0 - b1) * g
+                v[name] = v[name] * b2 + (1.0 - b2) * g * g
+                m_hat = m[name] / bc1
+                v_hat = v[name] / bc2
+                theta[name] = theta[name] - lr * (m_hat / (np.sqrt(v_hat) + eps)
+                                                  + wd * theta[name])
+                assert p.tensor.data.tobytes() == theta[name].tobytes()
+                assert state.m[name].tobytes() == m[name].tobytes()
+                assert state.v[name].tobytes() == v[name].tobytes()
+
     def test_moment_shapes_mirror_params(self):
         params = make_params(8)
         state = AdamWState.init(params)
@@ -272,14 +300,17 @@ class TestSweep:
 
 
 # One desk-config training step (8 images, batch 8) plus a one-image validation
-# pass; prints the loss bytes and a digest of every parameter's bytes.
+# pass; prints the loss bytes and a digest of every parameter's bytes. Then one
+# batch-1 forward of a depth-4, base-16 model on a 64x64 image (the GEMM shapes
+# of a predict request); prints a digest of the logits' bytes.
 _THREAD_STEP = """
 import hashlib
 from dataclasses import replace
 from conftest import desk_train_settings, desk_unet_config, rng
 from auseg.data import synth_generate
+from auseg.tensor import Tensor
 from auseg.training import init_rng, train
-from auseg.unet import build_model
+from auseg.unet import build_model, forward
 settings = replace(desk_train_settings(), epochs=1)
 model = build_model(desk_unet_config(), init_rng(settings.seed))
 result = train(model, synth_generate(8, 32, 32, 3, rng(100)),
@@ -288,7 +319,11 @@ digest = hashlib.sha256()
 for _, p in sorted(model.params.items()):
     digest.update(p.tensor.data.tobytes())
 row = result.log.rows[0]
-print(row.train_loss.hex(), row.val_loss.hex(), digest.hexdigest())
+cfg = replace(desk_unet_config(), num_classes=19, depth=4, base_channels=16)
+image = synth_generate(1, 64, 64, 19, rng(300))[0].image
+logits = forward(build_model(cfg, init_rng(1)), Tensor(image[None]))
+print(row.train_loss.hex(), row.val_loss.hex(), digest.hexdigest(),
+      hashlib.sha256(logits.data.tobytes()).hexdigest())
 """
 
 
@@ -303,5 +338,5 @@ def test_train_step_bytes_independent_of_blas_threads():
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout.split())
-    assert len(outputs[0]) == 3
+    assert len(outputs[0]) == 4
     assert outputs[0] == outputs[1]
