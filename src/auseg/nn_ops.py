@@ -4,14 +4,16 @@ All ops take NCHW tensors, run vectorized numpy forward passes, and register
 analytic backward rules on the active tape. Every kernel is checked against a
 brute-force loop oracle in the test suite.
 
-Both convolutions share one core: one BLAS GEMM per sample between the kernel
-as stored, viewed as a matrix [O, C*kh*kw], and the im2col columns of one
-zero-padded NCHW sample. The forward pass multiplies them, the kernel gradient
-multiplies the output gradient by the transposed columns, and the input
-gradient scatters ``kernel.T @ grad`` back through the adjoint of im2col.
-``transposed_conv2d`` is the adjoint of ``conv2d`` and has no kernels of its
-own: its forward pass is conv2d's input gradient and its backward pass the
-other two.
+Both convolutions share one core: one BLAS GEMM per sample between a kernel
+matrix and the im2col columns (a strided view) of a zero-extended NCHW window.
+conv2d's forward pass multiplies the kernel as stored, [O, C*kh*kw], by the
+columns of x, and its kernel gradient the output gradient by their transpose.
+Its input gradient correlates the output gradient with the flipped kernel,
+channels swapped (Dumoulin & Visin 2016): at stride s, one stride-1
+correlation per output phase (four 1x1 GEMMs at k = s = 2, as in sub-pixel
+convolution). ``transposed_conv2d`` is the adjoint of ``conv2d`` and has no
+kernels of its own: its forward pass is conv2d's input gradient and its
+backward pass the other two.
 """
 from __future__ import annotations
 
@@ -61,24 +63,26 @@ def _resolve_padding(p: Conv2dParams) -> int:
     return int(p.padding)
 
 
-def _padded(x: Array, pad: int) -> Array:
-    """NCHW array zero-padded by ``pad`` on each spatial side (``x`` itself at 0)."""
-    if pad == 0:
-        return x
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    xp[:, :, pad:pad + h, pad:pad + w] = x
-    return xp
+def _window(a: Array, top: int, nh: int, left: int, nw: int) -> Array:
+    """Rows [top, top+nh), columns [left, left+nw) of NCHW ``a``, zero-extended (a view if inside)."""
+    n, c, h, w = a.shape
+    if top >= 0 and left >= 0 and top + nh <= h and left + nw <= w:
+        return a[:, :, top:top + nh, left:left + nw]
+    out = np.zeros((n, c, nh, nw))
+    y0, y1, x0, x1 = max(top, 0), min(top + nh, h), max(left, 0), min(left + nw, w)
+    if y1 > y0 and x1 > x0:
+        out[:, :, y0 - top:y1 - top, x0 - left:x1 - left] = a[:, :, y0:y1, x0:x1]
+    return out
 
 
-# The convolution core runs one GEMM per padded [C, Hp, Wp] sample. A sample's
-# im2col columns [C*kh*kw, Ho*Wo] are in the (c, u, v) order of a stored
-# kernel [O, C, kh, kw], so ``kernel.reshape(O, -1)`` is the GEMM operand as is
-# (a view, never copied). One sample's columns are live at a time: a
+# The convolution core runs one GEMM per [C, Hp, Wp] sample of a window. A
+# sample's im2col columns [C*kh*kw, Ho*Wo] are in the (c, u, v) order of a
+# stored kernel [O, C, kh, kw], so ``kernel.reshape(O, -1)`` is the GEMM operand
+# as is (a view, never copied). One sample's columns are live at a time: a
 # batch-wide column buffer costs more peak memory than it saves in time.
 
 def _cols(xp: Array, kh: int, kw: int, s: int, ho: int, wo: int) -> Array:
-    """Padded batch [N, C, Hp, Wp] -> read-only view [N, C, kh, kw, Ho, Wo] of its taps.
+    """Window [N, C, Hp, Wp] -> read-only view [N, C, kh, kw, Ho, Wo] of its taps.
 
     ``taps[i].reshape(-1, Ho*Wo)`` copies sample i's im2col columns [C*kh*kw, Ho*Wo].
     """
@@ -88,12 +92,33 @@ def _cols(xp: Array, kh: int, kw: int, s: int, ho: int, wo: int) -> Array:
                                            writeable=False)
 
 
-def _uncols(cols: Array, xp: Array, kh: int, kw: int, s: int, ho: int, wo: int) -> None:
-    """Adjoint of ``_cols``: add columns [C*kh*kw, Ho*Wo] into padded sample ``xp``."""
-    cols = cols.reshape(xp.shape[0], kh, kw, ho, wo)
-    for u in range(kh):
-        for v in range(kw):
-            xp[:, u:u + s * (ho - 1) + 1:s, v:v + s * (wo - 1) + 1:s] += cols[:, u, v]
+def _phase(r: int, k: int, s: int, pad: int, size: int) -> tuple[int, int, int, int]:
+    """First output, output count, tap count and first input of phase r on one axis.
+
+    Output y = s*q + r - pad takes the taps u = r + s*m from input q - m."""
+    q0 = -((r - pad) // s)
+    y0, taps = s * q0 + r - pad, -((r - k) // s)
+    return y0, -((y0 - size) // s), taps, q0 - taps + 1
+
+
+def _conv_t(g: Array, kernel: Array, s: int, pad: int, h: int, w: int) -> Array:
+    """conv2d's input gradient for ``kernel`` [A, B, kh, kw]: [N, A, Ho, Wo] -> [N, B, h, w].
+
+    Output phase (r, t), every s-th row and column, correlates ``g`` with the
+    flipped taps ``kernel[:, :, r::s, t::s]``."""
+    n, b, (kh, kw) = g.shape[0], kernel.shape[1], kernel.shape[2:]
+    out = np.zeros((n, b, h, w))
+    for r in range(min(s, kh)):
+        y0, nq, nu, top = _phase(r, kh, s, pad, h)
+        for t in range(min(s, kw)):
+            x0, nx, nv, left = _phase(t, kw, s, pad, w)
+            if nq < 1 or nx < 1:
+                continue
+            k2 = kernel[:, :, r::s, t::s][:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(b, -1)
+            taps = _cols(_window(g, top, nq + nu - 1, left, nx + nv - 1), nu, nv, 1, nq, nx)
+            for i in range(n):
+                out[i, :, y0::s, x0::s] = (k2 @ taps[i].reshape(-1, nq * nx)).reshape(b, nq, nx)
+    return out
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
@@ -115,7 +140,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         raise ShapeError(f"degenerate conv2d output {ho}x{wo}")
 
     k2 = kernel.data.reshape(out_ch, -1)
-    taps = _cols(_padded(x.data, pad), kh, kw, s, ho, wo)
+    taps = _cols(_window(x.data, -pad, h + 2 * pad, -pad, w + 2 * pad), kh, kw, s, ho, wo)
     out = np.empty((n, out_ch, ho * wo))
     for i in range(n):
         np.matmul(k2, taps[i].reshape(-1, ho * wo), out=out[i])
@@ -125,20 +150,15 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         gx = gk = gb = None
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
-        # columns are rebuilt, not kept from the forward pass: the tape holds no im2col buffer
-        taps = _cols(_padded(x.data, pad), kh, kw, s, ho, wo) if kernel.requires_grad else None
-        gk2 = np.zeros_like(k2) if kernel.requires_grad else None
-        gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad)) if x.requires_grad else None
-        for i in range(n):
-            gi = g[i].reshape(out_ch, -1)
-            if gk2 is not None:
-                gk2 += gi @ taps[i].reshape(-1, ho * wo).T
-            if gxp is not None:
-                _uncols(k2.T @ gi, gxp[i], kh, kw, s, ho, wo)
-        if gk2 is not None:
+        if kernel.requires_grad:
+            # columns are rebuilt, not kept from the forward pass: the tape holds no im2col buffer
+            taps = _cols(_window(x.data, -pad, h + 2 * pad, -pad, w + 2 * pad), kh, kw, s, ho, wo)
+            gk2 = np.zeros_like(k2)
+            for i in range(n):
+                gk2 += g[i].reshape(out_ch, -1) @ taps[i].reshape(-1, ho * wo).T
             gk = gk2.reshape(kernel.shape)
-        if gxp is not None:
-            gx = gxp[:, :, pad:pad + h, pad:pad + w]
+        if x.requires_grad:
+            gx = _conv_t(g, kernel.data, s, pad, h, w)
         return gx, gk, gb
 
     return record_op("conv2d", (x, kernel, bias), out.reshape(n, out_ch, ho, wo), bwd)
@@ -168,17 +188,15 @@ def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     if ho < 1 or wo < 1:
         raise ShapeError(f"degenerate transposed_conv2d output {ho}x{wo}")
 
-    k2 = kernel.data.reshape(in_ch, -1)
-    full = np.zeros((n, out_ch, hf, wf))
-    for i in range(n):
-        _uncols(k2.T @ x.data[i].reshape(in_ch, -1), full[i], kh, kw, s, h, w)
-    out = full[:, :, pad:pad + ho, pad:pad + wo] + bias.data[:, None, None]
+    out = _conv_t(x.data, kernel.data, s, pad, ho, wo)
+    out += bias.data[:, None, None]
 
     def bwd(g: Array):
         gx = gk = gb = None
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
-        taps = _cols(_padded(g, pad), kh, kw, s, h, w)
+        taps = _cols(_window(g, -pad, hf, -pad, wf), kh, kw, s, h, w)
+        k2 = kernel.data.reshape(in_ch, -1)
         gx = np.empty((n, in_ch, h * w)) if x.requires_grad else None
         gk2 = np.zeros_like(k2) if kernel.requires_grad else None
         for i in range(n):

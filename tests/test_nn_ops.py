@@ -152,6 +152,8 @@ CONV_CASES = {
     "head_1x1": (2, 8, 3, 5, 5, 1, 1, 0),
     "spatial_attention_7x7_same": (2, 2, 1, 6, 6, 7, 1, 3),
     "h_ne_w": (1, 2, 3, 4, 7, 3, 1, 1),
+    # (h + 2*pad - k) % s != 0 in both axes: the last input rows and columns get no gradient
+    "k2_s3_rows_without_gradient": (2, 2, 3, 9, 7, 2, 3, 0),
 }
 
 # (n, c, o, h, w, k, stride, pad) for transposed_conv2d, kernel [c, o, k, k].
@@ -159,6 +161,10 @@ TRANSPOSED_CASES = {
     "k2_s2_pad1": (2, 3, 2, 3, 4, 2, 2, 1),
     "k3_s2_overlapping_taps": (1, 2, 3, 3, 2, 3, 2, 0),
     "k3_s1": (2, 2, 2, 4, 3, 3, 1, 0),
+    # s > k: every other output row and column has no taps
+    "k1_s2_empty_phases": (2, 2, 3, 3, 4, 1, 2, 0),
+    # pad > k - 1: every phase window is a crop of the input, none is zero-extended
+    "k3_s2_pad2_cropped_windows": (2, 2, 3, 3, 4, 3, 2, 2),
 }
 
 
@@ -219,12 +225,39 @@ def test_conv_adjoint_identity_padded_stride2():
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
+def _adjoint_case(k, s, pad):
+    # an input of at least 2 rows that conv2d's windows tile exactly, made non-square
+    h = s * max(1, -((k - 2 - 2 * pad) // s)) + k - 2 * pad
+    return k, s, pad, h, h + s
+
+
+ADJOINT_CASES = {f"k{k}_s{s}_pad{pad}": _adjoint_case(k, s, pad)
+                 for k in (1, 2, 3, 5) for s in (1, 2, 3) for pad in range(k)}
+
+
+@pytest.mark.parametrize("case", ADJOINT_CASES.values(), ids=ADJOINT_CASES.keys())
+def test_conv_adjoint_identity_grid(case):
+    # <conv(x), g> == <x, conv^T(g)>, so transposed_conv2d's output covers x exactly
+    k, s, pad, h, w = case
+    r = rng(46)
+    kern = r.normal(size=(3, 2, k, k))
+    x = r.normal(size=(2, 2, h, w))
+    y = conv2d(Tensor(x), params(kern, np.zeros(3), stride=s, padding=pad)).data
+    g = r.normal(size=y.shape)
+    xt = transposed_conv2d(Tensor(g), Conv2dParams(Tensor(kern), Tensor(np.zeros(2)),
+                                                   stride=s, padding=pad)).data
+    assert xt.shape == x.shape
+    lhs, rhs = float(np.sum(y * g)), float(np.sum(x * xt))
+    assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+
 # (op, c, o, h, w, k, stride, padding): the convolutions run one GEMM per sample
 BATCH_CASES = {
     "conv_stride2_pad1": (conv2d, 3, 4, 7, 6, 3, 2, 1),
     "conv_7x7_same": (conv2d, 2, 1, 6, 6, 7, 1, "same"),
     "transposed_k3_s2_pad1": (transposed_conv2d, 3, 2, 3, 4, 3, 2, 1),
     "transposed_k7_s1_pad3": (transposed_conv2d, 2, 1, 6, 6, 7, 1, 3),
+    "transposed_k2_s2_pad0": (transposed_conv2d, 3, 2, 3, 4, 2, 2, 0),
 }
 
 

@@ -302,13 +302,17 @@ class TestSweep:
 # One desk-config training step (8 images, batch 8) plus a one-image validation
 # pass; prints the loss bytes and a digest of every parameter's bytes. Then one
 # batch-1 forward of a depth-4, base-16 model on a 64x64 image (the GEMM shapes
-# of a predict request); prints a digest of the logits' bytes.
+# of a predict request); prints a digest of the logits' bytes. Then one batch-2
+# backward of that model (input gradients up to [C, O*9] @ [O*9, 4096] per
+# sample); prints a digest of its parameter gradients' bytes.
 _THREAD_STEP = """
 import hashlib
 from dataclasses import replace
+import numpy as np
 from conftest import desk_train_settings, desk_unet_config, rng
 from auseg.data import synth_generate
-from auseg.tensor import Tensor
+from auseg.losses_metrics import LossConfig, combined_loss
+from auseg.tensor import Tape, Tensor, backward
 from auseg.training import init_rng, train
 from auseg.unet import build_model, forward
 settings = replace(desk_train_settings(), epochs=1)
@@ -321,9 +325,17 @@ for _, p in sorted(model.params.items()):
 row = result.log.rows[0]
 cfg = replace(desk_unet_config(), num_classes=19, depth=4, base_channels=16)
 image = synth_generate(1, 64, 64, 19, rng(300))[0].image
-logits = forward(build_model(cfg, init_rng(1)), Tensor(image[None]))
+mid = build_model(cfg, init_rng(1))
+logits = forward(mid, Tensor(image[None]))
+pair = synth_generate(2, 64, 64, 19, rng(400))
+with Tape() as tape:
+    out = forward(mid, Tensor(np.stack([s.image for s in pair])))
+    backward(tape, combined_loss(out, np.stack([s.label for s in pair]), LossConfig()))
+grads = hashlib.sha256()
+for _, p in sorted(mid.params.items()):
+    grads.update(p.tensor.grad.tobytes())
 print(row.train_loss.hex(), row.val_loss.hex(), digest.hexdigest(),
-      hashlib.sha256(logits.data.tobytes()).hexdigest())
+      hashlib.sha256(logits.data.tobytes()).hexdigest(), grads.hexdigest())
 """
 
 
@@ -338,5 +350,5 @@ def test_train_step_bytes_independent_of_blas_threads():
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout.split())
-    assert len(outputs[0]) == 4
+    assert len(outputs[0]) == 5
     assert outputs[0] == outputs[1]
