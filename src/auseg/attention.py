@@ -1,10 +1,14 @@
-"""Hybrid attention for skip connections: channel gates, spatial gates, and
-their joint multiplicative application to a feature map.
+"""Hybrid attention for skip connections (CBAM, Woo et al. 2018): channel
+gates, spatial gates, and their joint multiplicative application.
 
-Channel gates squeeze the map through global average pooling and a two-layer
+``hybrid_attention_block`` is one op with one tape node and a hand-written
+backward. ``channel_attention`` and ``spatial_attention`` are its forward
+halves: they take an array, record nothing, and return the gate arrays.
+Channel gates squeeze the map through a spatial mean and a two-layer
 bottleneck (sigmoid output); spatial gates convolve the stacked per-pixel
-[channel-max, channel-avg] maps. Both gates lie strictly in (0, 1), so the
-gated map never exceeds the input in magnitude.
+[channel-max, channel-avg] maps with the convolution core of ``nn_ops``.
+Both gates lie strictly in (0, 1) for finite logits, so the gated map never
+exceeds the input in magnitude.
 """
 from __future__ import annotations
 
@@ -13,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .nn_ops import (Conv2dParams, channel_avg_pool, channel_max_pool, concat_channels,
-                     conv2d, global_avg_pool, relu, sigmoid)
-from .tensor import Tensor, matmul, mul_elementwise, reshape, transpose
+from .nn_ops import Conv2dParams, _conv, _conv_kernel_grad, _conv_t
+from .tensor import Array, Tensor, mul_elementwise, record_op
 
 COMPOSITIONS = ("parallel", "sequential")
 
@@ -57,23 +60,41 @@ class SpatialAttentionParams:
             raise ShapeError(f'spatial attention conv needs a square odd "same" kernel, got {kh}x{kw}')
 
 
-def channel_attention(f: Tensor, p: ChannelAttentionParams) -> Tensor:
-    """Per-channel gates in (0,1), shape [N, C, 1, 1], from globally pooled stats."""
-    if f.data.ndim != 4:
+def _sigmoid(z: Array) -> Array:
+    """1 / (1 + e^-z), with no overflow: negative z goes through e^z / (1 + e^z)."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def channel_attention(f: Array, p: ChannelAttentionParams) -> Array:
+    """Per-channel gates in (0,1), shape [N, C, 1, 1], from spatially pooled means."""
+    if f.ndim != 4:
         raise ShapeError(f"channel_attention expects NCHW input, got {f.shape}")
-    n, c = f.shape[0], f.shape[1]
-    if c != p.channels:
-        raise ShapeError(f"channel_attention: input has {c} channels, params expect {p.channels}")
-    squeezed = global_avg_pool(f)                       # [N, C]
-    hidden = relu(matmul(squeezed, transpose(p.w1)))    # [N, C/r]
-    gates = sigmoid(matmul(hidden, transpose(p.w2)))    # [N, C]
-    return reshape(gates, (n, c, 1, 1))
+    if f.shape[1] != p.channels:
+        raise ShapeError(f"channel_attention: input has {f.shape[1]} channels, "
+                         f"params expect {p.channels}")
+    hidden = np.maximum(f.mean(axis=(2, 3)) @ p.w1.data.T, 0.0)    # [N, C/r]
+    return _sigmoid(hidden @ p.w2.data.T)[:, :, None, None]
 
 
-def spatial_attention(f: Tensor, p: SpatialAttentionParams) -> Tensor:
+def _pools(f: Array) -> Array:
+    """Stacked per-pixel [channel-max, channel-avg] maps, [N, 2, H, W]."""
+    return np.concatenate([f.max(axis=1, keepdims=True), f.mean(axis=1, keepdims=True)], axis=1)
+
+
+def spatial_attention(f: Array, p: SpatialAttentionParams) -> Array:
     """Per-pixel gates in (0,1), shape [N, 1, H, W]; stacking order [max, avg]."""
-    stacked = concat_channels(channel_max_pool(f), channel_avg_pool(f))
-    return sigmoid(conv2d(stacked, p.conv))
+    if f.ndim != 4:
+        raise ShapeError(f"spatial_attention expects NCHW input, got {f.shape}")
+    n, _, h, w = f.shape
+    kernel, pad = p.conv.kernel.data, (p.conv.kernel.shape[2] - 1) // 2
+    logits = _conv(_pools(f), kernel, 1, pad, h, w)
+    logits += p.conv.bias.data[:, None]
+    return _sigmoid(logits).reshape(n, 1, h, w)
 
 
 def hybrid_apply(f: Tensor, w_c: Tensor, w_s: Tensor) -> Tensor:
@@ -83,18 +104,49 @@ def hybrid_apply(f: Tensor, w_c: Tensor, w_s: Tensor) -> Tensor:
 
 def hybrid_attention_block(f: Tensor, cp: ChannelAttentionParams, sp: SpatialAttentionParams,
                            composition: str = "parallel") -> Tensor:
-    """Gate a skip feature with channel and spatial attention.
+    """Gate a skip feature with channel and spatial attention: F * w_c * w_s.
 
-    "parallel" (default) derives both gates from the same input and applies
-    them jointly; "sequential" derives the spatial gate from the
-    channel-gated map instead.
+    "parallel" (default) derives both gates from F; "sequential" derives the
+    spatial gate from the channel-gated map F * w_c instead. One tape node;
+    its backward recomputes the pooled maps from the saved input.
     """
     if composition not in COMPOSITIONS:
         raise ConfigError(f"attention composition must be one of {COMPOSITIONS}, got {composition!r}")
-    if composition == "parallel":
-        return hybrid_apply(f, channel_attention(f, cp), spatial_attention(f, sp))
-    gated = mul_elementwise(f, channel_attention(f, cp))
-    return mul_elementwise(gated, spatial_attention(gated, sp))
+    x = f.data
+    w_c = channel_attention(x, cp)
+    gated = x * w_c
+    src = x if composition == "parallel" else gated
+    w_s = spatial_attention(src, sp)
+    w1, w2, kernel = cp.w1.data, cp.w2.data, sp.conv.kernel.data
+
+    def bwd(g: Array):
+        c, h, w = x.shape[1:]
+        # spatial gate: w_s = sigmoid(conv(pools(src)) + b)
+        g_gated = g * w_s
+        dz = (g * gated).sum(axis=1, keepdims=True) * w_s * (1.0 - w_s)
+        pad = (kernel.shape[2] - 1) // 2
+        gk = _conv_kernel_grad(dz, _pools(src), kernel.shape, 1, pad)
+        d_pools = _conv_t(dz, kernel, 1, pad, h, w)
+        g_src = np.repeat(d_pools[:, 1:] / c, c, axis=1)
+        top = src.argmax(axis=1)[:, None]    # the first maximal channel takes the max route
+        np.put_along_axis(g_src, top, np.take_along_axis(g_src, top, axis=1) + d_pools[:, :1],
+                          axis=1)
+        if composition == "sequential":
+            g_gated += g_src
+        # channel gate: w_c = sigmoid(relu(mean_hw(x) @ w1.T) @ w2.T)
+        gx = g_gated * w_c
+        if composition == "parallel":
+            gx += g_src
+        squeezed = x.mean(axis=(2, 3))
+        hidden = np.maximum(squeezed @ w1.T, 0.0)
+        gc = w_c[:, :, 0, 0]
+        dz2 = (g_gated * x).sum(axis=(2, 3)) * gc * (1.0 - gc)
+        dz1 = (dz2 @ w2) * (hidden > 0)
+        gx += (dz1 @ w1)[:, :, None, None] / (h * w)
+        return gx, dz1.T @ squeezed, dz2.T @ hidden, gk, dz.sum(axis=(0, 2, 3))
+
+    return record_op("hybrid_attention_block",
+                     (f, cp.w1, cp.w2, sp.conv.kernel, sp.conv.bias), gated * w_s, bwd)
 
 
 def init_channel_attention(channels: int, reduction_ratio: int,

@@ -7,6 +7,7 @@ bytes. save -> load -> save round-trips byte-identically.
 """
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -62,14 +63,21 @@ def deserialize(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
     def take_u32(what: str) -> int:
         return struct.unpack("<I", take(4, what))[0]
 
-    cfg_len = take_u32("config length")
-    config_text = take(cfg_len, "config echo").decode("utf-8")
+    def take_text(n: int, what: str) -> str:
+        start, raw = pos, take(n, what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad = start + exc.start
+        raise CorruptionError(f"checkpoint {what} is not UTF-8 at byte {bad}")
+
+    config_text = take_text(take_u32("config length"), "config echo")
     params: dict[str, np.ndarray] = {}
     while pos < len(body):
         name_len = take_u32("name length")
         if name_len > MAX_NAME:
             raise CorruptionError(f"implausible parameter name length {name_len}")
-        name = take(name_len, "name").decode("utf-8")
+        name = take_text(name_len, "name")
         if name in params:
             raise CorruptionError(f"duplicate parameter {name!r} in checkpoint")
         rank = take_u32("rank")
@@ -87,7 +95,19 @@ def deserialize(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
 
 
 def save_checkpoint(path, config_text: str, params: dict[str, np.ndarray]) -> None:
-    Path(path).write_bytes(serialize(config_text, params))
+    """Write atomically: a synced temp file in the same directory replaces ``path``,
+    so a crash mid-save leaves the previous file intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(serialize(config_text, params))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:

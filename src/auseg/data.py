@@ -55,7 +55,7 @@ def _parse_netpbm(raw: bytes, path, magic: bytes, channels: int) -> tuple[np.nda
         raise DataError(f"{path}: expected magic {magic.decode()} at byte 0, "
                         f"got {raw[:2]!r}")
     pos = 2
-    fields = []
+    fields, starts = [], []
     while len(fields) < 3:
         while pos < len(raw) and raw[pos:pos + 1].isspace():
             pos += 1
@@ -68,11 +68,13 @@ def _parse_netpbm(raw: bytes, path, magic: bytes, channels: int) -> tuple[np.nda
         if not token.isdigit():
             raise DataError(f"{path}: non-numeric header token {token!r} at byte {start}")
         fields.append(int(token))
+        starts.append(start)
     width, height, maxval = fields
     if width < 1 or height < 1:
-        raise DataError(f"{path}: degenerate extents {width}x{height} in header")
+        raise DataError(f"{path}: degenerate extents {width}x{height} in header "
+                        f"at byte {starts[0]}")
     if maxval != 255:
-        raise DataError(f"{path}: only maxval 255 supported, got {maxval} at byte {pos}")
+        raise DataError(f"{path}: only maxval 255 supported, got {maxval} at byte {starts[2]}")
     if pos >= len(raw) or not raw[pos:pos + 1].isspace():
         raise DataError(f"{path}: expected single whitespace after maxval at byte {pos}")
     pos += 1

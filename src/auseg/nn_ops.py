@@ -4,14 +4,15 @@ All ops take NCHW tensors, run vectorized numpy forward passes, and register
 analytic backward rules on the active tape. Every kernel is checked against a
 brute-force loop oracle in the test suite.
 
-Both convolutions share one core: one BLAS GEMM per sample between a kernel
-matrix and the im2col columns (a strided view) of a zero-extended NCHW window.
-conv2d's forward pass multiplies the kernel as stored, [O, C*kh*kw], by the
-columns of x, and its kernel gradient the output gradient by their transpose.
-Its input gradient correlates the output gradient with the flipped kernel,
-channels swapped (Dumoulin & Visin 2016): at stride s, one stride-1
-correlation per output phase (four 1x1 GEMMs at k = s = 2, as in sub-pixel
-convolution). ``transposed_conv2d`` is the adjoint of ``conv2d`` and has no
+Both convolutions, and the attention gate's convolution, share one core of
+three array helpers: one BLAS GEMM per sample between a kernel matrix and the
+im2col columns (a strided view) of a zero-extended NCHW window. ``_conv``,
+conv2d's forward pass, multiplies the kernel as stored, [O, C*kh*kw], by the
+columns of x, and ``_conv_kernel_grad`` the output gradient by their
+transpose. ``_conv_t``, the input gradient, correlates the output gradient
+with the flipped kernel, channels swapped (Dumoulin & Visin 2016): at stride
+s, one stride-1 correlation per output phase (four 1x1 GEMMs at k = s = 2,
+as in sub-pixel convolution). ``transposed_conv2d`` is the adjoint of ``conv2d`` and has no
 kernels of its own: its forward pass is conv2d's input gradient and its
 backward pass the other two.
 """
@@ -121,6 +122,29 @@ def _conv_t(g: Array, kernel: Array, s: int, pad: int, h: int, w: int) -> Array:
     return out
 
 
+def _conv(x: Array, kernel: Array, s: int, pad: int, ho: int, wo: int) -> Array:
+    """conv2d's forward pass without bias: [N, C, H, W] -> [N, O, Ho*Wo]."""
+    (n, _, h, w), (o, _, kh, kw) = x.shape, kernel.shape
+    k2 = kernel.reshape(o, -1)
+    taps = _cols(_window(x, -pad, h + 2 * pad, -pad, w + 2 * pad), kh, kw, s, ho, wo)
+    out = np.empty((n, o, ho * wo))
+    for i in range(n):
+        np.matmul(k2, taps[i].reshape(-1, ho * wo), out=out[i])
+    return out
+
+
+def _conv_kernel_grad(g: Array, x: Array, shape: tuple[int, ...], s: int, pad: int) -> Array:
+    """conv2d's kernel gradient: output gradient [N, O, Ho, Wo], input [N, C, H, W] -> ``shape``.
+
+    The columns are rebuilt, not kept from the forward pass: the tape holds no im2col buffer."""
+    (n, o, ho, wo), (h, w), (kh, kw) = g.shape, x.shape[2:], shape[2:]
+    taps = _cols(_window(x, -pad, h + 2 * pad, -pad, w + 2 * pad), kh, kw, s, ho, wo)
+    gk2 = np.zeros((o, x.shape[1] * kh * kw))
+    for i in range(n):
+        gk2 += g[i].reshape(o, -1) @ taps[i].reshape(-1, ho * wo).T
+    return gk2.reshape(shape)
+
+
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """Cross-correlation (no kernel flip) plus bias, NCHW -> NOH'W'."""
     _require_nchw(x, "conv2d")
@@ -139,11 +163,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     if ho < 1 or wo < 1:
         raise ShapeError(f"degenerate conv2d output {ho}x{wo}")
 
-    k2 = kernel.data.reshape(out_ch, -1)
-    taps = _cols(_window(x.data, -pad, h + 2 * pad, -pad, w + 2 * pad), kh, kw, s, ho, wo)
-    out = np.empty((n, out_ch, ho * wo))
-    for i in range(n):
-        np.matmul(k2, taps[i].reshape(-1, ho * wo), out=out[i])
+    out = _conv(x.data, kernel.data, s, pad, ho, wo)
     out += bias.data[:, None]
 
     def bwd(g: Array):
@@ -151,12 +171,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         if kernel.requires_grad:
-            # columns are rebuilt, not kept from the forward pass: the tape holds no im2col buffer
-            taps = _cols(_window(x.data, -pad, h + 2 * pad, -pad, w + 2 * pad), kh, kw, s, ho, wo)
-            gk2 = np.zeros_like(k2)
-            for i in range(n):
-                gk2 += g[i].reshape(out_ch, -1) @ taps[i].reshape(-1, ho * wo).T
-            gk = gk2.reshape(kernel.shape)
+            gk = _conv_kernel_grad(g, x.data, kernel.shape, s, pad)
         if x.requires_grad:
             gx = _conv_t(g, kernel.data, s, pad, h, w)
         return gx, gk, gb
@@ -182,9 +197,7 @@ def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     if p.padding == "same":
         raise ShapeError('transposed_conv2d requires an explicit integer padding, not "same"')
     pad = int(p.padding)
-    hf = (h - 1) * s + kh
-    wf = (w - 1) * s + kw
-    ho, wo = hf - 2 * pad, wf - 2 * pad
+    ho, wo = (h - 1) * s + kh - 2 * pad, (w - 1) * s + kw - 2 * pad
     if ho < 1 or wo < 1:
         raise ShapeError(f"degenerate transposed_conv2d output {ho}x{wo}")
 
@@ -192,24 +205,9 @@ def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     out += bias.data[:, None, None]
 
     def bwd(g: Array):
-        gx = gk = gb = None
-        if bias.requires_grad:
-            gb = g.sum(axis=(0, 2, 3))
-        taps = _cols(_window(g, -pad, hf, -pad, wf), kh, kw, s, h, w)
-        k2 = kernel.data.reshape(in_ch, -1)
-        gx = np.empty((n, in_ch, h * w)) if x.requires_grad else None
-        gk2 = np.zeros_like(k2) if kernel.requires_grad else None
-        for i in range(n):
-            cols = taps[i].reshape(-1, h * w)
-            if gx is not None:
-                np.matmul(k2, cols, out=gx[i])
-            if gk2 is not None:
-                gk2 += x.data[i].reshape(in_ch, -1) @ cols.T
-        if gx is not None:
-            gx = gx.reshape(x.shape)
-        if gk2 is not None:
-            gk = gk2.reshape(kernel.shape)
-        return gx, gk, gb
+        gx = _conv(g, kernel.data, s, pad, h, w).reshape(x.shape) if x.requires_grad else None
+        gk = _conv_kernel_grad(x.data, g, kernel.shape, s, pad) if kernel.requires_grad else None
+        return gx, gk, g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
 
     return record_op("transposed_conv2d", (x, kernel, bias), out, bwd)
 
@@ -237,44 +235,6 @@ def maxpool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
     return record_op("maxpool2d", (x,), out, bwd)
 
 
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Per-sample, per-channel spatial mean: NCHW -> NC."""
-    _require_nchw(x, "global_avg_pool")
-    n, c, h, w = x.shape
-    out = x.data.mean(axis=(2, 3))
-
-    def bwd(g: Array):
-        return (np.ascontiguousarray(np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w))),)
-
-    return record_op("global_avg_pool", (x,), out, bwd)
-
-
-def channel_max_pool(x: Tensor) -> Tensor:
-    """Per-pixel max over channels: NCHW -> N1HW; grad to the first argmax."""
-    _require_nchw(x, "channel_max_pool")
-    idx = x.data.argmax(axis=1)
-    out = np.take_along_axis(x.data, idx[:, None], axis=1)
-
-    def bwd(g: Array):
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, idx[:, None], g, axis=1)
-        return (gx,)
-
-    return record_op("channel_max_pool", (x,), out, bwd)
-
-
-def channel_avg_pool(x: Tensor) -> Tensor:
-    """Per-pixel mean over channels: NCHW -> N1HW."""
-    _require_nchw(x, "channel_avg_pool")
-    c = x.shape[1]
-    out = x.data.mean(axis=1, keepdims=True)
-
-    def bwd(g: Array):
-        return (np.ascontiguousarray(np.broadcast_to(g / c, x.shape)),)
-
-    return record_op("channel_avg_pool", (x,), out, bwd)
-
-
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     """Stack a's channels before b's; batch and spatial extents must match."""
     _require_nchw(a, "concat_channels")
@@ -293,16 +253,6 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     return record_op("relu", (x,), np.where(mask, x.data, 0.0), lambda g: (g * mask,))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    e = np.exp(d[~pos])
-    out[~pos] = e / (1.0 + e)
-    return record_op("sigmoid", (x,), out, lambda g: (g * out * (1.0 - out),))
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

@@ -224,45 +224,6 @@ def mul_elementwise(a: Tensor, b: Tensor) -> Tensor:
     return record_op("mul", (a, b), out, bwd)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a Python scalar constant."""
-    c = float(c)
-    return record_op("scale", (a,), a.data * c, lambda g: (g * c,))
-
-
-# ---------------------------------------------------------------------------
-# linear algebra and shape ops
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    a_data, b_data = a.data, b.data
-
-    def bwd(g: Array):
-        return g @ b_data.T, a_data.T @ g
-
-    return record_op("matmul", (a, b), a_data @ b_data, bwd)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a rank-2 tensor, got {a.shape}")
-    return record_op("transpose", (a,), np.ascontiguousarray(a.data.T),
-                     lambda g: (np.ascontiguousarray(g.T),))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = _check_shape(shape)
-    if int(np.prod(shape)) != a.size:
-        raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-    old = a.shape
-    return record_op("reshape", (a,), a.data.reshape(shape),
-                     lambda g: (g.reshape(old),))
-
-
 # ---------------------------------------------------------------------------
 # reductions
 

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn_ops as F
-from .attention import (channel_attention, hybrid_attention_block, init_channel_attention,
-                        init_spatial_attention, spatial_attention)
+from .attention import hybrid_attention_block, init_channel_attention, init_spatial_attention
 from .losses_metrics import LossConfig, combined_loss
 from .nn_ops import Conv2dParams
-from .tensor import (Tensor, grad_check, matmul, mul_elementwise, reduce_mean, reduce_sum,
-                     scale)
+from .tensor import Tensor, grad_check, mul_elementwise, reduce_mean, reduce_sum
 from .unet import UnetConfig, build_model, forward
 
 TOL_SINGLE = 1e-5
@@ -37,10 +35,6 @@ def _t(rng, *shape, lo=-2.0, hi=2.0) -> Tensor:
     return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True)
 
 
-def _mean_all(t: Tensor) -> Tensor:
-    return reduce_mean(t, axes=None)
-
-
 def _mean_sq(t: Tensor) -> Tensor:
     return reduce_mean(mul_elementwise(t, t), axes=None)
 
@@ -53,16 +47,6 @@ def _unit_add(rng):
 def _unit_mul_broadcast(rng):
     a, b = _t(rng, 2, 3, 4, 4), _t(rng, 2, 3, 1, 1)
     return lambda a, b: _mean_sq(mul_elementwise(a, b)), [a, b]
-
-
-def _unit_scale(rng):
-    a = _t(rng, 3, 4)
-    return lambda a: _mean_all(scale(a, -1.7)), [a]
-
-
-def _unit_matmul(rng):
-    a, b = _t(rng, 4, 5), _t(rng, 5, 3)
-    return lambda a, b: _mean_sq(matmul(a, b)), [a, b]
 
 
 def _unit_reduce_sum(rng):
@@ -80,11 +64,6 @@ def _unit_relu(rng):
     data = rng.uniform(0.2, 1.5, size=(2, 3, 4, 4)) * rng.choice([-1.0, 1.0], size=(2, 3, 4, 4))
     a = Tensor(data, requires_grad=True)
     return lambda a: _mean_sq(F.relu(a)), [a]
-
-
-def _unit_sigmoid(rng):
-    a = _t(rng, 2, 3, 4, 4, lo=-3.0, hi=3.0)
-    return lambda a: _mean_sq(F.sigmoid(a)), [a]
 
 
 def _unit_conv2d(rng):
@@ -108,21 +87,6 @@ def _unit_maxpool(rng):
     return lambda x: _mean_sq(F.maxpool2d(x, 2, 2)), [x]
 
 
-def _unit_gap(rng):
-    x = _t(rng, 2, 3, 5, 5)
-    return lambda x: _mean_sq(F.global_avg_pool(x)), [x]
-
-
-def _unit_channel_max(rng):
-    x = _t(rng, 2, 4, 4, 4)
-    return lambda x: _mean_sq(F.channel_max_pool(x)), [x]
-
-
-def _unit_channel_avg(rng):
-    x = _t(rng, 2, 4, 4, 4)
-    return lambda x: _mean_sq(F.channel_avg_pool(x)), [x]
-
-
 def _unit_concat(rng):
     a, b = _t(rng, 2, 2, 4, 4), _t(rng, 2, 3, 4, 4)
     return lambda a, b: _mean_sq(F.concat_channels(a, b)), [a, b]
@@ -138,25 +102,14 @@ def _unit_dropout(rng):
     return f, [x]
 
 
-def _unit_channel_attention(rng):
-    x = _t(rng, 2, 8, 4, 4)
-    p = init_channel_attention(8, 4, rng)
-    return (lambda x, w1, w2: _mean_sq(channel_attention(x, p)), [x, p.w1, p.w2])
-
-
-def _unit_spatial_attention(rng):
-    x = _t(rng, 2, 5, 6, 6)
-    p = init_spatial_attention(3, rng)
-    return (lambda x, k, b: _mean_sq(spatial_attention(x, p)),
-            [x, p.conv.kernel, p.conv.bias])
-
-
-def _unit_hybrid_block(rng):
-    x = _t(rng, 2, 8, 4, 4)
-    cp = init_channel_attention(8, 4, rng)
-    sp = init_spatial_attention(3, rng)
-    return (lambda *ts: _mean_sq(hybrid_attention_block(x, cp, sp)),
-            [x, cp.w1, cp.w2, sp.conv.kernel, sp.conv.bias])
+def _hybrid_unit(composition: str):
+    def build(rng):
+        x = _t(rng, 2, 8, 4, 4)
+        cp = init_channel_attention(8, 4, rng)
+        sp = init_spatial_attention(3, rng)
+        return (lambda *ts: _mean_sq(hybrid_attention_block(x, cp, sp, composition)),
+                [x, cp.w1, cp.w2, sp.conv.kernel, sp.conv.bias])
+    return build
 
 
 def _unit_unet(rng):
@@ -192,23 +145,16 @@ def _loss_unit(alpha: float, k: int):
 UNITS: list[tuple[str, float, object]] = [
     ("add", TOL_SINGLE, _unit_add),
     ("mul_broadcast", TOL_SINGLE, _unit_mul_broadcast),
-    ("scale", TOL_SINGLE, _unit_scale),
-    ("matmul", TOL_SINGLE, _unit_matmul),
     ("reduce_sum", TOL_SINGLE, _unit_reduce_sum),
     ("reduce_mean", TOL_SINGLE, _unit_reduce_mean),
     ("relu", TOL_SINGLE, _unit_relu),
-    ("sigmoid", TOL_SINGLE, _unit_sigmoid),
     ("conv2d", TOL_SINGLE, _unit_conv2d),
     ("transposed_conv2d", TOL_SINGLE, _unit_transposed_conv2d),
     ("maxpool2d", TOL_SINGLE, _unit_maxpool),
-    ("global_avg_pool", TOL_SINGLE, _unit_gap),
-    ("channel_max_pool", TOL_SINGLE, _unit_channel_max),
-    ("channel_avg_pool", TOL_SINGLE, _unit_channel_avg),
     ("concat_channels", TOL_SINGLE, _unit_concat),
     ("dropout", TOL_SINGLE, _unit_dropout),
-    ("channel_attention", TOL_COMPOSED, _unit_channel_attention),
-    ("spatial_attention", TOL_COMPOSED, _unit_spatial_attention),
-    ("hybrid_attention_block", TOL_COMPOSED, _unit_hybrid_block),
+    ("hybrid_attention_block", TOL_COMPOSED, _hybrid_unit("parallel")),
+    ("hybrid_attention_block_sequential", TOL_COMPOSED, _hybrid_unit("sequential")),
     ("unet_forward", TOL_COMPOSED, _unit_unet),
     ("combined_loss_ce", TOL_COMPOSED, _loss_unit(alpha=1.0, k=3)),
     ("combined_loss_dice", TOL_COMPOSED, _loss_unit(alpha=0.0, k=3)),

@@ -13,7 +13,7 @@ from auseg.attention import (ChannelAttentionParams, SpatialAttentionParams,
                              spatial_attention)
 from auseg.errors import ConfigError, ShapeError
 from auseg.nn_ops import Conv2dParams
-from auseg.tensor import Tensor, full, grad_check, mul_elementwise, reduce_sum
+from auseg.tensor import Tape, Tensor, backward, full, grad_check, mul_elementwise, reduce_sum
 
 
 def rng(seed=0):
@@ -34,10 +34,9 @@ def zero_spatial_params(k=3):
 
 class TestChannelAttention:
     def test_zero_weights_give_half(self):
-        f = Tensor(rng(1).normal(size=(2, 4, 3, 3)))
-        out = channel_attention(f, zero_channel_params(4, 2))
+        out = channel_attention(rng(1).normal(size=(2, 4, 3, 3)), zero_channel_params(4, 2))
         assert out.shape == (2, 4, 1, 1)
-        assert np.all(out.data == 0.5)
+        assert np.all(out == 0.5)
 
     def test_gap_symmetry_constant_spatial(self):
         # per-channel constant input: identical gates regardless of H x W
@@ -46,7 +45,7 @@ class TestChannelAttention:
         outs = []
         for h, w in [(1, 1), (3, 5), (8, 2)]:
             f = np.broadcast_to(values[None, :, None, None], (1, 4, h, w)).copy()
-            outs.append(channel_attention(Tensor(f), p).data.reshape(-1))
+            outs.append(channel_attention(f, p).reshape(-1))
         assert np.max(np.abs(outs[0] - outs[1])) < 1e-15
         assert np.max(np.abs(outs[0] - outs[2])) < 1e-15
 
@@ -57,7 +56,7 @@ class TestChannelAttention:
         w1 = r.normal(size=(red, c))
         w2 = r.normal(size=(c, red))
         p = ChannelAttentionParams(Tensor(w1), Tensor(w2), reduction_ratio=red)
-        out = channel_attention(Tensor(f), p).data
+        out = channel_attention(f, p)
 
         for n in range(2):
             gap = np.array([f[n, ci].sum() / 9.0 for ci in range(c)])
@@ -70,34 +69,42 @@ class TestChannelAttention:
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            channel_attention(Tensor(np.zeros((1, 6, 2, 2))), zero_channel_params(4, 2))
+            channel_attention(np.zeros((1, 6, 2, 2)), zero_channel_params(4, 2))
 
     def test_spatial_permutation_invariance(self):
         r = rng(4)
         f = r.normal(size=(1, 4, 4, 4))
         p = init_channel_attention(4, 4, r)
-        base = channel_attention(Tensor(f), p).data
+        base = channel_attention(f, p)
         perm = r.permutation(16)
         shuffled = f.reshape(1, 4, 16)[:, :, perm].reshape(1, 4, 4, 4)
-        out = channel_attention(Tensor(shuffled), p).data
+        out = channel_attention(shuffled, p)
         assert np.max(np.abs(base - out)) < 1e-12
 
     def test_ratio_must_divide(self):
         with pytest.raises(ConfigError):
             init_channel_attention(6, 4, rng(5))
 
+    def test_huge_logits_saturate_without_overflow(self):
+        # hidden unit = mean of channel 0 = 1; logits -800 and +800
+        p = ChannelAttentionParams(Tensor(np.array([[1.0, 0.0]])),
+                                   Tensor(np.array([[-800.0], [800.0]])), reduction_ratio=2)
+        f = np.zeros((1, 2, 2, 2))
+        f[0, 0] = 1.0
+        with np.errstate(over="raise"):
+            out = channel_attention(f, p)
+        assert out.reshape(-1).tolist() == [0.0, 1.0]
+
 
 class TestSpatialAttention:
     def test_zero_conv_gives_half(self):
-        f = Tensor(rng(6).normal(size=(2, 3, 4, 4)))
-        out = spatial_attention(f, zero_spatial_params())
+        out = spatial_attention(rng(6).normal(size=(2, 3, 4, 4)), zero_spatial_params())
         assert out.shape == (2, 1, 4, 4)
-        assert np.all(out.data == 0.5)
+        assert np.all(out == 0.5)
 
     def test_constant_input_gives_constant_map(self):
-        f = Tensor(np.full((1, 3, 5, 5), 0.75))
         p = init_spatial_attention(3, rng(7))
-        out = spatial_attention(f, p).data
+        out = spatial_attention(np.full((1, 3, 5, 5), 0.75), p)
         interior = out[0, 0, 1:-1, 1:-1]  # away from zero-padding border effects
         assert np.max(np.abs(interior - interior[0, 0])) < 1e-15
 
@@ -107,7 +114,7 @@ class TestSpatialAttention:
         k = r.normal(size=(1, 2, 7, 7))
         b = r.normal(size=1)
         p = SpatialAttentionParams(conv=Conv2dParams(Tensor(k), Tensor(b), padding="same"))
-        out = spatial_attention(Tensor(f), p).data
+        out = spatial_attention(f, p)
 
         stacked = np.concatenate([loop_channel_max(f), loop_channel_avg(f)], axis=1)
         convolved = loop_conv2d(stacked, k, b, 1, 3)
@@ -123,8 +130,17 @@ class TestSpatialAttention:
         k[0, 0, 0, 0] = 1.0
         p = SpatialAttentionParams(conv=Conv2dParams(Tensor(k), Tensor(np.zeros(1)),
                                                      padding="same"))
-        out = spatial_attention(Tensor(f), p).data
+        out = spatial_attention(f, p)
         assert np.allclose(out, 1.0 / (1.0 + math.exp(-4.0)))
+
+    def test_huge_logits_saturate_without_overflow(self):
+        f = rng(24).normal(size=(1, 3, 3, 3))
+        for bias, gate in ((-800.0, 0.0), (800.0, 1.0)):
+            p = SpatialAttentionParams(conv=Conv2dParams(Tensor(np.zeros((1, 2, 3, 3))),
+                                                         Tensor(np.array([bias])), padding="same"))
+            with np.errstate(over="raise"):
+                out = spatial_attention(f, p)
+            assert np.all(out == gate)
 
     def test_requires_two_input_channels(self):
         with pytest.raises(ShapeError):
@@ -138,8 +154,8 @@ class TestSpatialAttention:
         k = (k + k[:, :, :, ::-1]) / 2.0  # left-right symmetric
         p = SpatialAttentionParams(conv=Conv2dParams(Tensor(k.copy()), Tensor(np.zeros(1)),
                                                      padding="same"))
-        direct = spatial_attention(Tensor(f[:, :, :, ::-1].copy()), p).data
-        flipped = spatial_attention(Tensor(f), p).data[:, :, :, ::-1]
+        direct = spatial_attention(f[:, :, :, ::-1].copy(), p)
+        flipped = spatial_attention(f, p)[:, :, :, ::-1]
         assert np.max(np.abs(direct - flipped)) < 1e-12
 
 
@@ -195,6 +211,41 @@ class TestHybridBlock:
                             tol=1e-5, rng=rng(15))
         assert report.passed, report.max_rel_err
 
+    def test_gradcheck_sequential(self):
+        r = rng(25)
+        f = Tensor(r.normal(size=(2, 4, 4, 4)), requires_grad=True)
+        cp = init_channel_attention(4, 2, r)
+        sp = init_spatial_attention(3, r)
+
+        def loss(*_):
+            out = hybrid_attention_block(f, cp, sp, composition="sequential")
+            return reduce_sum(mul_elementwise(out, out))
+
+        report = grad_check(loss, [f, cp.w1, cp.w2, sp.conv.kernel, sp.conv.bias],
+                            tol=1e-5, rng=rng(26))
+        assert report.passed, report.max_rel_err
+
+    @pytest.mark.parametrize("composition", ["parallel", "sequential"])
+    def test_max_route_goes_to_first_maximal_channel(self, composition):
+        # channels 0 and 1 tie at the max of every pixel; the spatial kernel reads the
+        # max map only, so the two channels' gradients differ by the max route alone
+        f_data = np.array([2.0, 2.0, -1.0]).reshape(1, 3, 1, 1) * np.ones((1, 3, 2, 2))
+        f = Tensor(f_data, requires_grad=True)
+        k = np.zeros((1, 2, 1, 1))
+        k[0, 0, 0, 0] = 1.0
+        sp = SpatialAttentionParams(conv=Conv2dParams(Tensor(k), Tensor(np.zeros(1)),
+                                                      padding="same"))
+        with Tape() as tape:
+            backward(tape, reduce_sum(hybrid_attention_block(f, zero_channel_params(3, 1), sp,
+                                                             composition)))
+        # w_c = 0.5; the max map is 2, or 1 when it is taken of the gated map F * w_c
+        ws = 1.0 / (1.0 + np.exp(-(1.0 if composition == "sequential" else 2.0)))
+        max_route = 0.5 * 3.0 * ws * (1.0 - ws)    # sum_c F * w_c * sigmoid'
+        if composition == "sequential":
+            max_route *= 0.5                        # routed through F * w_c
+        assert np.allclose(f.grad[0, 0] - f.grad[0, 1], max_route, rtol=1e-12, atol=0)
+        assert np.array_equal(f.grad[0, 1], 0.5 * ws * np.ones((2, 2)))
+
     def test_attenuation_elementwise(self):
         r = rng(16)
         f_data = r.normal(size=(2, 4, 5, 5))
@@ -206,11 +257,11 @@ class TestHybridBlock:
 
     def test_gate_ranges_strictly_open(self):
         r = rng(17)
-        f = Tensor(r.normal(scale=3.0, size=(2, 8, 4, 4)))
+        f = r.normal(scale=3.0, size=(2, 8, 4, 4))
         cp = init_channel_attention(8, 4, r)
         sp = init_spatial_attention(3, r)
-        wc = channel_attention(f, cp).data
-        ws = spatial_attention(f, sp).data
+        wc = channel_attention(f, cp)
+        ws = spatial_attention(f, sp)
         for gates in (wc, ws):
             assert np.all(gates > 0.0) and np.all(gates < 1.0)
 

@@ -1,6 +1,10 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
+from auseg import checkpoint
 from auseg.checkpoint import MAGIC, deserialize, load_checkpoint, save_checkpoint, serialize
 from auseg.errors import CorruptionError
 from auseg.training import init_rng
@@ -87,3 +91,30 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptionError):
             load_checkpoint(tmp_path / "nope.ckpt")
+
+    @pytest.mark.parametrize("offset, what", [(len(MAGIC) + 4 + 2, "config echo"),
+                                              (len(MAGIC) + 4 + 3 + 4 + 5, "name")])
+    def test_non_utf8_text_rejected_with_byte_offset(self, offset, what):
+        # "cfg" then the first name, "enc0.conv1.kernel"; the CRC is recomputed
+        body = bytearray(serialize("cfg", sample_params())[:-4])
+        body[offset] = 0xFF
+        blob = bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+        with pytest.raises(CorruptionError, match=f"{what} is not UTF-8 at byte {offset}$"):
+            deserialize(blob)
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, "old", sample_params(0))
+        before = path.read_bytes()
+        assert list(tmp_path.iterdir()) == [path]
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, "new", sample_params(1))
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

@@ -1,3 +1,5 @@
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +187,15 @@ class TestPredict:
         expected = read_pgm(FIXTURES / "v1_labels.pgm")
         assert np.array_equal(read_pgm(out), expected)
         assert set(np.unique(expected)) == {0, 1}
+
+    def test_non_utf8_config_echo_exit_5(self, tmp_path, capsys):
+        body = bytearray((FIXTURES / "v1.ckpt").read_bytes()[:-4])
+        body[12] = 0xFF    # third byte of the config echo, after magic and length
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+        assert main(["predict", "--ckpt", str(bad), "--image", str(FIXTURES / "v1_image.ppm"),
+                     "--out", str(tmp_path / "o.pgm")]) == 5
+        assert "config echo is not UTF-8 at byte 12" in capsys.readouterr().err
 
     def test_missing_image_exit_3(self, trained, tmp_path):
         assert main(["predict", "--ckpt", str(trained["out"] / "best.ckpt"),

@@ -63,9 +63,19 @@ class TestNetpbm:
             read_pgm(path)
 
     def test_wrong_maxval(self, tmp_path):
+        # the error names the first byte of the maxval token
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P5\n2 2\n15\n" + b"\x00" * 4)
-        with pytest.raises(DataError, match="maxval"):
+        with pytest.raises(DataError, match="maxval 255 supported, got 15 at byte 7$"):
+            read_pgm(path)
+        path.write_bytes(b"P5 2 2 65535\n" + b"\x00" * 8)
+        with pytest.raises(DataError, match="got 65535 at byte 7$"):
+            read_pgm(path)
+
+    def test_degenerate_extents_name_width_byte(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n  0 2\n255\n")
+        with pytest.raises(DataError, match="degenerate extents 0x2 in header at byte 5$"):
             read_pgm(path)
 
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from oracles import loop_argmax_labels
 
 from auseg.errors import ConfigError, ShapeError
-from auseg.tensor import Tensor, grad_check, mul_elementwise, reduce_mean
+from auseg.losses_metrics import LossConfig, combined_loss
+from auseg.tensor import Tape, Tensor, grad_check, mul_elementwise, reduce_mean
 from auseg.unet import UnetConfig, build_model, forward, predict_labels
 
 
@@ -131,6 +132,26 @@ class TestForward:
         inputs = [x] + [p.tensor for p in model.params.values()]
         report = grad_check(f, inputs, h=1e-5, tol=1e-4, coords_per_input=4, rng=rng(19))
         assert report.passed, (report.max_rel_err, report.worst)
+
+
+# (depth, base, classes, dropout, nodes): the desk-train and mid-train models
+@pytest.mark.parametrize("depth, base, classes, dropout, nodes",
+                         [(2, 8, 3, 0.0, 30), (4, 16, 19, 0.1, 63)])
+@pytest.mark.parametrize("composition", ["parallel", "sequential"])
+def test_training_step_records_one_attention_node_per_level(depth, base, classes, dropout,
+                                                            nodes, composition):
+    model = build_model(small_cfg(depth=depth, base_channels=base, num_classes=classes,
+                                  dropout_rate=dropout, attention_composition=composition),
+                        rng(20))
+    x = Tensor(rng(21).uniform(0, 1, size=(2, 3, 16, 16)))
+    y = rng(22).integers(0, classes, size=(2, 16, 16))
+    with Tape() as tape:
+        combined_loss(forward(model, x, training=True, rng=rng(23)), y, LossConfig())
+    ops = [node.op for node in tape.nodes]
+    assert ops.count("hybrid_attention_block") == depth
+    assert set(ops) <= {"conv2d", "relu", "dropout", "maxpool2d", "transposed_conv2d",
+                        "concat_channels", "hybrid_attention_block", "combined_loss"}
+    assert len(ops) == nodes
 
 
 class TestPredict:
