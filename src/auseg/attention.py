@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .nn_ops import Conv2dParams, _conv, _conv_kernel_grad, _conv_t
-from .tensor import Array, Tensor, mul_elementwise, record_op
+from .tensor import Array, Tensor, record_op
 
 COMPOSITIONS = ("parallel", "sequential")
 
@@ -95,11 +95,6 @@ def spatial_attention(f: Array, p: SpatialAttentionParams) -> Array:
     logits = _conv(_pools(f), kernel, 1, pad, h, w)
     logits += p.conv.bias.data[:, None]
     return _sigmoid(logits).reshape(n, 1, h, w)
-
-
-def hybrid_apply(f: Tensor, w_c: Tensor, w_s: Tensor) -> Tensor:
-    """F'[n,c,h,w] = F[n,c,h,w] * w_c[n,c] * w_s[n,h,w] via broadcast multiply."""
-    return mul_elementwise(mul_elementwise(f, w_c), w_s)
 
 
 def hybrid_attention_block(f: Tensor, cp: ChannelAttentionParams, sp: SpatialAttentionParams,

@@ -53,8 +53,14 @@ class RunConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 <= self.flip_p <= 1.0:
-            raise ConfigError(f"flip_p must lie in [0, 1], got {self.flip_p}")
+        for key, lo, hi in (("flip_p", 0, 1), ("alpha", 0, 1), ("jitter_delta", 0, 0.5),
+                            ("weight_decay", 0, np.inf), ("patience", 0, np.inf),
+                            ("min_delta", 0, np.inf)):
+            value = getattr(self, key)
+            if not lo <= value <= hi:
+                raise ConfigError(f"{key} must lie in [{lo:g}, {hi:g}], got {value}")
+        if not self.dice_smooth > 0:
+            raise ConfigError(f"dice_smooth must be positive, got {self.dice_smooth}")
         if (self.crop_h > 0) != (self.crop_w > 0):
             raise ConfigError("crop_h and crop_w must be set together (0 disables)")
         self.unet_config().validate()

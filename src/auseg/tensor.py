@@ -1,10 +1,17 @@
-"""N-dimensional float64 tensors with reverse-mode autodiff on a recorded tape.
+"""The autodiff core: float64 tensors and reverse-mode gradients on a recorded tape.
 
-Values live in row-major numpy arrays of rank <= 4. Differentiable ops record
-nodes onto the active ``Tape`` (define-by-run); ``backward`` sweeps the nodes
-once, in reverse recording order, accumulating gradients into ``Tensor.grad``.
-Reductions delegate to numpy's deterministic summation, so results are
-bit-identical across runs for identical inputs.
+It provides:
+
+- ``Tensor``, a row-major numpy array of rank <= 4 with an optional ``grad``;
+- ``Parameter``, a named trainable tensor;
+- ``Node`` and ``Tape``, one recorded op and the define-by-run graph of a step;
+- ``record_op``, which every differentiable op (in ``nn_ops``, ``attention``
+  and ``losses_metrics``) calls with its output array and backward rule;
+- ``backward``, which sweeps the nodes once, in reverse recording order, and
+  accumulates gradients into the leaves' ``Tensor.grad``;
+- ``grad_check``, which compares those gradients with central differences.
+
+The ops themselves live with the model; this module has no arithmetic of its own.
 """
 from __future__ import annotations
 
@@ -19,16 +26,6 @@ from .errors import ContractError, ShapeError
 Array = np.ndarray
 
 MAX_RANK = 4
-
-
-def _check_shape(shape) -> tuple[int, ...]:
-    shape = tuple(int(s) for s in shape)
-    if len(shape) > MAX_RANK:
-        raise ShapeError(f"rank {len(shape)} exceeds supported maximum {MAX_RANK}")
-    for s in shape:
-        if s < 1:
-            raise ShapeError(f"extents must be positive, got {shape}")
-    return shape
 
 
 class Tensor:
@@ -62,13 +59,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; the module-level functions are the primary API.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul_elementwise(self, other)
 
 
 @dataclass
@@ -169,105 +159,6 @@ def backward(tape: Tape, root: Tensor) -> None:
             continue
         # always a fresh C-order copy: acc entries may alias other gradients
         t.grad = np.array(g, order="C") if t.grad is None else t.grad + g
-
-
-# ---------------------------------------------------------------------------
-# factories
-
-
-def full(shape, value: float) -> Tensor:
-    return Tensor(np.full(_check_shape(shape), float(value)))
-
-
-# ---------------------------------------------------------------------------
-# elementwise arithmetic with one-sided broadcasting (b -> a)
-
-
-def _broadcast_axes(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Axes along which b (extent 1) broadcasts over a; error if incompatible."""
-    if a_shape == b_shape:
-        return ()
-    if len(a_shape) != len(b_shape):
-        raise ShapeError(f"rank mismatch: {a_shape} vs {b_shape}")
-    axes = []
-    for i, (sa, sb) in enumerate(zip(a_shape, b_shape)):
-        if sb == sa:
-            continue
-        if sb == 1:
-            axes.append(i)
-        else:
-            raise ShapeError(f"cannot broadcast {b_shape} to {a_shape}")
-    return tuple(axes)
-
-
-def _reduce_to(g: Array, shape: tuple[int, ...], axes: tuple[int, ...]) -> Array:
-    if not axes:
-        return g
-    return g.sum(axis=axes, keepdims=True)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    axes = _broadcast_axes(a.shape, b.shape)
-    out = a.data + b.data
-    return record_op("add", (a, b), out,
-                     lambda g: (g, _reduce_to(g, b.shape, axes)))
-
-
-def mul_elementwise(a: Tensor, b: Tensor) -> Tensor:
-    axes = _broadcast_axes(a.shape, b.shape)
-    out = a.data * b.data
-    a_data, b_data = a.data, b.data
-
-    def bwd(g: Array):
-        return g * b_data, _reduce_to(g * a_data, b.shape, axes)
-
-    return record_op("mul", (a, b), out, bwd)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def _check_axes(shape: tuple[int, ...], axes) -> tuple[int, ...]:
-    if axes is None:
-        return tuple(range(len(shape)))
-    if isinstance(axes, int):
-        axes = (axes,)
-    axes = tuple(int(ax) for ax in axes)
-    seen = set()
-    for ax in axes:
-        if ax < 0 or ax >= len(shape):
-            raise ShapeError(f"axis {ax} out of range for shape {shape}")
-        if ax in seen:
-            raise ShapeError(f"duplicate axis {ax}")
-        seen.add(ax)
-    return axes
-
-
-def _unreduce(g: Array, shape: tuple[int, ...], axes: tuple[int, ...], keepdims: bool) -> Array:
-    if not keepdims:
-        expand = list(shape)
-        for ax in axes:
-            expand[ax] = 1
-        g = g.reshape(expand)
-    return np.ascontiguousarray(np.broadcast_to(g, shape))
-
-
-def reduce_sum(t: Tensor, axes=None, keepdims: bool = False) -> Tensor:
-    axes = _check_axes(t.shape, axes)
-    out = t.data.sum(axis=axes, keepdims=keepdims)
-    shape = t.shape
-    return record_op("reduce_sum", (t,), out,
-                     lambda g: (_unreduce(g, shape, axes, keepdims),))
-
-
-def reduce_mean(t: Tensor, axes=None, keepdims: bool = False) -> Tensor:
-    axes = _check_axes(t.shape, axes)
-    count = int(np.prod([t.shape[ax] for ax in axes])) if axes else 1
-    out = t.data.mean(axis=axes, keepdims=keepdims)
-    shape = t.shape
-    return record_op("reduce_mean", (t,), out,
-                     lambda g: (_unreduce(g, shape, axes, keepdims) / count,))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import (COMPOSITIONS, ChannelAttentionParams, SpatialAttentionParams,
-                        hybrid_apply, hybrid_attention_block, init_channel_attention,
-                        init_spatial_attention)
+                        hybrid_attention_block, init_channel_attention, init_spatial_attention)
 from .errors import ConfigError, ShapeError
 from .nn_ops import Conv2dParams, concat_channels, conv2d, dropout, maxpool2d, relu, transposed_conv2d
-from .tensor import Parameter, Tensor, full
+from .tensor import Parameter, Tensor
 
 LabelMap = np.ndarray  # integer class indices, shape [N, H, W] or [H, W]
 
@@ -187,14 +186,8 @@ def _conv_block(x: Tensor, block: ConvBlockParams, cfg: UnetConfig, training: bo
 
 
 def forward(model: UnetModel, x: Tensor, training: bool = False,
-            rng: np.random.Generator | None = None,
-            gates_override: float | None = None) -> Tensor:
-    """Run the model, returning logits with the input's spatial extents.
-
-    ``gates_override`` is a test hook: when set, every skip's channel and
-    spatial gate is replaced by that constant (1.0 reproduces the plain,
-    attention-free forward bit-for-bit on shared conv parameters).
-    """
+            rng: np.random.Generator | None = None) -> Tensor:
+    """Run the model, returning logits with the input's spatial extents."""
     cfg = model.cfg
     if x.data.ndim != 4:
         raise ShapeError(f"forward expects NCHW input, got shape {x.shape}")
@@ -215,11 +208,7 @@ def forward(model: UnetModel, x: Tensor, training: bool = False,
     for level in range(cfg.depth - 1, -1, -1):
         x = transposed_conv2d(x, model.ups[level])
         skip = skips[level]
-        if gates_override is not None:
-            sn, sc, sh, sw = skip.shape
-            skip = hybrid_apply(skip, full((sn, sc, 1, 1), gates_override),
-                                full((sn, 1, sh, sw), gates_override))
-        elif cfg.attention_enabled:
+        if cfg.attention_enabled:
             att = model.skips[level]
             skip = hybrid_attention_block(skip, att.channel, att.spatial,
                                           cfg.attention_composition)

@@ -16,7 +16,7 @@ from . import nn_ops as F
 from .attention import hybrid_attention_block, init_channel_attention, init_spatial_attention
 from .losses_metrics import LossConfig, combined_loss
 from .nn_ops import Conv2dParams
-from .tensor import Tensor, grad_check, mul_elementwise, reduce_mean, reduce_sum
+from .tensor import Tensor, grad_check, record_op
 from .unet import UnetConfig, build_model, forward
 
 TOL_SINGLE = 1e-5
@@ -36,27 +36,9 @@ def _t(rng, *shape, lo=-2.0, hi=2.0) -> Tensor:
 
 
 def _mean_sq(t: Tensor) -> Tensor:
-    return reduce_mean(mul_elementwise(t, t), axes=None)
-
-
-def _unit_add(rng):
-    a, b = _t(rng, 2, 3, 4, 4), _t(rng, 2, 3, 4, 4)
-    return lambda a, b: _mean_sq(a + b), [a, b]
-
-
-def _unit_mul_broadcast(rng):
-    a, b = _t(rng, 2, 3, 4, 4), _t(rng, 2, 3, 1, 1)
-    return lambda a, b: _mean_sq(mul_elementwise(a, b)), [a, b]
-
-
-def _unit_reduce_sum(rng):
-    a = _t(rng, 2, 3, 4)
-    return lambda a: _mean_sq(reduce_sum(a, axes=(2,))), [a]
-
-
-def _unit_reduce_mean(rng):
-    a = _t(rng, 2, 3, 4)
-    return lambda a: _mean_sq(reduce_mean(a, axes=(0, 2))), [a]
+    """The scalar every unit checks: mean(t * t), one node with backward g * 2t / n."""
+    x = t.data
+    return record_op("mean_sq", (t,), np.mean(x * x), lambda g: (g * (2.0 / x.size) * x,))
 
 
 def _unit_relu(rng):
@@ -143,10 +125,6 @@ def _loss_unit(alpha: float, k: int):
 
 
 UNITS: list[tuple[str, float, object]] = [
-    ("add", TOL_SINGLE, _unit_add),
-    ("mul_broadcast", TOL_SINGLE, _unit_mul_broadcast),
-    ("reduce_sum", TOL_SINGLE, _unit_reduce_sum),
-    ("reduce_mean", TOL_SINGLE, _unit_reduce_mean),
     ("relu", TOL_SINGLE, _unit_relu),
     ("conv2d", TOL_SINGLE, _unit_conv2d),
     ("transposed_conv2d", TOL_SINGLE, _unit_transposed_conv2d),
@@ -181,8 +159,9 @@ def run_gradcheck_suite(seed: int = 0, num_seeds: int = 3,
 
 
 def format_gradcheck_table(results: list[UnitResult]) -> str:
-    lines = [f"{'unit':<26}{'worst rel err':>16}{'tol':>10}  status"]
+    width = max([len("unit")] + [len(r.name) for r in results]) + 2
+    lines = [f"{'unit':<{width}}{'worst rel err':>16}{'tol':>10}  status"]
     for r in results:
         status = "ok" if r.passed else "FAIL"
-        lines.append(f"{r.name:<26}{r.worst_rel_err:>16.3e}{r.tol:>10.0e}  {status}")
+        lines.append(f"{r.name:<{width}}{r.worst_rel_err:>16.3e}{r.tol:>10.0e}  {status}")
     return "\n".join(lines) + "\n"

@@ -9,12 +9,24 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from auseg.data import Sample, synth_generate
 from auseg.losses_metrics import LossConfig
+from auseg.tensor import Tensor, record_op
 from auseg.training import CosineSchedule, TrainLog, TrainResult, TrainSettings, init_rng, train
 from auseg.unet import UnetConfig, UnetModel, build_model
 
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def dot(y: Tensor, g) -> Tensor:
+    """The scalar <g, y> as one node; its backward is s * g, so g reaches y unchanged."""
+    g = np.broadcast_to(np.asarray(g, dtype=np.float64), y.shape)
+    return record_op("dot", (y,), np.vdot(g, y.data), lambda s: (s * g,))
+
+
+def sum_sq(y: Tensor) -> Tensor:
+    """The scalar sum(y * y) as one node, with backward s * 2y."""
+    return record_op("sum_sq", (y,), np.vdot(y.data, y.data), lambda s: (s * 2.0 * y.data,))
 
 
 # ---------------------------------------------------------------------------

@@ -23,29 +23,6 @@ def loop_matmul(a, b):
     return out
 
 
-def loop_broadcast_mul(a, b):
-    out = np.zeros(a.shape)
-    for idx in np.ndindex(a.shape):
-        b_idx = tuple(i if b.shape[d] != 1 else 0 for d, i in enumerate(idx))
-        out[idx] = a[idx] * b[b_idx]
-    return out
-
-
-def loop_reduce(x, axes, op="sum"):
-    axes = sorted(axes)
-    out_shape = tuple(s for d, s in enumerate(x.shape) if d not in axes)
-    out = np.zeros(out_shape if out_shape else ())
-    count = 1
-    for d in axes:
-        count *= x.shape[d]
-    for idx in np.ndindex(x.shape):
-        out_idx = tuple(i for d, i in enumerate(idx) if d not in axes)
-        out[out_idx] += x[idx]
-    if op == "mean":
-        out = out / count
-    return out
-
-
 def loop_conv2d(x, kernel, bias, stride, pad):
     n, c, h, w = x.shape
     o, c2, kh, kw = kernel.shape

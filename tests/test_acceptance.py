@@ -7,7 +7,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from oracles import (adam_reference_step, formula_sigmoid, loop_channel_avg, loop_channel_max,
                      loop_confusion, loop_conv2d, loop_cross_entropy, loop_dice,
@@ -16,6 +15,7 @@ from oracles import (adam_reference_step, formula_sigmoid, loop_channel_avg, loo
 
 from conftest import desk_unet_config
 
+from auseg import attention
 from auseg.attention import (ChannelAttentionParams, SpatialAttentionParams, channel_attention,
                              hybrid_attention_block, init_channel_attention,
                              init_spatial_attention, spatial_attention)
@@ -114,14 +114,17 @@ def test_c2_oracle_equivalence():
     assert ok
 
 
-def test_c3_gate_identity_and_attenuation():
+def test_c3_gate_identity_and_attenuation(monkeypatch):
     att_model = build_model(desk_unet_config(True), init_rng(30))
     plain_model = build_model(desk_unet_config(False), init_rng(31))
     shared = {n: a for n, a in att_model.state_arrays().items() if not n.startswith("att")}
     plain_model.load_state_arrays(shared)
     x = Tensor(np.random.default_rng(32).uniform(0, 1, size=(2, 3, 32, 32)))
-    pinned = forward(att_model, x, gates_override=1.0)
     plain = forward(plain_model, x)
+    # both gates pinned to 1 inside the fused op
+    with monkeypatch.context() as pin:
+        pin.setattr(attention, "_sigmoid", np.ones_like)
+        pinned = forward(att_model, x)
     bit_exact = pinned.data.tobytes() == plain.data.tobytes()
 
     attenuated = True

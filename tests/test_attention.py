@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from oracles import formula_sigmoid, loop_channel_avg, loop_channel_max, loop_conv2d
 
+from conftest import dot, sum_sq
+
+from auseg import attention
 from auseg.attention import (ChannelAttentionParams, SpatialAttentionParams,
-                             channel_attention, hybrid_apply, hybrid_attention_block,
+                             channel_attention, hybrid_attention_block,
                              init_channel_attention, init_spatial_attention,
                              spatial_attention)
 from auseg.errors import ConfigError, ShapeError
 from auseg.nn_ops import Conv2dParams
-from auseg.tensor import Tape, Tensor, backward, full, grad_check, mul_elementwise, reduce_sum
+from auseg.tensor import Tape, Tensor, backward, grad_check
 
 
 def rng(seed=0):
@@ -160,34 +163,46 @@ class TestSpatialAttention:
 
 
 class TestHybridApply:
-    def test_identity_gates(self):
-        f = Tensor(rng(10).normal(size=(2, 3, 4, 4)))
-        out = hybrid_apply(f, full([2, 3, 1, 1], 1.0), full([2, 1, 4, 4], 1.0))
-        assert np.array_equal(out.data, f.data)
+    """The fused op multiplies F by both gates: F[n,c,h,w] * w_c[n,c] * w_s[n,h,w]."""
+
+    def test_identity_gates(self, monkeypatch):
+        monkeypatch.setattr(attention, "_sigmoid", np.ones_like)
+        r = rng(10)
+        f = Tensor(r.normal(size=(2, 4, 4, 4)))
+        cp, sp = init_channel_attention(4, 2, r), init_spatial_attention(3, r)
+        for composition in ("parallel", "sequential"):
+            out = hybrid_attention_block(f, cp, sp, composition)
+            assert out.data.tobytes() == f.data.tobytes()
 
     def test_zero_spatial_gate_annihilates(self):
-        f = Tensor(rng(11).normal(size=(2, 3, 4, 4)))
-        out = hybrid_apply(f, full([2, 3, 1, 1], 1.0), Tensor(np.zeros((2, 1, 4, 4))))
+        r = rng(11)
+        f = Tensor(r.normal(size=(2, 4, 4, 4)))
+        sp = SpatialAttentionParams(conv=Conv2dParams(Tensor(np.zeros((1, 2, 3, 3))),
+                                                      Tensor(np.array([-800.0])),
+                                                      padding="same"))
+        out = hybrid_attention_block(f, init_channel_attention(4, 2, r), sp)
         assert np.all(out.data == 0.0)
 
     def test_vs_triple_loop_oracle(self):
         r = rng(12)
-        f = r.uniform(-2, 2, size=(2, 3, 4, 4))
-        wc = r.uniform(0, 1, size=(2, 3, 1, 1))
-        ws = r.uniform(0, 1, size=(2, 1, 4, 4))
-        out = hybrid_apply(Tensor(f), Tensor(wc), Tensor(ws)).data
-        expected = np.zeros_like(f)
-        for n in range(2):
-            for c in range(3):
-                for i in range(4):
-                    for j in range(4):
-                        expected[n, c, i, j] = f[n, c, i, j] * wc[n, c, 0, 0] * ws[n, 0, i, j]
-        assert np.max(np.abs(out - expected)) < 1e-12
+        f = r.uniform(-2, 2, size=(2, 4, 5, 5))
+        cp, sp = init_channel_attention(4, 2, r), init_spatial_attention(3, r)
+        wc = channel_attention(f, cp)
+        for composition in ("parallel", "sequential"):
+            out = hybrid_attention_block(Tensor(f), cp, sp, composition).data
+            ws = spatial_attention(f if composition == "parallel" else f * wc, sp)
+            expected = np.zeros_like(f)
+            for n in range(2):
+                for c in range(4):
+                    for i in range(5):
+                        for j in range(5):
+                            expected[n, c, i, j] = f[n, c, i, j] * wc[n, c, 0, 0] * ws[n, 0, i, j]
+            assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_broadcast_mismatch(self):
         f = Tensor(np.zeros((2, 3, 4, 4)))
         with pytest.raises(ShapeError):
-            hybrid_apply(f, full([2, 2, 1, 1], 1.0), full([2, 1, 4, 4], 1.0))
+            hybrid_attention_block(f, zero_channel_params(2, 1), zero_spatial_params())
 
 
 class TestHybridBlock:
@@ -205,7 +220,7 @@ class TestHybridBlock:
 
         def loss(*_):
             out = hybrid_attention_block(f, cp, sp)
-            return reduce_sum(mul_elementwise(out, out))
+            return sum_sq(out)
 
         report = grad_check(loss, [f, cp.w1, cp.w2, sp.conv.kernel, sp.conv.bias],
                             tol=1e-5, rng=rng(15))
@@ -219,7 +234,7 @@ class TestHybridBlock:
 
         def loss(*_):
             out = hybrid_attention_block(f, cp, sp, composition="sequential")
-            return reduce_sum(mul_elementwise(out, out))
+            return sum_sq(out)
 
         report = grad_check(loss, [f, cp.w1, cp.w2, sp.conv.kernel, sp.conv.bias],
                             tol=1e-5, rng=rng(26))
@@ -236,8 +251,8 @@ class TestHybridBlock:
         sp = SpatialAttentionParams(conv=Conv2dParams(Tensor(k), Tensor(np.zeros(1)),
                                                       padding="same"))
         with Tape() as tape:
-            backward(tape, reduce_sum(hybrid_attention_block(f, zero_channel_params(3, 1), sp,
-                                                             composition)))
+            backward(tape, dot(hybrid_attention_block(f, zero_channel_params(3, 1), sp,
+                                                      composition), 1.0))
         # w_c = 0.5; the max map is 2, or 1 when it is taken of the gated map F * w_c
         ws = 1.0 / (1.0 + np.exp(-(1.0 if composition == "sequential" else 2.0)))
         max_route = 0.5 * 3.0 * ws * (1.0 - ws)    # sum_c F * w_c * sigmoid'

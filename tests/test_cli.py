@@ -10,6 +10,7 @@ from auseg.cli import TRAIN_ARTIFACTS, main
 from auseg.data import read_pgm, write_ppm
 from auseg.runconfig import parse_config_text
 from auseg.training import TrainLog
+from auseg.verification import TOL_SINGLE, UNITS, UnitResult, format_gradcheck_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -79,6 +80,16 @@ class TestTrain:
         bad.write_text(CONFIG.format(root=trained["data"]) + "momentum = 0.9\n")
         assert main(["train", "--config", str(bad), "--out", str(trained["tmp"] / "x")]) == 2
         assert "momentum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["alpha = 1.5", "dice_smooth = 0", "jitter_delta = 0.9",
+                                      "weight_decay = -1", "patience = -3", "min_delta = -1"])
+    def test_out_of_range_value_exit_2_before_any_artifact(self, trained, tmp_path, capsys,
+                                                           line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG.format(root=trained["data"]) + line + "\n")
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not (tmp_path / "o" / "resolved.cfg").exists()
 
     def test_retired_keys_accept_only_their_old_values(self, tmp_path):
         cfg = parse_config_text("normalization = identity\nthreads = 4\n")
@@ -219,6 +230,12 @@ class TestGradcheckCommand:
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["gradcheck", "--seed", "0", "--tolerance", "1e-15"]) == 1
         assert "FAILED" in capsys.readouterr().out
+
+    def test_table_columns_align(self):
+        results = [UnitResult(name, 1e-9, tol, True) for name, tol, _ in UNITS]
+        results.append(UnitResult("relu", 1.0, TOL_SINGLE, False))
+        lines = format_gradcheck_table(results).splitlines()
+        assert {len(line) - len(line.split()[-1]) for line in lines} == {lines[0].index("status")}
 
     def test_fixed_seed_reproducible_table(self, capsys):
         assert main(["gradcheck", "--seed", "4"]) == 0

@@ -1,14 +1,16 @@
-"""Every module under src/auseg uses each name it imports.
+"""Every module under src/auseg, tests/ and scripts/ uses each name it imports.
 
-``__init__.py`` is skipped: its imports are the public API.
+``src/auseg/__init__.py`` is skipped: its imports are the public API.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "auseg"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+# package modules are named by file name, test and script files by directory/file name
+FILES = {p.name: p for p in (ROOT / "src" / "auseg").glob("*.py") if p.name != "__init__.py"}
+FILES.update({f"{d}/{p.name}": p for d in ("tests", "scripts") for p in (ROOT / d).glob("*.py")})
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,9 +37,9 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(FILES))
 def test_no_unused_imports(module):
-    assert unused_imports((SRC / module).read_text()) == []
+    assert unused_imports(FILES[module].read_text()) == []
 
 
 def test_checker_finds_unused_names():

@@ -3,10 +3,12 @@ import pytest
 
 from oracles import loop_conv2d, loop_maxpool2d, loop_transposed_conv2d
 
+from conftest import dot, sum_sq
+
 from auseg.errors import ConfigError, ContractError, ShapeError
 from auseg.nn_ops import (Conv2dParams, concat_channels, conv2d, dropout, maxpool2d, relu,
                           transposed_conv2d)
-from auseg.tensor import Tape, Tensor, backward, grad_check, mul_elementwise, reduce_sum
+from auseg.tensor import Tape, Tensor, backward, grad_check
 
 
 def rng(seed=0):
@@ -78,7 +80,7 @@ class TestConv2d:
         def f(x, k, b):
             p = Conv2dParams(k, b, stride=1, padding="same")
             out = conv2d(x, p)
-            return reduce_sum(mul_elementwise(out, out))
+            return sum_sq(out)
 
         assert grad_check(f, [x, k, b], tol=1e-5, rng=rng(7)).passed
 
@@ -123,7 +125,7 @@ class TestTransposedConv2d:
         conv_p = Conv2dParams(Tensor(k), Tensor(np.zeros(3)), stride=2, padding=0)
         with Tape() as tape:
             y = conv2d(x, conv_p)
-            backward(tape, reduce_sum(mul_elementwise(y, Tensor(g))))
+            backward(tape, dot(y, g))
         grad_via_conv = x.grad
 
         tp = Conv2dParams(Tensor(k), Tensor(np.zeros(2)), stride=2, padding=0)
@@ -138,7 +140,7 @@ class TestTransposedConv2d:
 
         def f(x, k, b):
             out = transposed_conv2d(x, Conv2dParams(k, b, stride=2, padding=0))
-            return reduce_sum(mul_elementwise(out, out))
+            return sum_sq(out)
 
         assert grad_check(f, [x, k, b], tol=1e-5, rng=rng(14)).passed
 
@@ -182,7 +184,7 @@ def test_conv2d_core_cases_vs_oracle(case):
 
     def f(x, kk, bb):
         y = conv2d(x, Conv2dParams(kk, bb, stride=s, padding=pad))
-        return reduce_sum(mul_elementwise(y, y))
+        return sum_sq(y)
 
     assert grad_check(f, [xt, kt, bt], tol=1e-5, rng=rng(41)).passed
 
@@ -204,7 +206,7 @@ def test_transposed_conv2d_core_cases_vs_oracle(case):
 
     def f(x, kk, bb):
         y = transposed_conv2d(x, Conv2dParams(kk, bb, stride=s, padding=pad))
-        return reduce_sum(mul_elementwise(y, y))
+        return sum_sq(y)
 
     assert grad_check(f, [xt, kt, bt], tol=1e-5, rng=rng(43)).passed
 
@@ -275,7 +277,7 @@ def test_conv_sample_of_batch_equals_sample_alone(case):
             y = op(xt, Conv2dParams(Tensor(kern), Tensor(b), stride=s, padding=pad))
             if gs is None:
                 return y.data, None
-            backward(tape, reduce_sum(mul_elementwise(y, Tensor(gs))))
+            backward(tape, dot(y, gs))
         return y.data, xt.grad
 
     y, _ = run(x)
@@ -308,7 +310,7 @@ class TestMaxpool:
     def test_grad_routes_to_first_argmax(self):
         x = Tensor(np.array([[[[2.0, 2.0], [1.0, 2.0]]]]), requires_grad=True)
         with Tape() as tape:
-            backward(tape, reduce_sum(maxpool2d(x, 2, 2)))
+            backward(tape, dot(maxpool2d(x, 2, 2), 1.0))
         # tie between three entries: row-major first (0,0) wins
         assert x.grad.tolist() == [[[[1.0, 0.0], [0.0, 0.0]]]]
 
@@ -344,7 +346,7 @@ class TestConcat:
         g = r.normal(size=(1, 5, 2, 2))
         with Tape() as tape:
             out = concat_channels(a, b)
-            backward(tape, reduce_sum(mul_elementwise(out, Tensor(g))))
+            backward(tape, dot(out, g))
         assert np.array_equal(a.grad, g[:, :2])
         assert np.array_equal(b.grad, g[:, 2:])
 
@@ -357,7 +359,7 @@ class TestActivations:
     def test_relu_subgradient_zero_at_zero(self):
         x = Tensor([0.0, 1.0], requires_grad=True)
         with Tape() as tape:
-            backward(tape, reduce_sum(relu(x)))
+            backward(tape, dot(relu(x), 1.0))
         assert x.grad.tolist() == [0.0, 1.0]
 
 
@@ -392,7 +394,7 @@ class TestDropout:
         x = Tensor(rng(30).normal(size=(50,)), requires_grad=True)
         with Tape() as tape:
             out = dropout(x, 0.3, training=True, rng=rng(31))
-            backward(tape, reduce_sum(out))
+            backward(tape, dot(out, 1.0))
         mask = out.data != 0
         assert np.array_equal(x.grad != 0, mask)
         assert np.allclose(x.grad[mask], 1.0 / 0.7)
