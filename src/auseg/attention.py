@@ -62,12 +62,8 @@ class SpatialAttentionParams:
 
 def _sigmoid(z: Array) -> Array:
     """1 / (1 + e^-z), with no overflow: negative z goes through e^z / (1 + e^z)."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def channel_attention(f: Array, p: ChannelAttentionParams) -> Array:

@@ -1,8 +1,8 @@
 """Convolution, pooling, activation, concat, and dropout kernels.
 
-All ops take NCHW tensors, run vectorized numpy forward passes, and register
-analytic backward rules on the active tape. Every kernel is checked against a
-brute-force loop oracle in the test suite.
+All ops take NCHW tensors and run vectorized numpy forward passes that build
+no backward state: each backward rule on the active tape derives its routing
+from arrays the node holds. Every kernel is checked against a loop oracle.
 
 Both convolutions, and the attention gate's convolution, share one core of
 three array helpers: one BLAS GEMM per sample between a kernel matrix and the
@@ -19,6 +19,7 @@ backward pass the other two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -213,24 +214,25 @@ def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
 
 
 def maxpool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
-    """Non-overlapping max pooling; grad routes to the first row-major argmax."""
+    """Non-overlapping max pooling: a running max over strided slices, no saved
+    state. Each window's gradient goes to its first row-major entry equal to the max."""
     _require_nchw(x, "maxpool2d")
     if window != stride:
         raise ShapeError(f"maxpool2d supports window == stride only, got {window}/{stride}")
-    n, c, h, w = x.shape
-    if h % stride or w % stride:
-        raise ShapeError(f"spatial extents {h}x{w} not divisible by stride {stride}")
-    ho, wo = h // stride, w // stride
-    win = x.data.reshape(n, c, ho, stride, wo, stride).transpose(0, 1, 2, 4, 3, 5)
-    win = np.ascontiguousarray(win).reshape(n, c, ho, wo, stride * stride)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    h, w = x.shape[2:]
+    s = stride
+    if h % s or w % s:
+        raise ShapeError(f"spatial extents {h}x{w} not divisible by stride {s}")
+    rows = reduce(np.maximum, (x.data[:, :, u::s] for u in range(s)))
+    out = reduce(np.maximum, (rows[..., v::s] for v in range(s)))
 
     def bwd(g: Array):
-        gwin = np.zeros((n, c, ho, wo, stride * stride))
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        gx = gwin.reshape(n, c, ho, wo, stride, stride).transpose(0, 1, 2, 4, 3, 5)
-        return (np.ascontiguousarray(gx).reshape(n, c, h, w),)
+        gx, taken = np.zeros(x.shape), np.zeros(out.shape, dtype=bool)
+        for u, v in np.ndindex(s, s):
+            hit = (x.data[:, :, u::s, v::s] == out) & ~taken
+            np.copyto(gx[:, :, u::s, v::s], g, where=hit)  # g * hit would put -0.0 at g < 0
+            taken |= hit
+        return (gx,)
 
     return record_op("maxpool2d", (x,), out, bwd)
 
@@ -251,8 +253,9 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return record_op("relu", (x,), np.where(mask, x.data, 0.0), lambda g: (g * mask,))
+    """max(x, 0), NaN kept; builds no mask: out > 0 exactly where x > 0."""
+    out = np.maximum(x.data, 0.0)
+    return record_op("relu", (x,), out, lambda g: (g * (out > 0),))
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

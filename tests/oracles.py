@@ -84,6 +84,24 @@ def loop_maxpool2d(x, window, stride):
     return out
 
 
+def loop_maxpool2d_grad(x, g, stride):
+    """Route each window's gradient to its first row-major maximum; zeros elsewhere."""
+    n, c, h, w = x.shape
+    gx = np.zeros((n, c, h, w))
+    for ni in range(n):
+        for ci in range(c):
+            for i in range(h // stride):
+                for j in range(w // stride):
+                    best, at = None, None
+                    for u in range(stride):
+                        for v in range(stride):
+                            val = x[ni, ci, i * stride + u, j * stride + v]
+                            if best is None or val > best:
+                                best, at = val, (i * stride + u, j * stride + v)
+                    gx[ni, ci, at[0], at[1]] = g[ni, ci, i, j]
+    return gx
+
+
 def loop_global_avg_pool(x):
     n, c, h, w = x.shape
     out = np.zeros((n, c))

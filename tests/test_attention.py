@@ -306,3 +306,24 @@ def test_attenuation_property(seed):
     sp = init_spatial_attention(3, r)
     out = hybrid_attention_block(Tensor(f_data), cp, sp).data
     assert np.all(np.abs(out) <= np.abs(f_data))
+
+
+def two_branch_sigmoid(z):
+    """The overflow-free sigmoid as first written: boolean-indexed branches."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_bytes_match_two_branch_formula():
+    specials = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, 1e-300, -1e-300, 36.0, -36.0]
+    z = np.concatenate([rng(40).normal(scale=8.0, size=246), specials, [np.nan] * 4])
+    z = z.reshape(2, 1, 13, 10)
+    got, want = attention._sigmoid(z), two_branch_sigmoid(z)
+    finite = ~np.isnan(z)
+    assert got[finite].tobytes() == want[finite].tobytes()
+    # a NaN stays NaN (its sign bit is not part of the contract)
+    assert np.all(np.isnan(got[~finite]))

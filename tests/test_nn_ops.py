@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import loop_conv2d, loop_maxpool2d, loop_transposed_conv2d
+from oracles import loop_conv2d, loop_maxpool2d, loop_maxpool2d_grad, loop_transposed_conv2d
 
 from conftest import dot, sum_sq
 
@@ -289,6 +289,17 @@ def test_conv_sample_of_batch_equals_sample_alone(case):
         assert gxi.tobytes() == gx[i:i + 1].tobytes()
 
 
+# (id, input maker, stride): batch > 1 and several channels throughout
+MAXPOOL_CASES = [
+    ("normal_s2", lambda r: r.normal(size=(3, 4, 8, 10)), 2),
+    ("normal_s3", lambda r: r.normal(size=(2, 3, 9, 6)), 3),
+    ("integers_s2", lambda r: r.integers(-2, 3, size=(3, 4, 8, 8)).astype(np.float64), 2),
+    ("integers_s3", lambda r: r.integers(0, 2, size=(2, 3, 9, 9)).astype(np.float64), 3),
+    ("all_equal_s2", lambda r: np.full((2, 3, 6, 8), -1.25), 2),
+    ("all_equal_s3", lambda r: np.full((2, 3, 6, 9), 0.5), 3),
+]
+
+
 class TestMaxpool:
     def test_hand_window(self):
         out = maxpool2d(Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]), 2, 2)
@@ -313,6 +324,28 @@ class TestMaxpool:
             backward(tape, dot(maxpool2d(x, 2, 2), 1.0))
         # tie between three entries: row-major first (0,0) wins
         assert x.grad.tolist() == [[[[1.0, 0.0], [0.0, 0.0]]]]
+
+    @pytest.mark.parametrize("case", MAXPOOL_CASES, ids=lambda c: c[0])
+    def test_bytes_vs_loop_oracle(self, case):
+        _, make, s = case
+        r = rng(18)
+        x = make(r)
+        g = r.normal(size=(x.shape[0], x.shape[1], x.shape[2] // s, x.shape[3] // s))
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = maxpool2d(t, s, s)
+            backward(tape, dot(out, g))
+        assert out.data.tobytes() == loop_maxpool2d(x, s, s).tobytes()
+        assert t.grad.tobytes() == loop_maxpool2d_grad(x, g, s).tobytes()
+
+    @pytest.mark.parametrize("case", MAXPOOL_CASES, ids=lambda c: c[0])
+    def test_forward_same_bytes_with_and_without_tape(self, case):
+        _, make, s = case
+        x = make(rng(19))
+        with Tape():
+            taped = maxpool2d(Tensor(x, requires_grad=True), s, s)
+        assert taped.requires_grad
+        assert maxpool2d(Tensor(x), s, s).data.tobytes() == taped.data.tobytes()
 
     def test_shape_round_trip_with_upsampling(self):
         for size in (8, 16, 32):
@@ -361,6 +394,25 @@ class TestActivations:
         with Tape() as tape:
             backward(tape, dot(relu(x), 1.0))
         assert x.grad.tolist() == [0.0, 1.0]
+
+    def test_relu_bytes_match_where_formula(self):
+        # forward max(x, 0) and backward g * (out > 0) give np.where's bytes, signed zeros too
+        x = np.concatenate([rng(28).normal(size=64), [0.0, -0.0, np.inf, -np.inf, 1e-310, -1e-310]])
+        g = rng(29).normal(size=x.shape)
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = relu(t)
+            backward(tape, dot(out, g))
+        assert out.data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+        assert t.grad.tobytes() == (g * (x > 0)).tobytes()
+
+    def test_relu_keeps_nan(self):
+        x = Tensor([np.nan, -1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            out = relu(x)
+            backward(tape, dot(out, 1.0))
+        assert np.isnan(out.data[0]) and out.data[1:].tolist() == [0.0, 2.0]
+        assert x.grad.tolist() == [0.0, 0.0, 1.0]
 
 
 class TestDropout:

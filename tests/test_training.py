@@ -9,17 +9,17 @@ import pytest
 
 from oracles import adam_reference_step
 
-from conftest import desk_unet_config
+from conftest import DESK_SEED, desk_data, desk_unet_config
 
 from auseg.data import synth_generate
 import auseg
 from auseg.errors import ConfigError, NumericError, TrainingError
-from auseg.losses_metrics import LossConfig
-from auseg.tensor import Parameter, Tensor
+from auseg.losses_metrics import LossConfig, combined_loss
+from auseg.tensor import Parameter, Tape, Tensor
 from auseg.training import (AdamWState, CosineSchedule, EarlyStopper, TrainLog, TrainSettings,
                             adamw_step, cosine_lr, early_stop_check, evaluate,
                             format_sweep_report, init_rng, lr_sweep, train)
-from auseg.unet import build_model
+from auseg.unet import build_model, forward
 
 
 def rng(seed=0):
@@ -246,6 +246,31 @@ class TestTrainLoop:
         result = train(model, train_s, val_s, settings)
         epochs = [r.epoch for r in result.log.rows]
         assert epochs == sorted(set(epochs))
+
+
+class TestNonFiniteParameter:
+    """One NaN kernel entry must stop training, not leave a dead channel behind."""
+
+    def test_desk_step_raises(self):
+        train_s, _ = desk_data()
+        model = build_model(desk_unet_config(), init_rng(DESK_SEED))
+        model.params["enc0.conv1.kernel"].tensor.data[0, 0, 1, 1] = np.nan
+        images = Tensor(np.stack([s.image for s in train_s[:8]]))
+        labels = np.stack([s.label for s in train_s[:8]])
+        with Tape():
+            logits = forward(model, images, training=True, rng=rng(0))
+            # relu passes the NaN channel on, so it reaches the logits
+            assert np.isnan(logits.data).any()
+            with pytest.raises(NumericError):
+                combined_loss(logits, labels, LossConfig())
+
+    def test_train_stops_before_first_epoch(self):
+        model, train_s, val_s, settings = tiny_setup(epochs=2)
+        model.params["enc0.conv1.kernel"].tensor.data[0, 0, 1, 1] = np.nan
+        lines = []
+        with pytest.raises(NumericError):
+            train(model, train_s, val_s, settings, log_line=lines.append)
+        assert lines == []
 
 
 class TestTrainLogCsv:

@@ -150,18 +150,20 @@ def test_training_step_records_one_attention_node_per_level(depth, base, classes
 
 class TestPredict:
     def test_argmax_all_one_class(self):
+        # a zero head kernel makes the logits the head bias at every pixel
         model = build_model(small_cfg(), rng(20))
-        logits = rng(21).normal(size=(1, 3, 8, 8))
-        logits[:, 2] += 50.0
-        labels = loop_argmax_labels(logits)
-        assert np.all(labels == 2)
+        model.params["head.kernel"].tensor.data[...] = 0.0
+        model.params["head.bias"].tensor.data[...] = [0.0, 0.0, 50.0]
+        labels = predict_labels(model, Tensor(rng(21).uniform(0, 1, size=(2, 3, 16, 16))))
+        assert labels.shape == (2, 16, 16) and np.all(labels == 2)
 
     def test_tie_breaks_low_index(self):
+        # zero head kernel and bias: every class logit is (+/-) 0, all tied
         model = build_model(small_cfg(), rng(22))
-        x = Tensor(np.zeros((1, 3, 16, 16)))
-        # zero input + zero head bias is not guaranteed tied, so test argmax rule directly
-        tied = np.zeros((1, 3, 2, 2))
-        assert np.all(np.argmax(tied, axis=1) == 0)
+        model.params["head.kernel"].tensor.data[...] = 0.0
+        model.params["head.bias"].tensor.data[...] = 0.0
+        labels = predict_labels(model, Tensor(rng(23).uniform(0, 1, size=(2, 3, 16, 16))))
+        assert labels.shape == (2, 16, 16) and np.all(labels == 0)
 
     def test_predict_matches_loop_argmax(self):
         model = build_model(small_cfg(), rng(23))
