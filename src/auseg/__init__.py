@@ -8,7 +8,7 @@ from .errors import (AusegError, ConfigError, ContractError, CorruptionError, Da
                      NumericError, ShapeError, TrainingError)
 from .losses_metrics import (ConfusionMatrix, LossConfig, combined_loss, confusion_accumulate,
                              miou, pixel_accuracy)
-from .tensor import Parameter, Tape, Tensor, backward, grad_check
+from .tensor import Tape, Tensor, backward, grad_check
 from .unet import UnetConfig, UnetModel, build_model, forward, predict_labels
 
 __version__ = "0.1.0"

@@ -145,8 +145,8 @@ def cmd_sweep_lr(args) -> int:
         lrs = [float(tok) for tok in args.lrs.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"--lrs must be comma-separated floats, got {args.lrs!r}") from exc
-    if not lrs:
-        raise ConfigError("--lrs lists no learning rates")
+    if not lrs or not all(lr > 0 for lr in lrs):
+        raise ConfigError(f"--lrs must list positive learning rates, got {args.lrs!r}")
     train_samples, val_samples = _load_run_data(cfg)
     loss_cfg = cfg.loss_config(train_labels=[s.label for s in train_samples])
     settings = cfg.train_settings(loss_cfg)

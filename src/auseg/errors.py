@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-Each class maps to one CLI exit code, see cli.EXIT_CODES.
+Each class maps to one CLI exit code: see ``cli.main`` and the exit-code
+table in the README.
 """
 
 

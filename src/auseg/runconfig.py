@@ -27,7 +27,6 @@ class RunConfig:
     model_name: str = "ours"
     num_classes: int = 19
     ignore_index: int = 255
-    in_channels: int = 3
     depth: int = 4
     base_channels: int = 16
     attention_enabled: bool = True
@@ -61,14 +60,19 @@ class RunConfig:
                 raise ConfigError(f"{key} must lie in [{lo:g}, {hi:g}], got {value}")
         if not self.dice_smooth > 0:
             raise ConfigError(f"dice_smooth must be positive, got {self.dice_smooth}")
+        if not self.eta_max > 0:
+            raise ConfigError(f"eta_max must be positive, got {self.eta_max}")
+        if not 0 <= self.eta_min <= self.eta_max:
+            raise ConfigError(f"eta_min must lie in [0, eta_max = {self.eta_max:g}], "
+                              f"got {self.eta_min}")
         if (self.crop_h > 0) != (self.crop_w > 0):
             raise ConfigError("crop_h and crop_w must be set together (0 disables)")
         self.unet_config().validate()
         self.parse_class_weights()
 
     def unet_config(self) -> UnetConfig:
-        return UnetConfig(in_channels=self.in_channels, num_classes=self.num_classes,
-                          depth=self.depth, base_channels=self.base_channels,
+        return UnetConfig(num_classes=self.num_classes, depth=self.depth,
+                          base_channels=self.base_channels,
                           attention_enabled=self.attention_enabled,
                           reduction_ratio=self.reduction_ratio,
                           spatial_kernel=self.spatial_kernel,
@@ -143,16 +147,14 @@ def _parse_value(key: str, raw: str, target_type: type):
                           f"{target_type.__name__}") from exc
 
 
-def _check_retired_key(key: str, raw: str) -> None:
-    """``normalization`` and ``threads`` configured nothing and are gone, but
-    config echoes in older checkpoints still carry them: accept the values
-    that were valid then, reject the rest."""
-    if key == "normalization":
-        value = _parse_value(key, raw, str)
-        if value != "identity":
-            raise ConfigError(f"only identity normalization is supported, got {value!r}")
-    elif _parse_value(key, raw, int) < 1:
-        raise ConfigError(f"threads must be >= 1, got {raw.strip()}")
+# Keys that are gone but that config echoes in older checkpoints still carry:
+# key -> (type, the values that were valid then, that rule in words). Any
+# other value is rejected; a valid one configures nothing.
+_RETIRED = {
+    "normalization": (str, lambda v: v == "identity", "must be identity"),
+    "threads": (int, lambda v: v >= 1, "must be >= 1"),
+    "in_channels": (int, lambda v: v == 3, "must be 3 (images are RGB PPM)"),
+}
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -167,8 +169,10 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key in ("normalization", "threads"):
-            _check_retired_key(key, raw)
+        if key in _RETIRED:
+            kind, valid, rule = _RETIRED[key]
+            if not valid(_parse_value(key, raw, kind)):
+                raise ConfigError(f"retired key {key} {rule}, got {raw.strip()!r}")
             continue
         if key not in known:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")

@@ -3,7 +3,6 @@
 It provides:
 
 - ``Tensor``, a row-major numpy array of rank <= 4 with an optional ``grad``;
-- ``Parameter``, a named trainable tensor;
 - ``Node`` and ``Tape``, one recorded op and the define-by-run graph of a step;
 - ``record_op``, which every differentiable op (in ``nn_ops``, ``attention``
   and ``losses_metrics``) calls with its output array and backward rule;
@@ -59,17 +58,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-@dataclass
-class Parameter:
-    """Named trainable tensor; names are unique within a model."""
-
-    name: str
-    tensor: Tensor
-
-    def __post_init__(self):
-        self.tensor.requires_grad = True
 
 
 @dataclass
@@ -166,26 +154,10 @@ def backward(tape: Tape, root: Tensor) -> None:
 
 
 @dataclass
-class CoordCheck:
-    input_index: int
-    flat_index: int
-    analytic: float
-    numeric: float
-    rel_err: float
-
-
-@dataclass
 class GradCheckReport:
     max_rel_err: float
     tol: float
     passed: bool
-    checks: list[CoordCheck]
-
-    @property
-    def worst(self) -> CoordCheck | None:
-        if not self.checks:
-            return None
-        return max(self.checks, key=lambda c: c.rel_err)
 
 
 def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor], h: float = 1e-5,
@@ -211,8 +183,8 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor], h: float = 1e
     def eval_f() -> float:
         return f(*inputs).item()
 
-    checks: list[CoordCheck] = []
-    for idx, t in enumerate(inputs):
+    max_err = 0.0
+    for t in inputs:
         if not t.requires_grad:
             continue
         g_ad = t.grad if t.grad is not None else np.zeros_like(t.data)
@@ -234,6 +206,5 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor], h: float = 1e
             numeric = (f_plus - f_minus) / (2.0 * h)
             analytic = float(g_flat[c])
             rel = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-            checks.append(CoordCheck(idx, c, analytic, numeric, rel))
-    max_err = max((c.rel_err for c in checks), default=0.0)
-    return GradCheckReport(max_rel_err=max_err, tol=tol, passed=max_err < tol, checks=checks)
+            max_err = max(max_err, rel)
+    return GradCheckReport(max_rel_err=max_err, tol=tol, passed=max_err < tol)

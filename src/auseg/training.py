@@ -18,7 +18,7 @@ from .data import Sample, batch_iter, color_jitter, horizontal_flip, random_crop
 from .errors import ConfigError, NumericError, TrainingError
 from .losses_metrics import (ConfusionMatrix, LossConfig, combined_loss, confusion_accumulate,
                              miou, pixel_accuracy)
-from .tensor import Parameter, Tape, backward
+from .tensor import Tape, Tensor, backward
 from .unet import UnetConfig, UnetModel, build_model, forward
 
 
@@ -33,15 +33,16 @@ class AdamWState:
     weight_decay: float = 0.01
 
     @classmethod
-    def init(cls, params: Sequence[Parameter], weight_decay: float = 0.01) -> "AdamWState":
-        return cls(m={p.name: np.zeros_like(p.tensor.data) for p in params},
-                   v={p.name: np.zeros_like(p.tensor.data) for p in params},
+    def init(cls, params: dict[str, Tensor], weight_decay: float = 0.01) -> "AdamWState":
+        return cls(m={name: np.zeros_like(t.data) for name, t in params.items()},
+                   v={name: np.zeros_like(t.data) for name, t in params.items()},
                    weight_decay=weight_decay)
 
 
-def adamw_step(params: Sequence[Parameter], grads: Sequence[np.ndarray],
+def adamw_step(params: dict[str, Tensor], grads: Sequence[np.ndarray],
                state: AdamWState, lr: float) -> None:
-    """One optimizer step; decay is decoupled from the adaptive term."""
+    """One optimizer step; ``grads`` follow the order of ``params``. Decay is
+    decoupled from the adaptive term."""
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
     state.t += 1
@@ -49,13 +50,13 @@ def adamw_step(params: Sequence[Parameter], grads: Sequence[np.ndarray],
     bc2 = 1.0 - state.beta2 ** state.t
     # in place through two scratch rows shared by every parameter, in the order of
     # p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * p)
-    scratch = np.empty((2, max((p.tensor.size for p in params), default=0)))
-    for p, g in zip(params, grads):
+    scratch = np.empty((2, max((t.size for t in params.values()), default=0)))
+    for (name, t), g in zip(params.items(), grads):
         if g is None or not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {p.name!r}")
-        m = state.m[p.name]
-        v = state.v[p.name]
-        w = p.tensor.data
+            raise TrainingError(f"non-finite gradient for parameter {name!r}")
+        m = state.m[name]
+        v = state.v[name]
+        w = t.data
         a, b = (row[:w.size].reshape(w.shape) for row in scratch)
         m *= state.beta1
         m += np.multiply(1.0 - state.beta1, g, out=a)
@@ -234,8 +235,7 @@ def train(model: UnetModel, train_samples: Sequence[Sample], val_samples: Sequen
         raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
     data_rng = _rng_for(cfg.seed, 1)
     dropout_rng = _rng_for(cfg.seed, 2)
-    params = list(model.params.values())
-    state = AdamWState.init(params, weight_decay=cfg.weight_decay)
+    state = AdamWState.init(model.params, weight_decay=cfg.weight_decay)
     stopper = EarlyStopper(patience=cfg.patience, min_delta=cfg.min_delta)
     augs = _augmentations(cfg)
     log = TrainLog()
@@ -258,7 +258,7 @@ def train(model: UnetModel, train_samples: Sequence[Sample], val_samples: Sequen
                 if not math.isfinite(value):
                     raise NumericError(f"non-finite loss at epoch {epoch}, batch {batch_index}")
                 backward(tape, loss)
-            adamw_step(params, [p.tensor.grad for p in params], state, lr)
+            adamw_step(model.params, [t.grad for t in model.params.values()], state, lr)
             n = images.shape[0]
             epoch_loss += value * n
             epoch_n += n

@@ -5,18 +5,25 @@ Encoder stage l (width base*2^l): conv3x3-relu-conv3x3-relu-dropout, then
 l upsamples with a stride-2 transposed conv (halving channels), concatenates
 the attention-gated encoder skip, and runs another conv block. A 1x1 conv
 head emits per-class logits at the input resolution.
+
+A model is its ``UnetConfig`` plus one dict of trainable tensors keyed by
+checkpoint name (``enc0.conv1.kernel``, ``up1.bias``, ``att0.w1``,
+``att0.conv.kernel``, ``head.bias``, ...). ``forward`` looks every layer up by
+name. The dict's order is the build order, which fixes the initialization
+draws, the checkpoint layout and the optimizer's parameter order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import (COMPOSITIONS, ChannelAttentionParams, SpatialAttentionParams,
                         hybrid_attention_block, init_channel_attention, init_spatial_attention)
 from .errors import ConfigError, ShapeError
-from .nn_ops import Conv2dParams, concat_channels, conv2d, dropout, maxpool2d, relu, transposed_conv2d
-from .tensor import Parameter, Tensor
+from .nn_ops import (Conv2dParams, Padding, concat_channels, conv2d, dropout, maxpool2d, relu,
+                     transposed_conv2d)
+from .tensor import Tensor
 
 LabelMap = np.ndarray  # integer class indices, shape [N, H, W] or [H, W]
 
@@ -60,128 +67,78 @@ class UnetConfig:
 
 
 @dataclass
-class ConvBlockParams:
-    conv1: Conv2dParams
-    conv2: Conv2dParams
-
-
-@dataclass
-class SkipAttention:
-    channel: ChannelAttentionParams
-    spatial: SpatialAttentionParams
-
-
-@dataclass
 class UnetModel:
+    """A config plus its trainable tensors, keyed by checkpoint name in build order."""
+
     cfg: UnetConfig
-    encoders: list[ConvBlockParams]
-    bottleneck: ConvBlockParams
-    ups: list[Conv2dParams]
-    decoders: list[ConvBlockParams]
-    skips: list[SkipAttention]
-    head: Conv2dParams
-    params: dict[str, Parameter] = field(default_factory=dict)
+    params: dict[str, Tensor]
 
     def parameter_count(self) -> int:
-        return sum(p.tensor.size for p in self.params.values())
+        return sum(t.size for t in self.params.values())
 
     def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.tensor.zero_grad()
+        for t in self.params.values():
+            t.zero_grad()
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.tensor.data.copy() for name, p in self.params.items()}
+        return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        for name, p in self.params.items():
+        for name, t in self.params.items():
             if name not in state:
                 raise ConfigError(f"missing parameter {name!r} in state")
             arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != p.tensor.shape:
-                raise ConfigError(f"parameter {name!r} shape {arr.shape} != {p.tensor.shape}")
-            p.tensor.data = np.ascontiguousarray(arr)
+            if arr.shape != t.shape:
+                raise ConfigError(f"parameter {name!r} shape {arr.shape} != {t.shape}")
+            t.data = np.ascontiguousarray(arr)
         extra = set(state) - set(self.params)
         if extra:
             raise ConfigError(f"unknown parameters in state: {sorted(extra)}")
 
 
-class _Builder:
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.params: dict[str, Parameter] = {}
-
-    def tensor(self, name: str, data: np.ndarray) -> Tensor:
-        if name in self.params:
-            raise ConfigError(f"duplicate parameter name {name!r}")
-        p = Parameter(name=name, tensor=Tensor(data, requires_grad=True))
-        self.params[name] = p
-        return p.tensor
-
-    def conv(self, name: str, out_ch: int, in_ch: int, k: int, padding) -> Conv2dParams:
-        s = 1.0 / np.sqrt(in_ch * k * k)
-        kernel = self.tensor(f"{name}.kernel", self.rng.uniform(-s, s, size=(out_ch, in_ch, k, k)))
-        bias = self.tensor(f"{name}.bias", np.zeros(out_ch))
-        return Conv2dParams(kernel=kernel, bias=bias, stride=1, padding=padding)
-
-    def up(self, name: str, in_ch: int, out_ch: int) -> Conv2dParams:
-        s = 1.0 / np.sqrt(in_ch * 4)
-        kernel = self.tensor(f"{name}.kernel", self.rng.uniform(-s, s, size=(in_ch, out_ch, 2, 2)))
-        bias = self.tensor(f"{name}.bias", np.zeros(out_ch))
-        return Conv2dParams(kernel=kernel, bias=bias, stride=2, padding=0)
-
-    def block(self, name: str, in_ch: int, out_ch: int) -> ConvBlockParams:
-        return ConvBlockParams(conv1=self.conv(f"{name}.conv1", out_ch, in_ch, 3, "same"),
-                               conv2=self.conv(f"{name}.conv2", out_ch, out_ch, 3, "same"))
-
-    def skip_attention(self, name: str, channels: int, ratio: int, k: int) -> SkipAttention:
-        ca = init_channel_attention(channels, ratio, self.rng)
-        self.register(f"{name}.w1", ca.w1)
-        self.register(f"{name}.w2", ca.w2)
-        sa = init_spatial_attention(k, self.rng)
-        self.register(f"{name}.conv.kernel", sa.conv.kernel)
-        self.register(f"{name}.conv.bias", sa.conv.bias)
-        return SkipAttention(channel=ca, spatial=sa)
-
-    def register(self, name: str, tensor: Tensor) -> None:
-        if name in self.params:
-            raise ConfigError(f"duplicate parameter name {name!r}")
-        self.params[name] = Parameter(name=name, tensor=tensor)
-
-
 def build_model(cfg: UnetConfig, rng: np.random.Generator) -> UnetModel:
     """Assemble a model with freshly initialized parameters (seed-deterministic)."""
     cfg.validate()
-    b = _Builder(rng)
-    encoders = []
+    params: dict[str, Tensor] = {}
+
+    def conv(name: str, in_ch: int, out_ch: int, k: int, transposed: bool = False) -> None:
+        s = 1.0 / np.sqrt(in_ch * k * k)
+        shape = (in_ch, out_ch, k, k) if transposed else (out_ch, in_ch, k, k)
+        params[f"{name}.kernel"] = Tensor(rng.uniform(-s, s, size=shape), requires_grad=True)
+        params[f"{name}.bias"] = Tensor(np.zeros(out_ch), requires_grad=True)
+
+    def block(name: str, in_ch: int, out_ch: int) -> None:
+        conv(f"{name}.conv1", in_ch, out_ch, 3)
+        conv(f"{name}.conv2", out_ch, out_ch, 3)
+
     in_ch = cfg.in_channels
     for level in range(cfg.depth):
-        width = cfg.stage_width(level)
-        encoders.append(b.block(f"enc{level}", in_ch, width))
-        in_ch = width
-    bottleneck_width = cfg.stage_width(cfg.depth)
-    bottleneck = b.block("bottleneck", in_ch, bottleneck_width)
-    ups, decoders, skips = [], [], []
-    up_in = bottleneck_width
+        block(f"enc{level}", in_ch, cfg.stage_width(level))
+        in_ch = cfg.stage_width(level)
+    block("bottleneck", in_ch, cfg.stage_width(cfg.depth))
     for level in range(cfg.depth - 1, -1, -1):
         width = cfg.stage_width(level)
-        ups.append(b.up(f"up{level}", up_in, width))
-        decoders.append(b.block(f"dec{level}", 2 * width, width))
+        conv(f"up{level}", 2 * width, width, 2, transposed=True)
+        block(f"dec{level}", 2 * width, width)
         if cfg.attention_enabled:
-            skips.append(b.skip_attention(f"att{level}", width, cfg.reduction_ratio,
-                                          cfg.spatial_kernel))
-        up_in = width
-    ups.reverse()
-    decoders.reverse()
-    skips.reverse()
-    head = b.conv("head", cfg.num_classes, cfg.base_channels, 1, 0)
-    return UnetModel(cfg=cfg, encoders=encoders, bottleneck=bottleneck, ups=ups,
-                     decoders=decoders, skips=skips, head=head, params=b.params)
+            ca = init_channel_attention(width, cfg.reduction_ratio, rng)
+            sa = init_spatial_attention(cfg.spatial_kernel, rng)
+            params.update({f"att{level}.w1": ca.w1, f"att{level}.w2": ca.w2,
+                           f"att{level}.conv.kernel": sa.conv.kernel,
+                           f"att{level}.conv.bias": sa.conv.bias})
+    conv("head", cfg.base_channels, cfg.num_classes, 1)
+    return UnetModel(cfg=cfg, params=params)
 
 
-def _conv_block(x: Tensor, block: ConvBlockParams, cfg: UnetConfig, training: bool,
+def _conv(p: dict[str, Tensor], name: str, stride: int = 1,
+          padding: Padding = "same") -> Conv2dParams:
+    return Conv2dParams(p[f"{name}.kernel"], p[f"{name}.bias"], stride=stride, padding=padding)
+
+
+def _conv_block(x: Tensor, p: dict[str, Tensor], name: str, cfg: UnetConfig, training: bool,
                 rng: np.random.Generator | None) -> Tensor:
-    x = relu(conv2d(x, block.conv1))
-    x = relu(conv2d(x, block.conv2))
+    x = relu(conv2d(x, _conv(p, f"{name}.conv1")))
+    x = relu(conv2d(x, _conv(p, f"{name}.conv2")))
     return dropout(x, cfg.dropout_rate, training, rng)
 
 
@@ -199,22 +156,24 @@ def forward(model: UnetModel, x: Tensor, training: bool = False,
         raise ShapeError(f"input extents {h}x{w} must be divisible by {multiple} "
                          f"(2^depth at depth {cfg.depth})")
 
+    p = model.params
     skips: list[Tensor] = []
-    for block in model.encoders:
-        x = _conv_block(x, block, cfg, training, rng)
+    for level in range(cfg.depth):
+        x = _conv_block(x, p, f"enc{level}", cfg, training, rng)
         skips.append(x)
         x = maxpool2d(x, 2, 2)
-    x = _conv_block(x, model.bottleneck, cfg, training, rng)
+    x = _conv_block(x, p, "bottleneck", cfg, training, rng)
     for level in range(cfg.depth - 1, -1, -1):
-        x = transposed_conv2d(x, model.ups[level])
+        x = transposed_conv2d(x, _conv(p, f"up{level}", stride=2, padding=0))
         skip = skips[level]
         if cfg.attention_enabled:
-            att = model.skips[level]
-            skip = hybrid_attention_block(skip, att.channel, att.spatial,
-                                          cfg.attention_composition)
+            att = f"att{level}"
+            skip = hybrid_attention_block(
+                skip, ChannelAttentionParams(p[f"{att}.w1"], p[f"{att}.w2"], cfg.reduction_ratio),
+                SpatialAttentionParams(_conv(p, f"{att}.conv")), cfg.attention_composition)
         x = concat_channels(x, skip)
-        x = _conv_block(x, model.decoders[level], cfg, training, rng)
-    return conv2d(x, model.head)
+        x = _conv_block(x, p, f"dec{level}", cfg, training, rng)
+    return conv2d(x, _conv(p, "head", padding=0))
 
 
 def predict_labels(model: UnetModel, x: Tensor) -> LabelMap:

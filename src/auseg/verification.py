@@ -4,6 +4,10 @@ Each unit builds a deterministic scalar function and checks reverse-mode
 gradients with central differences on a few sampled coordinates per input,
 across several seeds. Single kernels default to tolerance 1e-5, composed
 blocks (attention, the full model, the loss) to 1e-4.
+
+Units check mean(t * t) of their output at step 1e-5, except the full model:
+its gradients at init are far below 1, where the error floor of ``grad_check``
+makes the check absolute, so it checks the sum of squared logits at step 1e-7.
 """
 from __future__ import annotations
 
@@ -36,9 +40,15 @@ def _t(rng, *shape, lo=-2.0, hi=2.0) -> Tensor:
 
 
 def _mean_sq(t: Tensor) -> Tensor:
-    """The scalar every unit checks: mean(t * t), one node with backward g * 2t / n."""
+    """The scalar most units check: mean(t * t), one node with backward g * 2t / n."""
     x = t.data
     return record_op("mean_sq", (t,), np.mean(x * x), lambda g: (g * (2.0 / x.size) * x,))
+
+
+def _sum_sq(t: Tensor) -> Tensor:
+    """sum(t * t), one node with backward g * 2t."""
+    x = t.data
+    return record_op("sum_sq", (t,), np.sum(x * x), lambda g: (g * 2.0 * x,))
 
 
 def _unit_relu(rng):
@@ -101,9 +111,9 @@ def _unit_unet(rng):
     x = _t(rng, 1, 3, 16, 16, lo=-1.0, hi=1.0)
 
     def f(*ts):
-        return _mean_sq(forward(model, x, training=False))
+        return _sum_sq(forward(model, x, training=False))
 
-    return f, [x] + [p.tensor for p in model.params.values()]
+    return f, [x] + list(model.params.values())
 
 
 def _random_labels(rng, n, k, h, w, ignore_index=255, ignore_frac=0.0):
@@ -147,11 +157,11 @@ def run_gradcheck_suite(seed: int = 0, num_seeds: int = 3,
     for name, default_tol, builder in UNITS:
         tol = default_tol if tol_override is None else tol_override
         worst = 0.0
-        coords = 4 if name == "unet_forward" else 8
+        coords, h = (4, 1e-7) if name == "unet_forward" else (8, 1e-5)
         for s in range(num_seeds):
             rng = np.random.default_rng(np.random.SeedSequence([seed + s, zlib.crc32(name.encode())]))
             f, inputs = builder(rng)
-            report = grad_check(f, inputs, h=1e-5, tol=tol, coords_per_input=coords,
+            report = grad_check(f, inputs, h=h, tol=tol, coords_per_input=coords,
                                 rng=np.random.default_rng(seed + s))
             worst = max(worst, report.max_rel_err)
         results.append(UnitResult(name=name, worst_rel_err=worst, tol=tol, passed=worst < tol))

@@ -25,7 +25,7 @@ from auseg.data import Sample, batch_iter, color_jitter, horizontal_flip, random
 from auseg.losses_metrics import (ConfusionMatrix, LossConfig, combined_loss,
                                   confusion_accumulate, format_eval_report, miou, pixel_accuracy)
 from auseg.nn_ops import Conv2dParams, conv2d, maxpool2d, transposed_conv2d
-from auseg.tensor import Parameter, Tensor
+from auseg.tensor import Tensor
 from auseg.training import AdamWState, CosineSchedule, adamw_step, cosine_lr, evaluate, init_rng
 from auseg.unet import build_model, forward
 from auseg.verification import run_gradcheck_suite
@@ -210,12 +210,12 @@ def test_c7_schedule_and_optimizer_exactness():
     for _ in range(20):
         theta0 = r.normal(size=(4, 3))
         g = r.normal(size=(4, 3))
-        p = Parameter(name="p", tensor=Tensor(theta0.copy(), requires_grad=True))
-        state = AdamWState.init([p], weight_decay=0.0)
+        params = {"p": Tensor(theta0.copy(), requires_grad=True)}
+        state = AdamWState.init(params, weight_decay=0.0)
         lr = float(r.uniform(1e-4, 1e-2))
-        adamw_step([p], [g], state, lr=lr)
+        adamw_step(params, [g], state, lr=lr)
         ref, _, _ = adam_reference_step(theta0, g, np.zeros_like(g), np.zeros_like(g), 1, lr)
-        worst = max(worst, float(np.max(np.abs(p.tensor.data - ref))))
+        worst = max(worst, float(np.max(np.abs(params["p"].data - ref))))
 
     ok = start_err < 1e-15 and end_err < 1e-15 and worst < 1e-15
     report(f"C7 schedule/optimizer exactness: {'PASS' if ok else 'FAIL'} "

@@ -53,8 +53,7 @@ class TestRoundTrip:
                                         base_channels=4, spatial_kernel=3), init_rng(999))
         model2.load_state_arrays(loaded)
         for name in model.params:
-            assert model.params[name].tensor.data.tobytes() == \
-                model2.params[name].tensor.data.tobytes()
+            assert model.params[name].data.tobytes() == model2.params[name].data.tobytes()
 
     def test_unicode_names_round_trip(self):
         params = {"enc0.kérnel": rng(4).normal(size=(2, 2))}

@@ -82,23 +82,26 @@ class TestTrain:
         assert "momentum" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["alpha = 1.5", "dice_smooth = 0", "jitter_delta = 0.9",
-                                      "weight_decay = -1", "patience = -3", "min_delta = -1"])
+                                      "weight_decay = -1", "patience = -3", "min_delta = -1",
+                                      "eta_max = 0", "eta_min = -0.002", "eta_min = 0.01"])
     def test_out_of_range_value_exit_2_before_any_artifact(self, trained, tmp_path, capsys,
                                                            line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(CONFIG.format(root=trained["data"]) + line + "\n")
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert line.split(" = ")[0] in capsys.readouterr().err
-        assert not (tmp_path / "o" / "resolved.cfg").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_retired_keys_accept_only_their_old_values(self, tmp_path):
-        cfg = parse_config_text("normalization = identity\nthreads = 4\n")
-        assert "normalization" not in cfg.resolved_text()
-        assert "threads" not in cfg.resolved_text()
-        for line in ("normalization = zscore", "threads = 0", "threads = two"):
+        cfg = parse_config_text("normalization = identity\nthreads = 4\nin_channels = 3\n")
+        for key in ("normalization", "threads", "in_channels"):
+            assert key not in cfg.resolved_text()
+        for line in ("normalization = zscore", "threads = 0", "threads = two",
+                     "in_channels = 1", "in_channels = 4"):
             bad = write_config(tmp_path, tmp_path)
             bad.write_text(bad.read_text() + line + "\n")
             assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+            assert not (tmp_path / "o").exists()
 
     def test_missing_data_exit_3(self, trained, tmp_path):
         cfg = write_config(tmp_path, tmp_path / "nowhere")
@@ -264,3 +267,13 @@ class TestSweep:
 
     def test_bad_lrs_exit_2(self, trained):
         assert main(["sweep-lr", "--config", str(trained["cfg"]), "--lrs", "abc"]) == 2
+
+    @pytest.mark.parametrize("lrs", ["0.003,-1", "0", "0.002,nan"])
+    def test_non_positive_lr_exit_2_before_training(self, trained, tmp_path, monkeypatch, lrs):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the sweep started training")
+
+        monkeypatch.setattr("auseg.cli.lr_sweep", no_training)
+        assert main(["sweep-lr", "--config", str(trained["cfg"]), "--lrs", lrs,
+                     "--out", str(tmp_path / "s")]) == 2
+        assert not (tmp_path / "s").exists()

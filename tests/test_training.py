@@ -15,7 +15,7 @@ from auseg.data import synth_generate
 import auseg
 from auseg.errors import ConfigError, NumericError, TrainingError
 from auseg.losses_metrics import LossConfig, combined_loss
-from auseg.tensor import Parameter, Tape, Tensor
+from auseg.tensor import Tape, Tensor
 from auseg.training import (AdamWState, CosineSchedule, EarlyStopper, TrainLog, TrainSettings,
                             adamw_step, cosine_lr, early_stop_check, evaluate,
                             format_sweep_report, init_rng, lr_sweep, train)
@@ -28,44 +28,43 @@ def rng(seed=0):
 
 def make_params(seed=0, shapes=((3, 4), (5,))):
     r = rng(seed)
-    return [Parameter(name=f"p{i}", tensor=Tensor(r.normal(size=s), requires_grad=True))
-            for i, s in enumerate(shapes)]
+    return {f"p{i}": Tensor(r.normal(size=s), requires_grad=True) for i, s in enumerate(shapes)}
 
 
 class TestAdamW:
     def test_zero_grad_zero_decay_stationary(self):
         params = make_params(1)
-        before = [p.tensor.data.copy() for p in params]
+        before = [p.data.copy() for p in params.values()]
         state = AdamWState.init(params, weight_decay=0.0)
-        adamw_step(params, [np.zeros_like(p.tensor.data) for p in params], state, lr=0.1)
-        for p, b in zip(params, before):
-            assert np.array_equal(p.tensor.data, b)
+        adamw_step(params, [np.zeros_like(p.data) for p in params.values()], state, lr=0.1)
+        for p, b in zip(params.values(), before):
+            assert np.array_equal(p.data, b)
 
     def test_pure_decay_exact(self):
         params = make_params(2)
-        before = [p.tensor.data.copy() for p in params]
+        before = [p.data.copy() for p in params.values()]
         lam, lr = 0.03, 0.5
         state = AdamWState.init(params, weight_decay=lam)
-        adamw_step(params, [np.zeros_like(p.tensor.data) for p in params], state, lr=lr)
-        for p, b in zip(params, before):
+        adamw_step(params, [np.zeros_like(p.data) for p in params.values()], state, lr=lr)
+        for p, b in zip(params.values(), before):
             # one ulp of slack for the two evaluation orders of theta*(1 - lr*lam)
-            assert np.max(np.abs(p.tensor.data - b * (1.0 - lr * lam))) < 1e-15
+            assert np.max(np.abs(p.data - b * (1.0 - lr * lam))) < 1e-15
 
     def test_first_step_is_signed_unit_step(self):
         params = make_params(3)
-        g = [np.full_like(p.tensor.data, 0.37) * np.sign(rng(4).normal(size=p.tensor.shape))
-             for p in params]
-        before = [p.tensor.data.copy() for p in params]
+        g = [np.full_like(p.data, 0.37) * np.sign(rng(4).normal(size=p.shape))
+             for p in params.values()]
+        before = [p.data.copy() for p in params.values()]
         lr = 1e-3
         state = AdamWState.init(params, weight_decay=0.0)
         adamw_step(params, g, state, lr=lr)
-        for p, b, gi in zip(params, before, g):
-            update = p.tensor.data - b
+        for p, b, gi in zip(params.values(), before, g):
+            update = p.data - b
             assert np.max(np.abs(update + lr * np.sign(gi))) < 1e-7
 
     def test_nan_grad_names_parameter(self):
         params = make_params(5)
-        g = [np.zeros_like(p.tensor.data) for p in params]
+        g = [np.zeros_like(p.data) for p in params.values()]
         g[1][0] = np.nan
         state = AdamWState.init(params)
         with pytest.raises(TrainingError, match="p1"):
@@ -75,50 +74,49 @@ class TestAdamW:
         r = rng(6)
         params = make_params(7, shapes=((4, 3),))
         state = AdamWState.init(params, weight_decay=0.0)
-        theta = params[0].tensor.data.copy()
+        theta = params["p0"].data.copy()
         m = np.zeros_like(theta)
         v = np.zeros_like(theta)
         for t in range(1, 6):
             g = r.normal(size=theta.shape)
             adamw_step(params, [g], state, lr=0.01)
             theta, m, v = adam_reference_step(theta, g, m, v, t, lr=0.01)
-            assert np.max(np.abs(params[0].tensor.data - theta)) < 1e-15
+            assert np.max(np.abs(params["p0"].data - theta)) < 1e-15
 
     def test_in_place_update_bytes_match_expression(self):
         # the update runs in place; its bytes must equal the plain expression's
         shapes = ((8, 3, 3, 3), (8,), (2, 8, 1, 1), (5, 7))
         params = make_params(9, shapes=shapes)
         state = AdamWState.init(params, weight_decay=0.02)
-        theta = {p.name: p.tensor.data.copy() for p in params}
+        theta = {name: p.data.copy() for name, p in params.items()}
         m = {name: np.zeros_like(t) for name, t in theta.items()}
         v = {name: np.zeros_like(t) for name, t in theta.items()}
         b1, b2, eps, wd = 0.9, 0.999, 1e-8, 0.02
         r = rng(10)
         for t in range(1, 6):
             lr = 0.01 / t
-            grads = [r.normal(scale=10.0 ** r.integers(-3, 2), size=p.tensor.shape)
-                     for p in params]
+            grads = [r.normal(scale=10.0 ** r.integers(-3, 2), size=p.shape)
+                     for p in params.values()]
             adamw_step(params, grads, state, lr=lr)
             bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-            for p, g in zip(params, grads):
-                name = p.name
+            for (name, p), g in zip(params.items(), grads):
                 m[name] = m[name] * b1 + (1.0 - b1) * g
                 v[name] = v[name] * b2 + (1.0 - b2) * g * g
                 m_hat = m[name] / bc1
                 v_hat = v[name] / bc2
                 theta[name] = theta[name] - lr * (m_hat / (np.sqrt(v_hat) + eps)
                                                   + wd * theta[name])
-                assert p.tensor.data.tobytes() == theta[name].tobytes()
+                assert p.data.tobytes() == theta[name].tobytes()
                 assert state.m[name].tobytes() == m[name].tobytes()
                 assert state.v[name].tobytes() == v[name].tobytes()
 
     def test_moment_shapes_mirror_params(self):
         params = make_params(8)
         state = AdamWState.init(params)
-        for p in params:
-            assert state.m[p.name].shape == p.tensor.shape
-            assert state.v[p.name].shape == p.tensor.shape
-            assert np.all(state.v[p.name] >= 0.0)
+        for name, p in params.items():
+            assert state.m[name].shape == p.shape
+            assert state.v[name].shape == p.shape
+            assert np.all(state.v[name] >= 0.0)
 
 
 class TestCosine:
@@ -254,7 +252,7 @@ class TestNonFiniteParameter:
     def test_desk_step_raises(self):
         train_s, _ = desk_data()
         model = build_model(desk_unet_config(), init_rng(DESK_SEED))
-        model.params["enc0.conv1.kernel"].tensor.data[0, 0, 1, 1] = np.nan
+        model.params["enc0.conv1.kernel"].data[0, 0, 1, 1] = np.nan
         images = Tensor(np.stack([s.image for s in train_s[:8]]))
         labels = np.stack([s.label for s in train_s[:8]])
         with Tape():
@@ -266,7 +264,7 @@ class TestNonFiniteParameter:
 
     def test_train_stops_before_first_epoch(self):
         model, train_s, val_s, settings = tiny_setup(epochs=2)
-        model.params["enc0.conv1.kernel"].tensor.data[0, 0, 1, 1] = np.nan
+        model.params["enc0.conv1.kernel"].data[0, 0, 1, 1] = np.nan
         lines = []
         with pytest.raises(NumericError):
             train(model, train_s, val_s, settings, log_line=lines.append)
@@ -346,7 +344,7 @@ result = train(model, synth_generate(8, 32, 32, 3, rng(100)),
                synth_generate(1, 32, 32, 3, rng(200)), settings)
 digest = hashlib.sha256()
 for _, p in sorted(model.params.items()):
-    digest.update(p.tensor.data.tobytes())
+    digest.update(p.data.tobytes())
 row = result.log.rows[0]
 cfg = replace(desk_unet_config(), num_classes=19, depth=4, base_channels=16)
 image = synth_generate(1, 64, 64, 19, rng(300))[0].image
@@ -358,7 +356,7 @@ with Tape() as tape:
     backward(tape, combined_loss(out, np.stack([s.label for s in pair]), LossConfig()))
 grads = hashlib.sha256()
 for _, p in sorted(mid.params.items()):
-    grads.update(p.tensor.grad.tobytes())
+    grads.update(p.grad.tobytes())
 print(row.train_loss.hex(), row.val_loss.hex(), digest.hexdigest(),
       hashlib.sha256(logits.data.tobytes()).hexdigest(), grads.hexdigest())
 """

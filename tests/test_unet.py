@@ -40,21 +40,54 @@ class TestBuild:
 
     def test_ablation_has_no_attention_params(self):
         model = build_model(small_cfg(attention_enabled=False), rng(1))
+        with_att = build_model(small_cfg(), rng(1))
+        shapes = {n: t.shape for n, t in model.params.items()}
+        assert shapes == {n: t.shape for n, t in with_att.params.items()
+                          if not n.startswith("att")}
         assert not [n for n in model.params if n.startswith("att")]
-        assert model.skips == []
 
     def test_attention_model_has_skip_per_level(self):
         model = build_model(small_cfg(depth=3, base_channels=4), rng(2))
-        assert len(model.skips) == 3
-        for level, skip in enumerate(model.skips):
-            assert skip.channel.channels == 4 * 2 ** level
+        att = {n: t.shape for n, t in model.params.items() if n.startswith("att")}
+        expected = {}
+        for level in range(3):
+            c = 4 * 2 ** level
+            expected.update({f"att{level}.w1": (c // 4, c), f"att{level}.w2": (c, c // 4),
+                             f"att{level}.conv.kernel": (1, 2, 3, 3),
+                             f"att{level}.conv.bias": (1,)})
+        assert att == expected
+
+    def test_parameter_order_and_shapes(self):
+        # the build order is the checkpoint byte layout and the optimizer's order
+        model = build_model(small_cfg(), rng(0))
+        expected = [
+            ("enc0.conv1.kernel", (4, 3, 3, 3)), ("enc0.conv1.bias", (4,)),
+            ("enc0.conv2.kernel", (4, 4, 3, 3)), ("enc0.conv2.bias", (4,)),
+            ("enc1.conv1.kernel", (8, 4, 3, 3)), ("enc1.conv1.bias", (8,)),
+            ("enc1.conv2.kernel", (8, 8, 3, 3)), ("enc1.conv2.bias", (8,)),
+            ("bottleneck.conv1.kernel", (16, 8, 3, 3)), ("bottleneck.conv1.bias", (16,)),
+            ("bottleneck.conv2.kernel", (16, 16, 3, 3)), ("bottleneck.conv2.bias", (16,)),
+            ("up1.kernel", (16, 8, 2, 2)), ("up1.bias", (8,)),
+            ("dec1.conv1.kernel", (8, 16, 3, 3)), ("dec1.conv1.bias", (8,)),
+            ("dec1.conv2.kernel", (8, 8, 3, 3)), ("dec1.conv2.bias", (8,)),
+            ("att1.w1", (2, 8)), ("att1.w2", (8, 2)),
+            ("att1.conv.kernel", (1, 2, 3, 3)), ("att1.conv.bias", (1,)),
+            ("up0.kernel", (8, 4, 2, 2)), ("up0.bias", (4,)),
+            ("dec0.conv1.kernel", (4, 8, 3, 3)), ("dec0.conv1.bias", (4,)),
+            ("dec0.conv2.kernel", (4, 4, 3, 3)), ("dec0.conv2.bias", (4,)),
+            ("att0.w1", (1, 4)), ("att0.w2", (4, 1)),
+            ("att0.conv.kernel", (1, 2, 3, 3)), ("att0.conv.bias", (1,)),
+            ("head.kernel", (3, 4, 1, 1)), ("head.bias", (3,)),
+        ]
+        assert [(n, t.shape) for n, t in model.params.items()] == expected
+        assert all(t.requires_grad for t in model.params.values())
 
     def test_same_seed_identical_build(self):
         a = build_model(small_cfg(), rng(42))
         b = build_model(small_cfg(), rng(42))
         assert list(a.params) == list(b.params)
         for name in a.params:
-            assert a.params[name].tensor.data.tobytes() == b.params[name].tensor.data.tobytes()
+            assert a.params[name].data.tobytes() == b.params[name].data.tobytes()
 
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ConfigError):
@@ -152,16 +185,16 @@ class TestPredict:
     def test_argmax_all_one_class(self):
         # a zero head kernel makes the logits the head bias at every pixel
         model = build_model(small_cfg(), rng(20))
-        model.params["head.kernel"].tensor.data[...] = 0.0
-        model.params["head.bias"].tensor.data[...] = [0.0, 0.0, 50.0]
+        model.params["head.kernel"].data[...] = 0.0
+        model.params["head.bias"].data[...] = [0.0, 0.0, 50.0]
         labels = predict_labels(model, Tensor(rng(21).uniform(0, 1, size=(2, 3, 16, 16))))
         assert labels.shape == (2, 16, 16) and np.all(labels == 2)
 
     def test_tie_breaks_low_index(self):
         # zero head kernel and bias: every class logit is (+/-) 0, all tied
         model = build_model(small_cfg(), rng(22))
-        model.params["head.kernel"].tensor.data[...] = 0.0
-        model.params["head.bias"].tensor.data[...] = 0.0
+        model.params["head.kernel"].data[...] = 0.0
+        model.params["head.bias"].data[...] = 0.0
         labels = predict_labels(model, Tensor(rng(23).uniform(0, 1, size=(2, 3, 16, 16))))
         assert labels.shape == (2, 16, 16) and np.all(labels == 0)
 
