@@ -7,6 +7,7 @@ bytes. save -> load -> save round-trips byte-identically.
 """
 from __future__ import annotations
 
+import io
 import os
 import struct
 import zlib
@@ -21,38 +22,43 @@ MAX_RANK = 4
 MAX_NAME = 4096
 
 
-def serialize(config_text: str, params: dict[str, np.ndarray]) -> bytes:
-    buf = bytearray(MAGIC)
+def _write(fh, config_text: str, params: dict[str, np.ndarray]) -> None:
+    """Stream the layout to binary file ``fh`` with a running CRC, each array
+    from its own buffer: no copy of the whole file is held."""
     cfg = config_text.encode("utf-8")
-    buf += struct.pack("<I", len(cfg))
-    buf += cfg
+    chunks = [MAGIC + struct.pack("<I", len(cfg)) + cfg]
     for name, arr in params.items():
         nb = name.encode("utf-8")
         arr = np.ascontiguousarray(arr, dtype="<f8")
-        buf += struct.pack("<I", len(nb))
-        buf += nb
-        buf += struct.pack("<I", arr.ndim)
-        for extent in arr.shape:
-            buf += struct.pack("<I", extent)
-        buf += arr.tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    return bytes(buf)
+        chunks += [struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape),
+                   memoryview(arr).cast("B")]
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+        fh.write(chunk)
+    fh.write(struct.pack("<I", crc))
+
+
+def serialize(config_text: str, params: dict[str, np.ndarray]) -> bytes:
+    buf = io.BytesIO()
+    _write(buf, config_text, params)
+    return buf.getvalue()
 
 
 def deserialize(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
     if len(blob) < len(MAGIC) + 8:
         raise CorruptionError(f"checkpoint too short ({len(blob)} bytes)")
     stored = struct.unpack("<I", blob[-4:])[0]
-    actual = zlib.crc32(blob[:-4])
+    body = memoryview(blob)[:-4]
+    actual = zlib.crc32(body)
     if stored != actual:
         raise CorruptionError(f"checkpoint CRC mismatch: stored {stored:#010x}, "
                               f"computed {actual:#010x}")
     if blob[:len(MAGIC)] != MAGIC:
         raise CorruptionError(f"bad checkpoint magic {blob[:len(MAGIC)]!r}")
-    body = blob[:-4]
     pos = len(MAGIC)
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> memoryview:
         nonlocal pos
         if pos + n > len(body):
             raise CorruptionError(f"checkpoint truncated while reading {what} at byte {pos}")
@@ -66,7 +72,7 @@ def deserialize(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
     def take_text(n: int, what: str) -> str:
         start, raw = pos, take(n, what)
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError as exc:
             bad = start + exc.start
         raise CorruptionError(f"checkpoint {what} is not UTF-8 at byte {bad}")
@@ -101,7 +107,7 @@ def save_checkpoint(path, config_text: str, params: dict[str, np.ndarray]) -> No
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(serialize(config_text, params))
+            _write(fh, config_text, params)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -163,12 +163,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.counts.shape != self.counts.shape:
-            raise ShapeError("cannot merge confusion matrices of different sizes")
-        self.counts += other.counts
-        return self
-
 
 def confusion_accumulate(cm: ConfusionMatrix, pred: LabelMap, y: LabelMap,
                          ignore_index: int = DEFAULT_IGNORE) -> ConfusionMatrix:

@@ -1,4 +1,4 @@
-"""Convolution, pooling, activation, concat, and dropout kernels.
+"""Convolution, pooling and concat kernels; conv2d also applies relu and dropout.
 
 All ops take NCHW tensors and run vectorized numpy forward passes that build
 no backward state: each backward rule on the active tape derives its routing
@@ -23,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import Array, Tensor, record_op
 
 Padding = int | str
@@ -31,15 +31,20 @@ Padding = int | str
 
 @dataclass
 class Conv2dParams:
-    """Kernel + bias for conv2d ([out, in, kh, kw]) or transposed_conv2d
-    ([in, out, kh, kw]), with stride and padding ("same" or explicit int)."""
+    """Kernel + bias for conv2d ([out, in, kh, kw]) or transposed_conv2d ([in, out, kh, kw]),
+    stride, padding ("same" or int), and conv2d's relu and dropout (``keep`` mask, ``rate``)."""
 
     kernel: Tensor
     bias: Tensor
     stride: int = 1
     padding: Padding = 0
+    relu: bool = False
+    keep: Array | None = None
+    rate: float = 0.0
 
     def __post_init__(self):
+        if not 0.0 <= self.rate < 1.0:
+            raise ConfigError(f"dropout rate must lie in [0, 1), got {self.rate}")
         if self.kernel.data.ndim != 4:
             raise ShapeError(f"conv kernel must be rank 4, got {self.kernel.shape}")
         if self.bias.data.ndim != 1:
@@ -57,12 +62,6 @@ class Conv2dParams:
 def _require_nchw(x: Tensor, op: str) -> None:
     if x.data.ndim != 4:
         raise ShapeError(f"{op} expects a rank-4 NCHW tensor, got shape {x.shape}")
-
-
-def _resolve_padding(p: Conv2dParams) -> int:
-    if p.padding == "same":
-        return (p.kernel.shape[2] - 1) // 2
-    return int(p.padding)
 
 
 def _window(a: Array, top: int, nh: int, left: int, nw: int) -> Array:
@@ -147,7 +146,9 @@ def _conv_kernel_grad(g: Array, x: Array, shape: tuple[int, ...], s: int, pad: i
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """Cross-correlation (no kernel flip) plus bias, NCHW -> NOH'W'."""
+    """Cross-correlation (no kernel flip) plus bias, NCHW -> NOH'W', then in place, as ``p``
+    asks: relu (NaN kept), out *= keep, out *= scale = 1/(1 - rate). The backward pass takes
+    g * keep * scale * (out > 0) from that output, as in-place activated batch norm does."""
     _require_nchw(x, "conv2d")
     kernel, bias, s = p.kernel, p.bias, p.stride
     out_ch, in_ch, kh, kw = kernel.shape
@@ -156,7 +157,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         raise ShapeError(f"conv2d channel mismatch: input has {c}, kernel expects {in_ch}")
     if bias.shape != (out_ch,):
         raise ShapeError(f"bias shape {bias.shape} does not match {out_ch} output channels")
-    pad = _resolve_padding(p)
+    pad = (kh - 1) // 2 if p.padding == "same" else int(p.padding)
     if h + 2 * pad < kh or w + 2 * pad < kw:
         raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw} after padding {pad}")
     ho = (h + 2 * pad - kh) // s + 1
@@ -164,11 +165,23 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     if ho < 1 or wo < 1:
         raise ShapeError(f"degenerate conv2d output {ho}x{wo}")
 
-    out = _conv(x.data, kernel.data, s, pad, ho, wo)
-    out += bias.data[:, None]
+    relu, keep, scale = p.relu, p.keep, 1.0 / (1.0 - p.rate)
+    if keep is not None and keep.shape != (n, out_ch, ho, wo):
+        raise ShapeError(f"dropout mask shape {keep.shape} != conv2d output {(n, out_ch, ho, wo)}")
+    out = _conv(x.data, kernel.data, s, pad, ho, wo).reshape(n, out_ch, ho, wo)
+    out += bias.data[:, None, None]
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    if keep is not None:
+        out *= keep
+        out *= scale
 
     def bwd(g: Array):
         gx = gk = gb = None
+        if keep is not None:
+            g = g * keep * scale
+        if relu:
+            g = g * (out > 0)
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         if kernel.requires_grad:
@@ -177,7 +190,7 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
             gx = _conv_t(g, kernel.data, s, pad, h, w)
         return gx, gk, gb
 
-    return record_op("conv2d", (x, kernel, bias), out.reshape(n, out_ch, ho, wo), bwd)
+    return record_op("conv2d", (x, kernel, bias), out, bwd)
 
 
 def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
@@ -251,22 +264,3 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
     return record_op("concat_channels", (a, b), out, bwd)
 
-
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0), NaN kept; builds no mask: out > 0 exactly where x > 0."""
-    out = np.maximum(x.data, 0.0)
-    return record_op("relu", (x,), out, lambda g: (g * (out > 0),))
-
-
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: zero with prob ``rate``, scale survivors by 1/(1-rate)."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    if rng is None:
-        raise ContractError("dropout in training mode requires an explicit rng")
-    keep = rng.random(x.shape) >= rate
-    s = 1.0 / (1.0 - rate)
-    out = x.data * keep * s
-    return record_op("dropout", (x,), out, lambda g: (g * keep * s,))

@@ -1,10 +1,10 @@
 """Encoder-decoder segmentation model with attention-gated skip connections.
 
-Encoder stage l (width base*2^l): conv3x3-relu-conv3x3-relu-dropout, then
-2x2 maxpool. The bottleneck repeats the block without pooling. Decoder stage
-l upsamples with a stride-2 transposed conv (halving channels), concatenates
-the attention-gated encoder skip, and runs another conv block. A 1x1 conv
-head emits per-class logits at the input resolution.
+Encoder stage l (width base*2^l): conv3x3-relu-conv3x3-relu-dropout as two
+``conv2d`` ops, then 2x2 maxpool. The bottleneck repeats the block without
+pooling. Decoder stage l upsamples with a stride-2 transposed conv (halving
+channels), concatenates the attention-gated encoder skip, and runs another
+conv block. A 1x1 conv head emits per-class logits at the input resolution.
 
 A model is its ``UnetConfig`` plus one dict of trainable tensors keyed by
 checkpoint name (``enc0.conv1.kernel``, ``up1.bias``, ``att0.w1``,
@@ -20,9 +20,8 @@ import numpy as np
 
 from .attention import (COMPOSITIONS, ChannelAttentionParams, SpatialAttentionParams,
                         hybrid_attention_block, init_channel_attention, init_spatial_attention)
-from .errors import ConfigError, ShapeError
-from .nn_ops import (Conv2dParams, Padding, concat_channels, conv2d, dropout, maxpool2d, relu,
-                     transposed_conv2d)
+from .errors import ConfigError, ContractError, ShapeError
+from .nn_ops import Conv2dParams, Padding, concat_channels, conv2d, maxpool2d, transposed_conv2d
 from .tensor import Tensor
 
 LabelMap = np.ndarray  # integer class indices, shape [N, H, W] or [H, W]
@@ -101,11 +100,15 @@ def build_model(cfg: UnetConfig, rng: np.random.Generator) -> UnetModel:
     cfg.validate()
     params: dict[str, Tensor] = {}
 
+    def add(name: str, t: Tensor) -> None:
+        if params.setdefault(name, t) is not t:
+            raise ContractError(f"duplicate parameter name {name!r}")
+
     def conv(name: str, in_ch: int, out_ch: int, k: int, transposed: bool = False) -> None:
         s = 1.0 / np.sqrt(in_ch * k * k)
         shape = (in_ch, out_ch, k, k) if transposed else (out_ch, in_ch, k, k)
-        params[f"{name}.kernel"] = Tensor(rng.uniform(-s, s, size=shape), requires_grad=True)
-        params[f"{name}.bias"] = Tensor(np.zeros(out_ch), requires_grad=True)
+        add(f"{name}.kernel", Tensor(rng.uniform(-s, s, size=shape), requires_grad=True))
+        add(f"{name}.bias", Tensor(np.zeros(out_ch), requires_grad=True))
 
     def block(name: str, in_ch: int, out_ch: int) -> None:
         conv(f"{name}.conv1", in_ch, out_ch, 3)
@@ -123,23 +126,27 @@ def build_model(cfg: UnetConfig, rng: np.random.Generator) -> UnetModel:
         if cfg.attention_enabled:
             ca = init_channel_attention(width, cfg.reduction_ratio, rng)
             sa = init_spatial_attention(cfg.spatial_kernel, rng)
-            params.update({f"att{level}.w1": ca.w1, f"att{level}.w2": ca.w2,
-                           f"att{level}.conv.kernel": sa.conv.kernel,
-                           f"att{level}.conv.bias": sa.conv.bias})
+            for key, t in (("w1", ca.w1), ("w2", ca.w2), ("conv.kernel", sa.conv.kernel),
+                           ("conv.bias", sa.conv.bias)):
+                add(f"att{level}.{key}", t)
     conv("head", cfg.base_channels, cfg.num_classes, 1)
     return UnetModel(cfg=cfg, params=params)
 
 
-def _conv(p: dict[str, Tensor], name: str, stride: int = 1,
-          padding: Padding = "same") -> Conv2dParams:
-    return Conv2dParams(p[f"{name}.kernel"], p[f"{name}.bias"], stride=stride, padding=padding)
+def _conv(p: dict[str, Tensor], name: str, stride: int = 1, padding: Padding = "same",
+          **activation) -> Conv2dParams:
+    return Conv2dParams(p[f"{name}.kernel"], p[f"{name}.bias"], stride, padding, **activation)
 
 
 def _conv_block(x: Tensor, p: dict[str, Tensor], name: str, cfg: UnetConfig, training: bool,
                 rng: np.random.Generator | None) -> Tensor:
-    x = relu(conv2d(x, _conv(p, f"{name}.conv1")))
-    x = relu(conv2d(x, _conv(p, f"{name}.conv2")))
-    return dropout(x, cfg.dropout_rate, training, rng)
+    rate, keep = cfg.dropout_rate, None
+    x = conv2d(x, _conv(p, f"{name}.conv1", relu=True))
+    if training and rate > 0.0:
+        if rng is None:
+            raise ContractError("dropout in training mode requires an explicit rng")
+        keep = rng.random(x.shape) >= rate  # conv2 keeps conv1's output shape
+    return conv2d(x, _conv(p, f"{name}.conv2", relu=True, keep=keep, rate=rate))
 
 
 def forward(model: UnetModel, x: Tensor, training: bool = False,

@@ -51,11 +51,20 @@ def _sum_sq(t: Tensor) -> Tensor:
     return record_op("sum_sq", (t,), np.sum(x * x), lambda g: (g * 2.0 * x,))
 
 
-def _unit_relu(rng):
-    # keep coordinates away from the kink at 0
-    data = rng.uniform(0.2, 1.5, size=(2, 3, 4, 4)) * rng.choice([-1.0, 1.0], size=(2, 3, 4, 4))
-    a = Tensor(data, requires_grad=True)
-    return lambda a: _mean_sq(F.relu(a)), [a]
+def _fused_unit(rate: float):
+    """conv2d's relu, and dropout at ``rate`` > 0, on an identity 1x1 conv: the
+    pre-activations are the data, away from the kink at 0. A 1x1 channel mix
+    follows, so the gradient reaching the relu is not zero where its output is."""
+    def build(rng):
+        a = _t(rng, 2, 3, 4, 4, lo=0.2, hi=1.5)
+        a.data *= rng.choice([-1.0, 1.0], size=a.shape)
+        k = Tensor(np.eye(3).reshape(3, 3, 1, 1), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        keep = rng.random(a.shape) >= rate if rate else None
+        mix = Conv2dParams(Tensor(rng.uniform(-1.0, 1.0, size=(3, 3, 1, 1))), Tensor(np.zeros(3)))
+        return (lambda a, k, b: _mean_sq(F.conv2d(F.conv2d(
+            a, Conv2dParams(k, b, relu=True, keep=keep, rate=rate)), mix)), [a, k, b])
+    return build
 
 
 def _unit_conv2d(rng):
@@ -82,16 +91,6 @@ def _unit_maxpool(rng):
 def _unit_concat(rng):
     a, b = _t(rng, 2, 2, 4, 4), _t(rng, 2, 3, 4, 4)
     return lambda a, b: _mean_sq(F.concat_channels(a, b)), [a, b]
-
-
-def _unit_dropout(rng):
-    x = _t(rng, 2, 3, 6, 6)
-    seed = int(rng.integers(0, 2 ** 31))
-
-    def f(x):
-        return _mean_sq(F.dropout(x, 0.4, training=True, rng=np.random.default_rng(seed)))
-
-    return f, [x]
 
 
 def _hybrid_unit(composition: str):
@@ -135,12 +134,12 @@ def _loss_unit(alpha: float, k: int):
 
 
 UNITS: list[tuple[str, float, object]] = [
-    ("relu", TOL_SINGLE, _unit_relu),
+    ("relu", TOL_SINGLE, _fused_unit(0.0)),
     ("conv2d", TOL_SINGLE, _unit_conv2d),
     ("transposed_conv2d", TOL_SINGLE, _unit_transposed_conv2d),
     ("maxpool2d", TOL_SINGLE, _unit_maxpool),
     ("concat_channels", TOL_SINGLE, _unit_concat),
-    ("dropout", TOL_SINGLE, _unit_dropout),
+    ("dropout", TOL_SINGLE, _fused_unit(0.4)),
     ("hybrid_attention_block", TOL_COMPOSED, _hybrid_unit("parallel")),
     ("hybrid_attention_block_sequential", TOL_COMPOSED, _hybrid_unit("sequential")),
     ("unet_forward", TOL_COMPOSED, _unit_unet),

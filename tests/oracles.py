@@ -2,11 +2,30 @@
 
 Everything here is deliberately written with explicit Python loops and
 scalar math so it shares nothing with the vectorized implementations under
-test. Slow is fine; these run on tiny shapes.
+test. Slow is fine; these run on tiny shapes. The one exception is
+``composed_conv_layer``, the byte-level reference of conv2d's fused activation.
 """
 import math
 
 import numpy as np
+
+from auseg.nn_ops import conv2d
+from auseg.tensor import record_op
+
+
+def composed_conv_layer(x, p, keep=None, rate=0.0):
+    """conv2d (``p`` without activation), relu, then dropout as three tape nodes.
+
+    relu is np.maximum with backward g * (out > 0); dropout is x * keep * s with
+    backward g * keep * s, s = 1/(1 - rate). conv2d with ``relu=True`` and the
+    same mask must give the same bytes, forward and backward."""
+    z = conv2d(x, p)
+    out = np.maximum(z.data, 0.0)
+    y = record_op("relu", (z,), out, lambda g: (g * (out > 0),))
+    if keep is None:
+        return y
+    s = 1.0 / (1.0 - rate)
+    return record_op("dropout", (y,), y.data * keep * s, lambda g: (g * keep * s,))
 
 
 def loop_matmul(a, b):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -63,6 +64,22 @@ class TestRoundTrip:
     def test_magic_prefix(self):
         blob = serialize("", sample_params())
         assert blob.startswith(MAGIC)
+
+
+def test_save_streams_without_copying_the_file(tmp_path):
+    # 8 MiB of arrays: a save may hold one array's worth beyond them, never the whole file
+    r = rng(7)
+    state = {"a": r.normal(size=(64, 64, 8, 8)), "b": r.normal(size=(128, 64, 8, 8)),
+             "c": r.normal(size=(64, 64, 8, 8))}
+    path = tmp_path / "m.ckpt"
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, "cfg", state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < max(a.nbytes for a in state.values()) + 256 * 1024
+    assert path.read_bytes() == serialize("cfg", state)
 
 
 class TestCorruption:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from auseg import cli
 from auseg.checkpoint import load_checkpoint
 from auseg.cli import TRAIN_ARTIFACTS, main
 from auseg.data import read_pgm, write_ppm
@@ -138,6 +139,19 @@ class TestTrain:
         # the run is driven to overflow on purpose; silence numpy's warnings
         with np.errstate(all="ignore"):
             assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert "numeric failure" in capsys.readouterr().err
+
+    def test_nan_weight_exit_4(self, trained, tmp_path, capsys, monkeypatch):
+        # a NaN kernel entry passes conv2d's fused relu and dropout and stops the run
+        build = cli.build_model
+
+        def build_with_nan(*args):
+            model = build(*args)
+            model.params["enc0.conv1.kernel"].data[0, 0, 1, 1] = np.nan
+            return model
+
+        monkeypatch.setattr(cli, "build_model", build_with_nan)
+        assert main(["train", "--config", str(trained["cfg"]), "--out", str(tmp_path / "o")]) == 4
         assert "numeric failure" in capsys.readouterr().err
 
 

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import loop_conv2d, loop_maxpool2d, loop_maxpool2d_grad, loop_transposed_conv2d
+from oracles import (composed_conv_layer, loop_conv2d, loop_maxpool2d, loop_maxpool2d_grad,
+                     loop_transposed_conv2d)
 
 from conftest import dot, sum_sq
 
 from auseg.errors import ConfigError, ContractError, ShapeError
-from auseg.nn_ops import (Conv2dParams, concat_channels, conv2d, dropout, maxpool2d, relu,
-                          transposed_conv2d)
+from auseg.nn_ops import Conv2dParams, concat_channels, conv2d, maxpool2d, transposed_conv2d
 from auseg.tensor import Tape, Tensor, backward, grad_check
+from auseg.unet import UnetConfig, build_model, forward
 
 
 def rng(seed=0):
@@ -384,72 +385,139 @@ class TestConcat:
         assert np.array_equal(b.grad, g[:, 2:])
 
 
+def relu_layer(x, keep=None, rate=0.0, relu=True) -> Tensor:
+    """conv2d's relu (and dropout) on an identity 1x1 conv: the pre-activations are x."""
+    c = x.shape[1]
+    eye = Conv2dParams(Tensor(np.eye(c).reshape(c, c, 1, 1)), Tensor(np.zeros(c)), relu=relu,
+                       keep=keep, rate=rate)
+    return conv2d(x, eye)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_fused_layer_bytes_match_composition(rate):
+    # conv2d with relu (and a keep mask) against conv2d, np.maximum and x * keep * s as
+    # separate tape nodes: forward and every gradient byte for byte
+    r = rng(40)
+    x_data = r.normal(size=(2, 3, 6, 6))
+    x_data[:, :, :3] = 0.0  # with a zero bias, exact zero pre-activations: the kink itself
+    k_data, b_data = r.normal(size=(4, 3, 3, 3)), np.array([0.0, 0.5, -0.5, 0.1])
+    g = r.normal(size=(2, 4, 6, 6))
+    keep = r.random(g.shape) >= rate if rate else None
+
+    def run(fused):
+        x = Tensor(x_data, requires_grad=True)
+        k, b = Tensor(k_data, requires_grad=True), Tensor(b_data, requires_grad=True)
+        with Tape() as tape:
+            if fused:
+                out = conv2d(x, Conv2dParams(k, b, padding="same", relu=True, keep=keep,
+                                             rate=rate))
+            else:
+                out = composed_conv_layer(x, Conv2dParams(k, b, padding="same"), keep, rate)
+            backward(tape, dot(out, g))
+        return [a.tobytes() for a in (out.data, x.grad, k.grad, b.grad)]
+
+    assert run(fused=True) == run(fused=False)
+
+
 class TestActivations:
     def test_relu_definition(self):
-        out = relu(Tensor([-3.0, 0.0, 3.0]))
-        assert out.data.tolist() == [0.0, 0.0, 3.0]
+        out = relu_layer(Tensor(np.array([-3.0, 0.0, 3.0]).reshape(1, 1, 1, 3)))
+        assert out.data.ravel().tolist() == [0.0, 0.0, 3.0]
 
     def test_relu_subgradient_zero_at_zero(self):
-        x = Tensor([0.0, 1.0], requires_grad=True)
+        x = Tensor(np.array([0.0, 1.0]).reshape(1, 1, 1, 2), requires_grad=True)
         with Tape() as tape:
-            backward(tape, dot(relu(x), 1.0))
-        assert x.grad.tolist() == [0.0, 1.0]
+            backward(tape, dot(relu_layer(x), 1.0))
+        assert x.grad.ravel().tolist() == [0.0, 1.0]
 
     def test_relu_bytes_match_where_formula(self):
-        # forward max(x, 0) and backward g * (out > 0) give np.where's bytes, signed zeros too
+        # forward max(x, 0) gives np.where's bytes, signed zeros too; the input gradient
+        # passes the 1x1 conv's GEMM, which does not keep the sign of a zero (the bytes of
+        # the relu backward itself are checked against the composition above)
         x = np.concatenate([rng(28).normal(size=64), [0.0, -0.0, np.inf, -np.inf, 1e-310, -1e-310]])
         g = rng(29).normal(size=x.shape)
-        t = Tensor(x, requires_grad=True)
+        t = Tensor(x.reshape(1, 1, 1, -1), requires_grad=True)
         with Tape() as tape:
-            out = relu(t)
-            backward(tape, dot(out, g))
+            out = relu_layer(t)
+            backward(tape, dot(out, g.reshape(out.shape)))
         assert out.data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
-        assert t.grad.tobytes() == (g * (x > 0)).tobytes()
+        assert np.array_equal(t.grad.ravel(), g * (x > 0))
 
     def test_relu_keeps_nan(self):
-        x = Tensor([np.nan, -1.0, 2.0], requires_grad=True)
-        with Tape() as tape:
-            out = relu(x)
-            backward(tape, dot(out, 1.0))
-        assert np.isnan(out.data[0]) and out.data[1:].tolist() == [0.0, 2.0]
-        assert x.grad.tolist() == [0.0, 0.0, 1.0]
+        # NaN passes relu and, kept or dropped (NaN * 0 is NaN), the dropout mask
+        for keep in (None, np.array([False, True, True]).reshape(1, 1, 1, 3)):
+            x = Tensor(np.array([np.nan, -1.0, 2.0]).reshape(1, 1, 1, 3), requires_grad=True)
+            with Tape() as tape:
+                out = relu_layer(x, keep, 0.5 if keep is not None else 0.0)
+                backward(tape, dot(out, 1.0))
+            scale, flat = (1.0 if keep is None else 2.0), out.data.ravel()
+            assert np.isnan(flat[0]) and flat[1:].tolist() == [0.0, 2.0 * scale]
+            assert x.grad.ravel().tolist() == [0.0, 0.0, scale]
+
+
+def tiny_model(rate):
+    cfg = UnetConfig(in_channels=1, num_classes=2, depth=1, base_channels=4,
+                     attention_enabled=False, dropout_rate=rate)
+    return build_model(cfg, rng(33))
 
 
 class TestDropout:
     def test_rate_zero_identity(self):
-        x = Tensor(rng(26).normal(size=(3, 3)))
-        assert dropout(x, 0.0, training=True, rng=rng(0)) is x
+        # rate 0 in training draws nothing and gives the inference output
+        model, x, r = tiny_model(0.0), Tensor(rng(26).normal(size=(1, 1, 4, 4))), rng(0)
+        state = r.bit_generator.state
+        out = forward(model, x, training=True, rng=r)
+        assert r.bit_generator.state == state
+        assert out.data.tobytes() == forward(model, x).data.tobytes()
 
     def test_inference_identity(self):
-        x = Tensor(rng(27).normal(size=(3, 3)))
-        assert dropout(x, 0.9, training=False) is x
+        model, x = tiny_model(0.9), Tensor(rng(27).normal(size=(1, 1, 4, 4)))
+        plain = tiny_model(0.0)
+        assert forward(model, x).data.tobytes() == forward(plain, x).data.tobytes()
 
     def test_bad_rate(self):
-        x = Tensor(np.zeros((2, 2)))
+        k, b = Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1))
+        model, x = tiny_model(0.1), Tensor(np.zeros((1, 1, 4, 4)))
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ConfigError):
-                dropout(x, rate, training=True, rng=rng(0))
+                Conv2dParams(k, b, relu=True, rate=rate)
+            model.cfg.dropout_rate = rate
+            for training in (False, True):
+                with pytest.raises(ConfigError):
+                    forward(model, x, training=training, rng=rng(0))
 
     def test_training_requires_rng(self):
+        model, x = tiny_model(0.5), Tensor(np.zeros((1, 1, 4, 4)))
+        forward(model, x)
         with pytest.raises(ContractError):
-            dropout(Tensor(np.zeros((2, 2))), 0.5, training=True)
+            forward(model, x, training=True)
 
     def test_monte_carlo_survivors_and_mean(self):
         n = 100_000
         x_data = rng(28).uniform(0.5, 1.5, size=n)
-        out = dropout(Tensor(x_data), 0.5, training=True, rng=rng(29))
+        keep = rng(29).random((1, 1, 1, n)) >= 0.5
+        out = relu_layer(Tensor(x_data.reshape(keep.shape)), keep, 0.5)
         survivors = np.count_nonzero(out.data) / n
         assert abs(survivors - 0.5) < 0.01
         assert abs(out.data.mean() - x_data.mean()) < 0.015
 
     def test_grad_masks_match_forward(self):
-        x = Tensor(rng(30).normal(size=(50,)), requires_grad=True)
-        with Tape() as tape:
-            out = dropout(x, 0.3, training=True, rng=rng(31))
-            backward(tape, dot(out, 1.0))
-        mask = out.data != 0
-        assert np.array_equal(x.grad != 0, mask)
-        assert np.allclose(x.grad[mask], 1.0 / 0.7)
+        for relu in (True, False):
+            x = Tensor(rng(30).uniform(0.1, 1.0, size=(1, 1, 1, 50)), requires_grad=True)
+            if not relu:
+                x.data[0, 0, 0, ::2] *= -1.0  # without relu, only the mask zeroes an entry
+            keep = rng(31).random(x.shape) >= 0.3
+            with Tape() as tape:
+                out = relu_layer(x, keep, 0.3, relu)
+                backward(tape, dot(out, 1.0))
+            mask = out.data != 0
+            assert np.array_equal(mask, keep & ((x.data > 0) | (not relu)))
+            assert np.array_equal(x.grad != 0, mask)
+            assert np.allclose(x.grad[mask], 1.0 / 0.7)
+
+    def test_mask_shape_checked(self):
+        with pytest.raises(ShapeError, match="dropout mask"):
+            relu_layer(Tensor(np.ones((1, 1, 2, 2))), np.ones((1, 1, 2, 3), dtype=bool), 0.5)
 
 
 def test_oracle_equivalence_random_battery():

@@ -257,7 +257,7 @@ class TestNonFiniteParameter:
         labels = np.stack([s.label for s in train_s[:8]])
         with Tape():
             logits = forward(model, images, training=True, rng=rng(0))
-            # relu passes the NaN channel on, so it reaches the logits
+            # conv2d's relu passes the NaN channel on, so it reaches the logits
             assert np.isnan(logits.data).any()
             with pytest.raises(NumericError):
                 combined_loss(logits, labels, LossConfig())
