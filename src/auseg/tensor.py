@@ -7,7 +7,9 @@ It provides:
 - ``record_op``, which every differentiable op (in ``nn_ops``, ``attention``
   and ``losses_metrics``) calls with its output array and backward rule;
 - ``backward``, which sweeps the nodes once, in reverse recording order, and
-  accumulates gradients into the leaves' ``Tensor.grad``;
+  accumulates gradients into the leaves' ``Tensor.grad``. The sweep consumes
+  the tape: each node, with its output and the arrays its backward rule holds,
+  is freed as soon as it has run, so a tape is swept once;
 - ``grad_check``, which compares those gradients with central differences.
 
 The ops themselves live with the model; this module has no arithmetic of its own.
@@ -75,9 +77,11 @@ class Tape:
     """Dynamically recorded computation graph; one tape per training step.
 
     Not shareable across concurrent steps: use one Tape per thread/step.
+    ``backward`` empties ``nodes`` and sets ``swept``.
     """
 
     nodes: list[Node] = field(default_factory=list)
+    swept: bool = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -121,17 +125,28 @@ def backward(tape: Tape, root: Tensor) -> None:
     one). Intermediate tensors get no ``grad``: each node's output gradient is
     dropped as soon as that node has run. Gradients add onto whatever is
     already stored; callers zero between steps.
+
+    The sweep consumes the tape: it pops each node as it reaches it, so the
+    node's output, its backward rule and the arrays that rule holds are freed
+    once the node has run (unless the caller still holds them). A tape is
+    swept once; a second call raises ``ContractError``.
     """
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
+    if tape.swept:
+        raise ContractError("tape already swept: backward consumes its nodes")
+    tape.swept = True
     acc: dict[int, Array] = {id(root): np.ones_like(root.data)}
+    # every tensor keyed in acc; a node's output leaves it when the node is popped
     tensors: dict[int, Tensor] = {id(root): root}
-    for node in reversed(tape.nodes):
-        g = acc.pop(id(node.output), None)
+    while tape.nodes:
+        node = tape.nodes.pop()
+        key = id(node.output)
+        tensors.pop(key, None)
+        g = acc.pop(key, None)
         if g is None:
             continue
-        grads = node.backward(g)
-        for inp, gi in zip(node.inputs, grads):
+        for inp, gi in zip(node.inputs, node.backward(g)):
             if gi is None or not inp.requires_grad:
                 continue
             key = id(inp)

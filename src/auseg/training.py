@@ -52,7 +52,9 @@ def adamw_step(params: dict[str, Tensor], grads: Sequence[np.ndarray],
     # p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * p)
     scratch = np.empty((2, max((t.size for t in params.values()), default=0)))
     for (name, t), g in zip(params.items(), grads):
-        if g is None or not np.all(np.isfinite(g)):
+        # one sum of squares tests finiteness without a bool temporary; a sum that
+        # overflows (entries above ~1e154) is confirmed element by element
+        if g is None or (not math.isfinite(np.vdot(g, g)) and not np.all(np.isfinite(g))):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         m = state.m[name]
         v = state.v[name]
@@ -221,6 +223,20 @@ def evaluate(model: UnetModel, samples: Sequence[Sample], loss_cfg: LossConfig,
     return total_loss / total_n, cm
 
 
+def _step_loss(model: UnetModel, images: np.ndarray, labels: np.ndarray, cfg: TrainSettings,
+               rng: np.random.Generator, where: str) -> float:
+    """Forward, loss and backward of one batch into the parameters' ``grad``;
+    returns the loss. The tape, the logits and every activation die on return."""
+    with Tape() as tape:
+        logits = forward(model, images, training=True, rng=rng)
+        loss = combined_loss(logits, labels, cfg.loss)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise NumericError(f"non-finite loss at {where}")
+        backward(tape, loss)
+    return value
+
+
 def train(model: UnetModel, train_samples: Sequence[Sample], val_samples: Sequence[Sample],
           cfg: TrainSettings, log_line=None) -> TrainResult:
     """Optimize the model, returning the log and the best-validation snapshot.
@@ -228,6 +244,12 @@ def train(model: UnetModel, train_samples: Sequence[Sample], val_samples: Sequen
     Per epoch: shuffled augmented batches -> combined loss -> backward ->
     AdamW at the cosine-annealed rate; then a validation pass (loss, mIoU,
     PA) feeds the log, the best-checkpoint tracker, and the early stopper.
+
+    Nothing of a step outlives it but the updated parameters and AdamW's
+    moments: the tape and activations die with the step's forward-and-backward
+    helper, and the gradients are released right after ``adamw_step``, so
+    validation runs without them. ``best_state`` is snapshotted on improving
+    epochs only; epoch 0 always improves (a non-finite val loss raises).
     """
     if not train_samples or not val_samples:
         raise ConfigError("need at least one training and one validation sample")
@@ -239,9 +261,10 @@ def train(model: UnetModel, train_samples: Sequence[Sample], val_samples: Sequen
     stopper = EarlyStopper(patience=cfg.patience, min_delta=cfg.min_delta)
     augs = _augmentations(cfg)
     log = TrainLog()
-    best_state = model.state_arrays()
+    best_state: dict[str, np.ndarray] = {}
     best_epoch = -1
     best_val = math.inf
+    model.zero_grads()
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         lr = cosine_lr(cfg.schedule, epoch)
@@ -250,15 +273,10 @@ def train(model: UnetModel, train_samples: Sequence[Sample], val_samples: Sequen
         for batch_index, (images, labels) in enumerate(
                 batch_iter(train_samples, cfg.batch_size, shuffle=True,
                            rng=data_rng, augmentations=augs)):
-            model.zero_grads()
-            with Tape() as tape:
-                logits = forward(model, images, training=True, rng=dropout_rng)
-                loss = combined_loss(logits, labels, cfg.loss)
-                value = loss.item()
-                if not math.isfinite(value):
-                    raise NumericError(f"non-finite loss at epoch {epoch}, batch {batch_index}")
-                backward(tape, loss)
+            value = _step_loss(model, images, labels, cfg, dropout_rng,
+                               f"epoch {epoch}, batch {batch_index}")
             adamw_step(model.params, [t.grad for t in model.params.values()], state, lr)
+            model.zero_grads()
             n = images.shape[0]
             epoch_loss += value * n
             epoch_n += n

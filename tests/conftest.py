@@ -1,3 +1,4 @@
+import gc
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +17,14 @@ from auseg.unet import UnetConfig, UnetModel, build_model
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+@pytest.fixture
+def no_gc():
+    """Cycle collection off: what the test sees freed, reference counting freed."""
+    gc.disable()
+    yield
+    gc.enable()
 
 
 def dot(y: Tensor, g) -> Tensor:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,60 @@ class TestBackward:
                 # inputs must be leaves or outputs of earlier nodes
                 assert id(inp) == id(x) or id(inp) in produced
             produced.add(id(node.output))
+
+
+def _scale(a: Tensor) -> Tensor:
+    return record_op("scale", (a,), 2.0 * a.data, lambda g: (2.0 * g,))
+
+
+class TestTapeLifetime:
+    def test_sweep_empties_tape_and_frees_intermediates(self, no_gc):
+        r = rng(18)
+        x = Tensor(r.normal(size=(1, 2, 5, 5)), requires_grad=True)
+        k1 = Tensor(r.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        k2 = Tensor(r.normal(size=(2, 3, 3, 3)), requires_grad=True)
+        with Tape() as tape:
+            # the second conv's rule holds y1 for its kernel gradient, the first
+            # conv's rule holds y1 for its relu mask
+            y1 = conv2d(x, Conv2dParams(k1, Tensor(np.zeros(3)), padding="same", relu=True))
+            y2 = conv2d(y1, Conv2dParams(k2, Tensor(np.zeros(2)), padding="same", relu=True))
+            root = sum_sq(y2)
+        refs = [weakref.ref(y1.data), weakref.ref(y2.data)]
+        del y1, y2
+        backward(tape, root)
+        assert tape.nodes == []
+        assert [ref() for ref in refs] == [None, None]
+        assert x.grad.shape == x.shape and k1.grad.shape == k1.shape
+
+    def test_each_node_is_freed_once_it_has_run(self, no_gc):
+        x = Tensor(rng(19).normal(size=(3,)), requires_grad=True)
+        dead_when_first_ran = []
+
+        def first_rule(g):
+            dead_when_first_ran.append([ref() is None for ref in refs])
+            return (2.0 * g,)
+
+        with Tape() as tape:
+            a = record_op("first", (x,), 2.0 * x.data, first_rule)
+            b = _scale(a)
+            c = _scale(b)
+            root = dot(c, 1.0)
+        refs = [weakref.ref(b.data), weakref.ref(c.data)]
+        del a, b, c
+        backward(tape, root)
+        # the later nodes' outputs were gone before the sweep reached the first node
+        assert dead_when_first_ran == [[True, True]]
+        assert np.array_equal(x.grad, np.full(3, 8.0))
+
+    def test_swept_tape_raises_on_second_backward(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            root = dot(_mul(x, x), 1.0)
+            backward(tape, root)
+            grad = x.grad.copy()
+            with pytest.raises(ContractError, match="swept"):
+                backward(tape, root)
+        assert np.array_equal(x.grad, grad)
 
 
 class TestInvariantProperties:

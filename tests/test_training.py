@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import DESK_SEED, desk_data, desk_unet_config
 
 from auseg.data import synth_generate
 import auseg
+from auseg import training
 from auseg.errors import ConfigError, NumericError, TrainingError
 from auseg.losses_metrics import LossConfig, combined_loss
 from auseg.tensor import Tape, Tensor
@@ -69,6 +71,25 @@ class TestAdamW:
         state = AdamWState.init(params)
         with pytest.raises(TrainingError, match="p1"):
             adamw_step(params, g, state, lr=0.1)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_inf_grad_names_parameter(self, bad):
+        params = make_params(5, shapes=((3, 4), (5,), (2,)))
+        g = [np.ones_like(p.data) for p in params.values()]
+        g[1][3] = bad
+        with pytest.raises(TrainingError, match="'p1'"):
+            adamw_step(params, g, AdamWState.init(params), lr=0.1)
+
+    def test_huge_finite_grad_accepted(self):
+        # its square overflows the sum of squares, but every entry is finite
+        params = make_params(5)
+        g = [np.zeros_like(p.data) for p in params.values()]
+        g[0][1, 2] = 1e200
+        with np.errstate(over="ignore"):
+            assert np.vdot(g[0], g[0]) == np.inf
+            # the second moment overflows too, which leaves a finite update
+            adamw_step(params, g, AdamWState.init(params), lr=0.1)
+        assert all(np.all(np.isfinite(p.data)) for p in params.values())
 
     def test_lambda_zero_matches_adam_reference(self):
         r = rng(6)
@@ -233,6 +254,36 @@ class TestTrainLoop:
         settings.min_delta = 1e9  # nothing counts as improvement after the first epoch
         result = train(model, train_s, val_s, settings)
         assert len(result.log.rows) == 2
+
+    def test_step_state_released_before_evaluate(self, monkeypatch, no_gc):
+        # evaluate runs with no gradients and no activation of the last step alive,
+        # and best_state is copied on improving epochs only
+        model, train_s, val_s, settings = tiny_setup(epochs=4)
+        loss_fn, evaluate_fn = training.combined_loss, training.evaluate
+        state_fn = model.state_arrays
+        logits_refs, checks, snapshots = [], [], []
+
+        def loss_probe(logits, *args, **kwargs):
+            logits_refs.append(weakref.ref(logits.data))
+            return loss_fn(logits, *args, **kwargs)
+
+        def evaluate_probe(*args, **kwargs):
+            checks.append(([n for n, t in model.params.items() if t.grad is not None],
+                           logits_refs[-1]() is None))
+            return evaluate_fn(*args, **kwargs)
+
+        def state_probe():
+            snapshots.append(None)
+            return state_fn()
+
+        monkeypatch.setattr(training, "combined_loss", loss_probe)
+        monkeypatch.setattr(training, "evaluate", evaluate_probe)
+        monkeypatch.setattr(model, "state_arrays", state_probe)
+        result = train(model, train_s, val_s, settings)
+        assert checks == [([], True)] * len(result.log.rows)
+        vals = [r.val_loss for r in result.log.rows]
+        improving = sum(v < min(vals[:i], default=math.inf) for i, v in enumerate(vals))
+        assert len(snapshots) == improving
 
     def test_empty_split_rejected(self):
         model, train_s, val_s, settings = tiny_setup()

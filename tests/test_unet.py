@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ from oracles import loop_argmax_labels
 from auseg import attention, unet
 from auseg.errors import ConfigError, ContractError, ShapeError
 from auseg.losses_metrics import LossConfig, combined_loss
-from auseg.tensor import Tape, Tensor
+from auseg.tensor import Tape, Tensor, backward
 from auseg.unet import UnetConfig, build_model, forward, predict_labels
 
 
@@ -230,3 +231,18 @@ def test_argmax_invariant_to_per_pixel_shift(seed):
     logits = r.normal(size=(1, 4, 5, 5))
     shift = r.normal(scale=10.0, size=(1, 1, 5, 5))
     assert np.array_equal(np.argmax(logits, axis=1), np.argmax(logits + shift, axis=1))
+
+
+@pytest.mark.parametrize("composition", ["parallel", "sequential"])
+def test_training_step_sweep_frees_every_node_output(composition, no_gc):
+    # no op's backward rule keeps an activation alive through a reference cycle:
+    # with the collector off, every node output but the loss dies in the sweep
+    model = build_model(small_cfg(dropout_rate=0.2, attention_composition=composition), rng(24))
+    x = Tensor(rng(25).uniform(0, 1, size=(2, 3, 16, 16)))
+    y = rng(26).integers(0, 3, size=(2, 16, 16))
+    with Tape() as tape:
+        loss = combined_loss(forward(model, x, training=True, rng=rng(27)), y, LossConfig())
+    refs = {(i, node.op): weakref.ref(node.output.data)
+            for i, node in enumerate(tape.nodes) if node.output is not loss}
+    backward(tape, loss)
+    assert [key for key, ref in refs.items() if ref() is not None] == []
