@@ -2,8 +2,7 @@
 autodiff, NN kernels, hybrid channel/spatial attention, training, metrics,
 dataset tooling, and a CLI."""
 
-from .attention import (ChannelAttentionParams, SpatialAttentionParams, channel_attention,
-                        hybrid_attention_block, spatial_attention)
+from .attention import channel_attention, hybrid_attention_block, spatial_attention
 from .errors import (AusegError, ConfigError, ContractError, CorruptionError, DataError,
                      NumericError, ShapeError, TrainingError)
 from .losses_metrics import (ConfusionMatrix, LossConfig, combined_loss, confusion_accumulate,

@@ -54,7 +54,8 @@ class RunConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for key, lo, hi in (("flip_p", 0, 1), ("alpha", 0, 1), ("jitter_delta", 0, 0.5),
                             ("weight_decay", 0, np.inf), ("patience", 0, np.inf),
-                            ("min_delta", 0, np.inf)):
+                            ("min_delta", 0, np.inf), ("crop_h", 0, np.inf),
+                            ("crop_w", 0, np.inf)):
             value = getattr(self, key)
             if not lo <= value <= hi:
                 raise ConfigError(f"{key} must lie in [{lo:g}, {hi:g}], got {value}")

@@ -2,14 +2,15 @@
 
 It provides:
 
-- ``Tensor``, a row-major numpy array of rank <= 4 with an optional ``grad``;
+- ``Tensor``, a row-major numpy array of rank <= 4;
 - ``Node`` and ``Tape``, one recorded op and the define-by-run graph of a step;
 - ``record_op``, which every differentiable op (in ``nn_ops``, ``attention``
   and ``losses_metrics``) calls with its output array and backward rule;
 - ``backward``, which sweeps the nodes once, in reverse recording order, and
-  accumulates gradients into the leaves' ``Tensor.grad``. The sweep consumes
-  the tape: each node, with its output and the arrays its backward rule holds,
-  is freed as soon as it has run, so a tape is swept once;
+  returns the root's gradient with respect to each tensor of a caller's
+  key -> Tensor mapping, keyed the same way. The sweep consumes the tape: each
+  node, with its output and the arrays its backward rule holds, is freed as
+  soon as it has run, so a tape is swept once;
 - ``grad_check``, which compares those gradients with central differences.
 
 The ops themselves live with the model; this module has no arithmetic of its own.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,9 +31,9 @@ MAX_RANK = 4
 
 
 class Tensor:
-    """A float64 array plus an optional gradient buffer of the same shape."""
+    """A float64 array; ``requires_grad`` marks it for differentiation."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
@@ -40,7 +41,6 @@ class Tensor:
             raise ShapeError(f"rank {arr.ndim} exceeds supported maximum {MAX_RANK}")
         self.data: Array = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Array | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -54,9 +54,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -118,13 +115,14 @@ def record_op(op: str, inputs: Sequence[Tensor], out_data: Array,
     return out
 
 
-def backward(tape: Tape, root: Tensor) -> None:
-    """Accumulate d(root)/d(leaf) into every requires_grad leaf's ``grad``.
+def backward(tape: Tape, root: Tensor,
+             wrt: Mapping[Hashable, Tensor]) -> dict[Hashable, Array]:
+    """d(root)/d(t) for each tensor ``t`` of ``wrt``, keyed and ordered as ``wrt``.
 
-    A leaf is a tensor no recorded node produced (the root counts when it is
-    one). Intermediate tensors get no ``grad``: each node's output gradient is
-    dropped as soon as that node has run. Gradients add onto whatever is
-    already stored; callers zero between steps.
+    Each gradient is a fresh C-order array; a tensor the root does not reach
+    (or one without ``requires_grad``) gets zeros. ``wrt`` holds leaves only:
+    a tensor some recorded node produced raises ``ContractError``, because
+    each node's output gradient is dropped as soon as that node has run.
 
     The sweep consumes the tape: it pops each node as it reaches it, so the
     node's output, its backward rule and the arrays that rule holds are freed
@@ -135,33 +133,28 @@ def backward(tape: Tape, root: Tensor) -> None:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
     if tape.swept:
         raise ContractError("tape already swept: backward consumes its nodes")
+    produced = {id(node.output) for node in tape.nodes}
+    for key, t in wrt.items():
+        if id(t) in produced:
+            raise ContractError(f"backward wrt {key!r}: a recorded op produced that tensor; "
+                                f"only leaves keep gradients")
     tape.swept = True
     acc: dict[int, Array] = {id(root): np.ones_like(root.data)}
-    # every tensor keyed in acc; a node's output leaves it when the node is popped
-    tensors: dict[int, Tensor] = {id(root): root}
     while tape.nodes:
         node = tape.nodes.pop()
-        key = id(node.output)
-        tensors.pop(key, None)
-        g = acc.pop(key, None)
+        g = acc.pop(id(node.output), None)
         if g is None:
             continue
         for inp, gi in zip(node.inputs, node.backward(g)):
             if gi is None or not inp.requires_grad:
                 continue
             key = id(inp)
-            if key in acc:
-                acc[key] = acc[key] + gi
-            else:
-                acc[key] = gi
-                tensors[key] = inp
-    # what is left belongs to leaves: their producers, if any, are not on the tape
-    for key, g in acc.items():
-        t = tensors[key]
-        if not t.requires_grad:
-            continue
-        # always a fresh C-order copy: acc entries may alias other gradients
-        t.grad = np.array(g, order="C") if t.grad is None else t.grad + g
+            acc[key] = acc[key] + gi if key in acc else gi
+    # acc now holds leaf gradients only. The wrt tensors lived through the sweep, so
+    # no other object has taken their ids. Always a fresh C-order copy: acc entries
+    # may alias each other or arrays a backward rule held
+    return {key: np.array(acc[id(t)], order="C") if t.requires_grad and id(t) in acc
+            else np.zeros_like(t.data) for key, t in wrt.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +180,18 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor], h: float = 1e
     if rng is None:
         rng = np.random.default_rng(0)
     inputs = list(inputs)
-    for t in inputs:
-        t.zero_grad()
     with Tape() as tape:
         out = f(*inputs)
         if out.size != 1:
             raise ContractError("grad_check target must produce a scalar")
-        backward(tape, out)
+        grads = backward(tape, out, {i: t for i, t in enumerate(inputs) if t.requires_grad})
 
     def eval_f() -> float:
         return f(*inputs).item()
 
     max_err = 0.0
-    for t in inputs:
-        if not t.requires_grad:
-            continue
-        g_ad = t.grad if t.grad is not None else np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
+    for i, g_ad in grads.items():
+        flat = inputs[i].data.reshape(-1)
         g_flat = g_ad.reshape(-1)
         n = flat.size
         if n <= coords_per_input:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Sample, batch_iter, color_jitter, horizontal_flip, random_crop
-from .errors import ConfigError, NumericError, TrainingError
+from .errors import ConfigError, ContractError, NumericError, TrainingError
 from .losses_metrics import (ConfusionMatrix, LossConfig, combined_loss, confusion_accumulate,
                              miou, pixel_accuracy)
 from .tensor import Tape, Tensor, backward
@@ -41,10 +41,12 @@ class AdamWState:
 
 def adamw_step(params: dict[str, Tensor], grads: Sequence[np.ndarray],
                state: AdamWState, lr: float) -> None:
-    """One optimizer step; ``grads`` follow the order of ``params``. Decay is
-    decoupled from the adaptive term."""
+    """One optimizer step; ``grads`` follow the order of ``params``, one array per
+    parameter. Decay is decoupled from the adaptive term."""
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
+    if len(grads) != len(params):
+        raise ContractError(f"{len(grads)} gradients for {len(params)} parameters")
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
@@ -54,7 +56,7 @@ def adamw_step(params: dict[str, Tensor], grads: Sequence[np.ndarray],
     for (name, t), g in zip(params.items(), grads):
         # one sum of squares tests finiteness without a bool temporary; a sum that
         # overflows (entries above ~1e154) is confirmed element by element
-        if g is None or (not math.isfinite(np.vdot(g, g)) and not np.all(np.isfinite(g))):
+        if not math.isfinite(np.vdot(g, g)) and not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         m = state.m[name]
         v = state.v[name]
@@ -223,17 +225,18 @@ def evaluate(model: UnetModel, samples: Sequence[Sample], loss_cfg: LossConfig,
     return total_loss / total_n, cm
 
 
-def _step_loss(model: UnetModel, images: np.ndarray, labels: np.ndarray, cfg: TrainSettings,
-               rng: np.random.Generator, where: str) -> float:
-    """Forward, loss and backward of one batch into the parameters' ``grad``;
-    returns the loss. The tape, the logits and every activation die on return."""
+def _train_step(model: UnetModel, images: np.ndarray, labels: np.ndarray, cfg: TrainSettings,
+                rng: np.random.Generator, state: AdamWState, lr: float, where: str) -> float:
+    """Forward, loss, backward and the AdamW update of one batch; returns the
+    loss. The tape, the activations and the gradients die on return."""
     with Tape() as tape:
         logits = forward(model, images, training=True, rng=rng)
         loss = combined_loss(logits, labels, cfg.loss)
         value = loss.item()
         if not math.isfinite(value):
             raise NumericError(f"non-finite loss at {where}")
-        backward(tape, loss)
+        grads = backward(tape, loss, model.params)
+    adamw_step(model.params, list(grads.values()), state, lr)
     return value
 
 
@@ -246,10 +249,9 @@ def train(model: UnetModel, train_samples: Sequence[Sample], val_samples: Sequen
     PA) feeds the log, the best-checkpoint tracker, and the early stopper.
 
     Nothing of a step outlives it but the updated parameters and AdamW's
-    moments: the tape and activations die with the step's forward-and-backward
-    helper, and the gradients are released right after ``adamw_step``, so
-    validation runs without them. ``best_state`` is snapshotted on improving
-    epochs only; epoch 0 always improves (a non-finite val loss raises).
+    moments: the tape, the activations and the gradients die with the step's
+    helper, so validation runs without them. ``best_state`` is snapshotted on
+    improving epochs only; epoch 0 always improves (a non-finite val loss raises).
     """
     if not train_samples or not val_samples:
         raise ConfigError("need at least one training and one validation sample")
@@ -264,7 +266,6 @@ def train(model: UnetModel, train_samples: Sequence[Sample], val_samples: Sequen
     best_state: dict[str, np.ndarray] = {}
     best_epoch = -1
     best_val = math.inf
-    model.zero_grads()
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         lr = cosine_lr(cfg.schedule, epoch)
@@ -273,10 +274,8 @@ def train(model: UnetModel, train_samples: Sequence[Sample], val_samples: Sequen
         for batch_index, (images, labels) in enumerate(
                 batch_iter(train_samples, cfg.batch_size, shuffle=True,
                            rng=data_rng, augmentations=augs)):
-            value = _step_loss(model, images, labels, cfg, dropout_rng,
-                               f"epoch {epoch}, batch {batch_index}")
-            adamw_step(model.params, [t.grad for t in model.params.values()], state, lr)
-            model.zero_grads()
+            value = _train_step(model, images, labels, cfg, dropout_rng, state, lr,
+                                f"epoch {epoch}, batch {batch_index}")
             n = images.shape[0]
             epoch_loss += value * n
             epoch_n += n

@@ -9,8 +9,11 @@ conv block. A 1x1 conv head emits per-class logits at the input resolution.
 A model is its ``UnetConfig`` plus one dict of trainable tensors keyed by
 checkpoint name (``enc0.conv1.kernel``, ``up1.bias``, ``att0.w1``,
 ``att0.conv.kernel``, ``head.bias``, ...). ``forward`` looks every layer up by
-name. The dict's order is the build order, which fixes the initialization
-draws, the checkpoint layout and the optimizer's parameter order.
+name: it wraps a conv layer's kernel and bias in a ``Conv2dParams`` and hands
+each attention gate its four tensors. The dict's order is the build order,
+which fixes the initialization draws, the checkpoint layout and the
+optimizer's parameter order; ``backward(tape, loss, model.params)`` returns
+the gradients under the same names, in that order.
 """
 from __future__ import annotations
 
@@ -18,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (COMPOSITIONS, ChannelAttentionParams, SpatialAttentionParams,
-                        hybrid_attention_block, init_channel_attention, init_spatial_attention)
+from .attention import COMPOSITIONS, hybrid_attention_block
 from .errors import ConfigError, ContractError, ShapeError
 from .nn_ops import Conv2dParams, Padding, concat_channels, conv2d, maxpool2d, transposed_conv2d
 from .tensor import Tensor
@@ -49,6 +51,8 @@ class UnetConfig:
             raise ConfigError(f"base_channels must be positive, got {self.base_channels}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
+        if self.reduction_ratio < 1:
+            raise ConfigError(f"reduction_ratio must be >= 1, got {self.reduction_ratio}")
         if self.attention_composition not in COMPOSITIONS:
             raise ConfigError(f"attention_composition must be one of {COMPOSITIONS}")
         if self.spatial_kernel % 2 == 0 or self.spatial_kernel < 1:
@@ -75,10 +79,6 @@ class UnetModel:
     def parameter_count(self) -> int:
         return sum(t.size for t in self.params.values())
 
-    def zero_grads(self) -> None:
-        for t in self.params.values():
-            t.zero_grad()
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
 
@@ -104,10 +104,13 @@ def build_model(cfg: UnetConfig, rng: np.random.Generator) -> UnetModel:
         if params.setdefault(name, t) is not t:
             raise ContractError(f"duplicate parameter name {name!r}")
 
+    def uniform(name: str, shape: tuple[int, ...], fan_in: int) -> None:
+        s = 1.0 / np.sqrt(fan_in)
+        add(name, Tensor(rng.uniform(-s, s, size=shape), requires_grad=True))
+
     def conv(name: str, in_ch: int, out_ch: int, k: int, transposed: bool = False) -> None:
-        s = 1.0 / np.sqrt(in_ch * k * k)
         shape = (in_ch, out_ch, k, k) if transposed else (out_ch, in_ch, k, k)
-        add(f"{name}.kernel", Tensor(rng.uniform(-s, s, size=shape), requires_grad=True))
+        uniform(f"{name}.kernel", shape, in_ch * k * k)
         add(f"{name}.bias", Tensor(np.zeros(out_ch), requires_grad=True))
 
     def block(name: str, in_ch: int, out_ch: int) -> None:
@@ -124,11 +127,11 @@ def build_model(cfg: UnetConfig, rng: np.random.Generator) -> UnetModel:
         conv(f"up{level}", 2 * width, width, 2, transposed=True)
         block(f"dec{level}", 2 * width, width)
         if cfg.attention_enabled:
-            ca = init_channel_attention(width, cfg.reduction_ratio, rng)
-            sa = init_spatial_attention(cfg.spatial_kernel, rng)
-            for key, t in (("w1", ca.w1), ("w2", ca.w2), ("conv.kernel", sa.conv.kernel),
-                           ("conv.bias", sa.conv.bias)):
-                add(f"att{level}.{key}", t)
+            # fan-in-scaled draws keep the initial gates near 0.5
+            reduced = width // cfg.reduction_ratio
+            uniform(f"att{level}.w1", (reduced, width), width)
+            uniform(f"att{level}.w2", (width, reduced), reduced)
+            conv(f"att{level}.conv", 2, 1, cfg.spatial_kernel)
     conv("head", cfg.base_channels, cfg.num_classes, 1)
     return UnetModel(cfg=cfg, params=params)
 
@@ -175,9 +178,9 @@ def forward(model: UnetModel, x: Tensor, training: bool = False,
         skip = skips[level]
         if cfg.attention_enabled:
             att = f"att{level}"
-            skip = hybrid_attention_block(
-                skip, ChannelAttentionParams(p[f"{att}.w1"], p[f"{att}.w2"], cfg.reduction_ratio),
-                SpatialAttentionParams(_conv(p, f"{att}.conv")), cfg.attention_composition)
+            skip = hybrid_attention_block(skip, p[f"{att}.w1"], p[f"{att}.w2"],
+                                          p[f"{att}.conv.kernel"], p[f"{att}.conv.bias"],
+                                          cfg.attention_composition)
         x = concat_channels(x, skip)
         x = _conv_block(x, p, f"dec{level}", cfg, training, rng)
     return conv2d(x, _conv(p, "head", padding=0))

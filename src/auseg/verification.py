@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn_ops as F
-from .attention import hybrid_attention_block, init_channel_attention, init_spatial_attention
+from .attention import hybrid_attention_block
 from .losses_metrics import LossConfig, combined_loss
 from .nn_ops import Conv2dParams
 from .tensor import Tensor, grad_check, record_op
@@ -94,12 +94,17 @@ def _unit_concat(rng):
 
 
 def _hybrid_unit(composition: str):
+    """8 channels at ratio 4 and a 3x3 spatial kernel, drawn as ``build_model``
+    draws a gate: each weight uniform in +-1/sqrt(fan-in), a zero bias."""
     def build(rng):
         x = _t(rng, 2, 8, 4, 4)
-        cp = init_channel_attention(8, 4, rng)
-        sp = init_spatial_attention(3, rng)
-        return (lambda *ts: _mean_sq(hybrid_attention_block(x, cp, sp, composition)),
-                [x, cp.w1, cp.w2, sp.conv.kernel, sp.conv.bias])
+        s1, s2, s3 = (1.0 / np.sqrt(fan_in) for fan_in in (8, 2, 2 * 3 * 3))
+        w1 = _t(rng, 2, 8, lo=-s1, hi=s1)
+        w2 = _t(rng, 8, 2, lo=-s2, hi=s2)
+        kernel = _t(rng, 1, 2, 3, 3, lo=-s3, hi=s3)
+        bias = Tensor(np.zeros(1), requires_grad=True)
+        return (lambda *ts: _mean_sq(hybrid_attention_block(*ts, composition)),
+                [x, w1, w2, kernel, bias])
     return build
 
 

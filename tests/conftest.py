@@ -38,6 +38,27 @@ def sum_sq(y: Tensor) -> Tensor:
     return record_op("sum_sq", (y,), np.vdot(y.data, y.data), lambda s: (s * 2.0 * y.data,))
 
 
+def _uniform(r: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
+    s = 1.0 / np.sqrt(fan_in)
+    return Tensor(r.uniform(-s, s, size=shape), requires_grad=True)
+
+
+def channel_gate(channels: int, ratio: int, r: np.random.Generator) -> tuple[Tensor, Tensor]:
+    """w1 [C/r, C] and w2 [C, C/r] of an attention gate, drawn as ``build_model`` draws them."""
+    reduced = channels // ratio
+    return _uniform(r, (reduced, channels), channels), _uniform(r, (channels, reduced), reduced)
+
+
+def spatial_gate(k: int, r: np.random.Generator) -> tuple[Tensor, Tensor]:
+    """The spatial gate's kernel [1, 2, k, k], drawn as ``build_model`` draws it, and zero bias."""
+    return _uniform(r, (1, 2, k, k), 2 * k * k), Tensor(np.zeros(1), requires_grad=True)
+
+
+def gate_tensors(channels: int, ratio: int, k: int, r: np.random.Generator) -> tuple[Tensor, ...]:
+    """w1, w2, kernel and bias for ``hybrid_attention_block``, channel gate drawn first."""
+    return channel_gate(channels, ratio, r) + spatial_gate(k, r)
+
+
 # ---------------------------------------------------------------------------
 # The desk-scale acceptance runs: 3 classes at 32x32, 64 train / 16 val,
 # everything seed-fixed. The hyperparameters below are the frozen fixture

@@ -13,12 +13,10 @@ from oracles import (adam_reference_step, formula_sigmoid, loop_channel_avg, loo
                      loop_global_avg_pool, loop_matmul, loop_maxpool2d, loop_miou,
                      loop_pixel_accuracy, loop_transposed_conv2d)
 
-from conftest import desk_unet_config
+from conftest import desk_unet_config, gate_tensors
 
 from auseg import attention
-from auseg.attention import (ChannelAttentionParams, SpatialAttentionParams, channel_attention,
-                             hybrid_attention_block, init_channel_attention,
-                             init_spatial_attention, spatial_attention)
+from auseg.attention import channel_attention, hybrid_attention_block, spatial_attention
 from auseg.checkpoint import deserialize, serialize
 from auseg.cli import main
 from auseg.data import Sample, batch_iter, color_jitter, horizontal_flip, random_crop
@@ -76,15 +74,14 @@ def test_c2_oracle_equivalence():
         # channel gate: spatial mean -> bottleneck with relu -> sigmoid
         red = c // int(r.choice([d for d in (1, 2, 3) if c % d == 0]))
         w1, w2 = r.uniform(-2, 2, size=(red, c)), r.uniform(-2, 2, size=(c, red))
-        got = channel_attention(x, ChannelAttentionParams(Tensor(w1), Tensor(w2), c // red))
+        got = channel_attention(x, w1, w2)
         hidden = np.maximum(loop_matmul(loop_global_avg_pool(x), w1.T), 0.0)
         want = formula_sigmoid(loop_matmul(hidden, w2.T))
         worst = max(worst, float(np.max(np.abs(got[:, :, 0, 0] - want))))
         # spatial gate: [channel-max, channel-avg] -> odd "same" conv -> sigmoid
         ks = int(r.choice([1, 3, 5, 7]))
         k_s, b_s = r.uniform(-2, 2, size=(1, 2, ks, ks)), r.uniform(-2, 2, size=1)
-        got = spatial_attention(x, SpatialAttentionParams(
-            Conv2dParams(Tensor(k_s), Tensor(b_s), padding="same")))
+        got = spatial_attention(x, k_s, b_s)
         stacked = np.concatenate([loop_channel_max(x), loop_channel_avg(x)], axis=1)
         want = formula_sigmoid(loop_conv2d(stacked, k_s, b_s, 1, (ks - 1) // 2))
         worst = max(worst, float(np.max(np.abs(got - want))))
@@ -131,9 +128,7 @@ def test_c3_gate_identity_and_attenuation(monkeypatch):
     r = np.random.default_rng(33)
     for _ in range(10):
         f = r.normal(scale=2.0, size=(1, 8, 6, 6))
-        cp = init_channel_attention(8, 4, r)
-        sp = init_spatial_attention(3, r)
-        out = hybrid_attention_block(Tensor(f), cp, sp).data
+        out = hybrid_attention_block(Tensor(f), *gate_tensors(8, 4, 3, r)).data
         attenuated &= bool(np.all(np.abs(out) <= np.abs(f)))
 
     ok = bit_exact and attenuated

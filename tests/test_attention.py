@@ -7,48 +7,43 @@ from hypothesis import strategies as st
 
 from oracles import formula_sigmoid, loop_channel_avg, loop_channel_max, loop_conv2d
 
-from conftest import dot, sum_sq
+from conftest import channel_gate, dot, gate_tensors, spatial_gate, sum_sq
 
 from auseg import attention
-from auseg.attention import (ChannelAttentionParams, SpatialAttentionParams,
-                             channel_attention, hybrid_attention_block,
-                             init_channel_attention, init_spatial_attention,
-                             spatial_attention)
+from auseg.attention import channel_attention, hybrid_attention_block, spatial_attention
 from auseg.errors import ConfigError, ShapeError
-from auseg.nn_ops import Conv2dParams
 from auseg.tensor import Tape, Tensor, backward, grad_check
+from auseg.unet import UnetConfig
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def zero_channel_params(c, r):
-    return ChannelAttentionParams(w1=Tensor(np.zeros((c // r, c)), requires_grad=True),
-                                  w2=Tensor(np.zeros((c, c // r)), requires_grad=True),
-                                  reduction_ratio=r)
+def zero_gate(c, r, k=3):
+    """w1, w2, kernel and bias of a gate whose every weight is zero."""
+    return tuple(Tensor(np.zeros(shape), requires_grad=True)
+                 for shape in ((c // r, c), (c, c // r), (1, 2, k, k), (1,)))
 
 
-def zero_spatial_params(k=3):
-    return SpatialAttentionParams(conv=Conv2dParams(
-        Tensor(np.zeros((1, 2, k, k)), requires_grad=True),
-        Tensor(np.zeros(1), requires_grad=True), stride=1, padding="same"))
+def arrays(*tensors):
+    return [t.data for t in tensors]
 
 
 class TestChannelAttention:
     def test_zero_weights_give_half(self):
-        out = channel_attention(rng(1).normal(size=(2, 4, 3, 3)), zero_channel_params(4, 2))
+        out = channel_attention(rng(1).normal(size=(2, 4, 3, 3)), *arrays(*zero_gate(4, 2)[:2]))
         assert out.shape == (2, 4, 1, 1)
         assert np.all(out == 0.5)
 
     def test_gap_symmetry_constant_spatial(self):
         # per-channel constant input: identical gates regardless of H x W
         values = np.array([0.3, -1.2, 2.0, 0.7])
-        p = init_channel_attention(4, 2, rng(2))
+        w = arrays(*channel_gate(4, 2, rng(2)))
         outs = []
-        for h, w in [(1, 1), (3, 5), (8, 2)]:
-            f = np.broadcast_to(values[None, :, None, None], (1, 4, h, w)).copy()
-            outs.append(channel_attention(f, p).reshape(-1))
+        for h, wd in [(1, 1), (3, 5), (8, 2)]:
+            f = np.broadcast_to(values[None, :, None, None], (1, 4, h, wd)).copy()
+            outs.append(channel_attention(f, *w).reshape(-1))
         assert np.max(np.abs(outs[0] - outs[1])) < 1e-15
         assert np.max(np.abs(outs[0] - outs[2])) < 1e-15
 
@@ -58,8 +53,7 @@ class TestChannelAttention:
         f = r.uniform(-2, 2, size=(2, c, 3, 3))
         w1 = r.normal(size=(red, c))
         w2 = r.normal(size=(c, red))
-        p = ChannelAttentionParams(Tensor(w1), Tensor(w2), reduction_ratio=red)
-        out = channel_attention(f, p)
+        out = channel_attention(f, w1, w2)
 
         for n in range(2):
             gap = np.array([f[n, ci].sum() / 9.0 for ci in range(c)])
@@ -72,42 +66,48 @@ class TestChannelAttention:
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            channel_attention(np.zeros((1, 6, 2, 2)), zero_channel_params(4, 2))
+            channel_attention(np.zeros((1, 6, 2, 2)), *arrays(*zero_gate(4, 2)[:2]))
+
+    def test_w2_must_mirror_w1(self):
+        with pytest.raises(ShapeError, match="mirror"):
+            channel_attention(np.zeros((1, 4, 2, 2)), np.zeros((2, 4)), np.zeros((4, 1)))
 
     def test_spatial_permutation_invariance(self):
         r = rng(4)
         f = r.normal(size=(1, 4, 4, 4))
-        p = init_channel_attention(4, 4, r)
-        base = channel_attention(f, p)
+        w = arrays(*channel_gate(4, 4, r))
+        base = channel_attention(f, *w)
         perm = r.permutation(16)
         shuffled = f.reshape(1, 4, 16)[:, :, perm].reshape(1, 4, 4, 4)
-        out = channel_attention(shuffled, p)
+        out = channel_attention(shuffled, *w)
         assert np.max(np.abs(base - out)) < 1e-12
 
     def test_ratio_must_divide(self):
-        with pytest.raises(ConfigError):
-            init_channel_attention(6, 4, rng(5))
+        with pytest.raises(ConfigError, match="must divide stage width 6"):
+            UnetConfig(depth=1, base_channels=6, reduction_ratio=4).validate()
+
+    def test_ratio_must_be_positive(self):
+        with pytest.raises(ConfigError, match="reduction_ratio"):
+            UnetConfig(reduction_ratio=0).validate()
 
     def test_huge_logits_saturate_without_overflow(self):
         # hidden unit = mean of channel 0 = 1; logits -800 and +800
-        p = ChannelAttentionParams(Tensor(np.array([[1.0, 0.0]])),
-                                   Tensor(np.array([[-800.0], [800.0]])), reduction_ratio=2)
+        w1, w2 = np.array([[1.0, 0.0]]), np.array([[-800.0], [800.0]])
         f = np.zeros((1, 2, 2, 2))
         f[0, 0] = 1.0
         with np.errstate(over="raise"):
-            out = channel_attention(f, p)
+            out = channel_attention(f, w1, w2)
         assert out.reshape(-1).tolist() == [0.0, 1.0]
 
 
 class TestSpatialAttention:
     def test_zero_conv_gives_half(self):
-        out = spatial_attention(rng(6).normal(size=(2, 3, 4, 4)), zero_spatial_params())
+        out = spatial_attention(rng(6).normal(size=(2, 3, 4, 4)), *arrays(*zero_gate(4, 2)[2:]))
         assert out.shape == (2, 1, 4, 4)
         assert np.all(out == 0.5)
 
     def test_constant_input_gives_constant_map(self):
-        p = init_spatial_attention(3, rng(7))
-        out = spatial_attention(np.full((1, 3, 5, 5), 0.75), p)
+        out = spatial_attention(np.full((1, 3, 5, 5), 0.75), *arrays(*spatial_gate(3, rng(7))))
         interior = out[0, 0, 1:-1, 1:-1]  # away from zero-padding border effects
         assert np.max(np.abs(interior - interior[0, 0])) < 1e-15
 
@@ -116,8 +116,7 @@ class TestSpatialAttention:
         f = r.uniform(-2, 2, size=(1, 3, 6, 6))
         k = r.normal(size=(1, 2, 7, 7))
         b = r.normal(size=1)
-        p = SpatialAttentionParams(conv=Conv2dParams(Tensor(k), Tensor(b), padding="same"))
-        out = spatial_attention(f, p)
+        out = spatial_attention(f, k, b)
 
         stacked = np.concatenate([loop_channel_max(f), loop_channel_avg(f)], axis=1)
         convolved = loop_conv2d(stacked, k, b, 1, 3)
@@ -131,34 +130,32 @@ class TestSpatialAttention:
         f[0, 1] = -4.0  # max = 4, avg = 0
         k = np.zeros((1, 2, 1, 1))
         k[0, 0, 0, 0] = 1.0
-        p = SpatialAttentionParams(conv=Conv2dParams(Tensor(k), Tensor(np.zeros(1)),
-                                                     padding="same"))
-        out = spatial_attention(f, p)
+        out = spatial_attention(f, k, np.zeros(1))
         assert np.allclose(out, 1.0 / (1.0 + math.exp(-4.0)))
 
     def test_huge_logits_saturate_without_overflow(self):
         f = rng(24).normal(size=(1, 3, 3, 3))
         for bias, gate in ((-800.0, 0.0), (800.0, 1.0)):
-            p = SpatialAttentionParams(conv=Conv2dParams(Tensor(np.zeros((1, 2, 3, 3))),
-                                                         Tensor(np.array([bias])), padding="same"))
             with np.errstate(over="raise"):
-                out = spatial_attention(f, p)
+                out = spatial_attention(f, np.zeros((1, 2, 3, 3)), np.array([bias]))
             assert np.all(out == gate)
 
     def test_requires_two_input_channels(self):
-        with pytest.raises(ShapeError):
-            SpatialAttentionParams(conv=Conv2dParams(Tensor(np.zeros((1, 3, 3, 3))),
-                                                     Tensor(np.zeros(1)), padding="same"))
+        with pytest.raises(ShapeError, match="2 -> 1"):
+            spatial_attention(np.zeros((1, 3, 4, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 2, 2), (1, 2, 3, 5)])
+    def test_requires_square_odd_kernel(self, shape):
+        with pytest.raises(ShapeError, match="square odd"):
+            spatial_attention(np.zeros((1, 3, 4, 4)), np.zeros(shape), np.zeros(1))
 
     def test_flip_equivariance_with_symmetric_kernel(self):
         r = rng(9)
         f = r.normal(size=(1, 3, 4, 6))
         k = r.normal(size=(1, 2, 3, 3))
         k = (k + k[:, :, :, ::-1]) / 2.0  # left-right symmetric
-        p = SpatialAttentionParams(conv=Conv2dParams(Tensor(k.copy()), Tensor(np.zeros(1)),
-                                                     padding="same"))
-        direct = spatial_attention(f[:, :, :, ::-1].copy(), p)
-        flipped = spatial_attention(f, p)[:, :, :, ::-1]
+        direct = spatial_attention(f[:, :, :, ::-1].copy(), k.copy(), np.zeros(1))
+        flipped = spatial_attention(f, k.copy(), np.zeros(1))[:, :, :, ::-1]
         assert np.max(np.abs(direct - flipped)) < 1e-12
 
 
@@ -169,28 +166,28 @@ class TestHybridApply:
         monkeypatch.setattr(attention, "_sigmoid", np.ones_like)
         r = rng(10)
         f = Tensor(r.normal(size=(2, 4, 4, 4)))
-        cp, sp = init_channel_attention(4, 2, r), init_spatial_attention(3, r)
+        gate = gate_tensors(4, 2, 3, r)
         for composition in ("parallel", "sequential"):
-            out = hybrid_attention_block(f, cp, sp, composition)
+            out = hybrid_attention_block(f, *gate, composition)
             assert out.data.tobytes() == f.data.tobytes()
 
     def test_zero_spatial_gate_annihilates(self):
         r = rng(11)
         f = Tensor(r.normal(size=(2, 4, 4, 4)))
-        sp = SpatialAttentionParams(conv=Conv2dParams(Tensor(np.zeros((1, 2, 3, 3))),
-                                                      Tensor(np.array([-800.0])),
-                                                      padding="same"))
-        out = hybrid_attention_block(f, init_channel_attention(4, 2, r), sp)
+        w1, w2 = channel_gate(4, 2, r)
+        out = hybrid_attention_block(f, w1, w2, Tensor(np.zeros((1, 2, 3, 3))),
+                                     Tensor(np.array([-800.0])))
         assert np.all(out.data == 0.0)
 
     def test_vs_triple_loop_oracle(self):
         r = rng(12)
         f = r.uniform(-2, 2, size=(2, 4, 5, 5))
-        cp, sp = init_channel_attention(4, 2, r), init_spatial_attention(3, r)
-        wc = channel_attention(f, cp)
+        gate = gate_tensors(4, 2, 3, r)
+        w1, w2, k, b = arrays(*gate)
+        wc = channel_attention(f, w1, w2)
         for composition in ("parallel", "sequential"):
-            out = hybrid_attention_block(Tensor(f), cp, sp, composition).data
-            ws = spatial_attention(f if composition == "parallel" else f * wc, sp)
+            out = hybrid_attention_block(Tensor(f), *gate, composition).data
+            ws = spatial_attention(f if composition == "parallel" else f * wc, k, b)
             expected = np.zeros_like(f)
             for n in range(2):
                 for c in range(4):
@@ -202,42 +199,35 @@ class TestHybridApply:
     def test_broadcast_mismatch(self):
         f = Tensor(np.zeros((2, 3, 4, 4)))
         with pytest.raises(ShapeError):
-            hybrid_attention_block(f, zero_channel_params(2, 1), zero_spatial_params())
+            hybrid_attention_block(f, *zero_gate(2, 1))
 
 
 class TestHybridBlock:
     def test_all_zero_parameters_quarter_identity(self):
         f_data = rng(13).normal(size=(2, 4, 4, 4))
-        out = hybrid_attention_block(Tensor(f_data), zero_channel_params(4, 2),
-                                     zero_spatial_params())
+        out = hybrid_attention_block(Tensor(f_data), *zero_gate(4, 2))
         assert np.max(np.abs(out.data - 0.25 * f_data)) < 1e-15
 
     def test_gradcheck_all_parameters(self):
         r = rng(14)
         f = Tensor(r.normal(size=(1, 4, 4, 4)), requires_grad=True)
-        cp = init_channel_attention(4, 2, r)
-        sp = init_spatial_attention(3, r)
+        gate = gate_tensors(4, 2, 3, r)
 
-        def loss(*_):
-            out = hybrid_attention_block(f, cp, sp)
-            return sum_sq(out)
+        def loss(*ts):
+            return sum_sq(hybrid_attention_block(*ts))
 
-        report = grad_check(loss, [f, cp.w1, cp.w2, sp.conv.kernel, sp.conv.bias],
-                            tol=1e-5, rng=rng(15))
+        report = grad_check(loss, [f, *gate], tol=1e-5, rng=rng(15))
         assert report.passed, report.max_rel_err
 
     def test_gradcheck_sequential(self):
         r = rng(25)
         f = Tensor(r.normal(size=(2, 4, 4, 4)), requires_grad=True)
-        cp = init_channel_attention(4, 2, r)
-        sp = init_spatial_attention(3, r)
+        gate = gate_tensors(4, 2, 3, r)
 
-        def loss(*_):
-            out = hybrid_attention_block(f, cp, sp, composition="sequential")
-            return sum_sq(out)
+        def loss(*ts):
+            return sum_sq(hybrid_attention_block(*ts, composition="sequential"))
 
-        report = grad_check(loss, [f, cp.w1, cp.w2, sp.conv.kernel, sp.conv.bias],
-                            tol=1e-5, rng=rng(26))
+        report = grad_check(loss, [f, *gate], tol=1e-5, rng=rng(26))
         assert report.passed, report.max_rel_err
 
     @pytest.mark.parametrize("composition", ["parallel", "sequential"])
@@ -248,53 +238,48 @@ class TestHybridBlock:
         f = Tensor(f_data, requires_grad=True)
         k = np.zeros((1, 2, 1, 1))
         k[0, 0, 0, 0] = 1.0
-        sp = SpatialAttentionParams(conv=Conv2dParams(Tensor(k), Tensor(np.zeros(1)),
-                                                      padding="same"))
+        w1, w2 = zero_gate(3, 1)[:2]
         with Tape() as tape:
-            backward(tape, dot(hybrid_attention_block(f, zero_channel_params(3, 1), sp,
-                                                      composition), 1.0))
+            root = dot(hybrid_attention_block(f, w1, w2, Tensor(k), Tensor(np.zeros(1)),
+                                              composition), 1.0)
+            gf = backward(tape, root, {"f": f})["f"]
         # w_c = 0.5; the max map is 2, or 1 when it is taken of the gated map F * w_c
         ws = 1.0 / (1.0 + np.exp(-(1.0 if composition == "sequential" else 2.0)))
         max_route = 0.5 * 3.0 * ws * (1.0 - ws)    # sum_c F * w_c * sigmoid'
         if composition == "sequential":
             max_route *= 0.5                        # routed through F * w_c
-        assert np.allclose(f.grad[0, 0] - f.grad[0, 1], max_route, rtol=1e-12, atol=0)
-        assert np.array_equal(f.grad[0, 1], 0.5 * ws * np.ones((2, 2)))
+        assert np.allclose(gf[0, 0] - gf[0, 1], max_route, rtol=1e-12, atol=0)
+        assert np.array_equal(gf[0, 1], 0.5 * ws * np.ones((2, 2)))
 
     def test_attenuation_elementwise(self):
         r = rng(16)
         f_data = r.normal(size=(2, 4, 5, 5))
-        cp = init_channel_attention(4, 2, r)
-        sp = init_spatial_attention(5, r)
-        out = hybrid_attention_block(Tensor(f_data), cp, sp).data
+        out = hybrid_attention_block(Tensor(f_data), *gate_tensors(4, 2, 5, r)).data
         assert np.all(np.abs(out) <= np.abs(f_data))
         assert np.all(np.sign(out[f_data != 0]) == np.sign(f_data[f_data != 0]))
 
     def test_gate_ranges_strictly_open(self):
         r = rng(17)
         f = r.normal(scale=3.0, size=(2, 8, 4, 4))
-        cp = init_channel_attention(8, 4, r)
-        sp = init_spatial_attention(3, r)
-        wc = channel_attention(f, cp)
-        ws = spatial_attention(f, sp)
+        w1, w2, k, b = arrays(*gate_tensors(8, 4, 3, r))
+        wc = channel_attention(f, w1, w2)
+        ws = spatial_attention(f, k, b)
         for gates in (wc, ws):
             assert np.all(gates > 0.0) and np.all(gates < 1.0)
 
     def test_sequential_composition_differs_from_parallel(self):
         r = rng(18)
         f = Tensor(r.normal(size=(1, 4, 4, 4)))
-        cp = init_channel_attention(4, 2, r)
-        sp = init_spatial_attention(3, r)
-        par = hybrid_attention_block(f, cp, sp, composition="parallel").data
-        seq = hybrid_attention_block(f, cp, sp, composition="sequential").data
+        gate = gate_tensors(4, 2, 3, r)
+        par = hybrid_attention_block(f, *gate, composition="parallel").data
+        seq = hybrid_attention_block(f, *gate, composition="sequential").data
         assert par.shape == seq.shape
         assert np.max(np.abs(par - seq)) > 0.0
 
     def test_unknown_composition(self):
         f = Tensor(np.zeros((1, 4, 2, 2)))
         with pytest.raises(ConfigError):
-            hybrid_attention_block(f, zero_channel_params(4, 2), zero_spatial_params(),
-                                   composition="stacked")
+            hybrid_attention_block(f, *zero_gate(4, 2), composition="stacked")
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -302,9 +287,7 @@ class TestHybridBlock:
 def test_attenuation_property(seed):
     r = np.random.default_rng(seed)
     f_data = r.normal(scale=2.0, size=(1, 4, 4, 4))
-    cp = init_channel_attention(4, 2, r)
-    sp = init_spatial_attention(3, r)
-    out = hybrid_attention_block(Tensor(f_data), cp, sp).data
+    out = hybrid_attention_block(Tensor(f_data), *gate_tensors(4, 2, 3, r)).data
     assert np.all(np.abs(out) <= np.abs(f_data))
 
 

@@ -84,7 +84,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("line", ["alpha = 1.5", "dice_smooth = 0", "jitter_delta = 0.9",
                                       "weight_decay = -1", "patience = -3", "min_delta = -1",
-                                      "eta_max = 0", "eta_min = -0.002", "eta_min = 0.01"])
+                                      "eta_max = 0", "eta_min = -0.002", "eta_min = 0.01",
+                                      "crop_h = -4", "reduction_ratio = 0"])
     def test_out_of_range_value_exit_2_before_any_artifact(self, trained, tmp_path, capsys,
                                                            line):
         bad = tmp_path / "bad.cfg"

@@ -126,8 +126,7 @@ class TestTransposedConv2d:
         conv_p = Conv2dParams(Tensor(k), Tensor(np.zeros(3)), stride=2, padding=0)
         with Tape() as tape:
             y = conv2d(x, conv_p)
-            backward(tape, dot(y, g))
-        grad_via_conv = x.grad
+            grad_via_conv = backward(tape, dot(y, g), {"x": x})["x"]
 
         tp = Conv2dParams(Tensor(k), Tensor(np.zeros(2)), stride=2, padding=0)
         out = transposed_conv2d(Tensor(g), tp)
@@ -278,8 +277,7 @@ def test_conv_sample_of_batch_equals_sample_alone(case):
             y = op(xt, Conv2dParams(Tensor(kern), Tensor(b), stride=s, padding=pad))
             if gs is None:
                 return y.data, None
-            backward(tape, dot(y, gs))
-        return y.data, xt.grad
+            return y.data, backward(tape, dot(y, gs), {"x": xt})["x"]
 
     y, _ = run(x)
     g = r.normal(size=y.shape)
@@ -322,9 +320,9 @@ class TestMaxpool:
     def test_grad_routes_to_first_argmax(self):
         x = Tensor(np.array([[[[2.0, 2.0], [1.0, 2.0]]]]), requires_grad=True)
         with Tape() as tape:
-            backward(tape, dot(maxpool2d(x, 2, 2), 1.0))
+            grads = backward(tape, dot(maxpool2d(x, 2, 2), 1.0), {"x": x})
         # tie between three entries: row-major first (0,0) wins
-        assert x.grad.tolist() == [[[[1.0, 0.0], [0.0, 0.0]]]]
+        assert grads["x"].tolist() == [[[[1.0, 0.0], [0.0, 0.0]]]]
 
     @pytest.mark.parametrize("case", MAXPOOL_CASES, ids=lambda c: c[0])
     def test_bytes_vs_loop_oracle(self, case):
@@ -335,9 +333,9 @@ class TestMaxpool:
         t = Tensor(x, requires_grad=True)
         with Tape() as tape:
             out = maxpool2d(t, s, s)
-            backward(tape, dot(out, g))
+            grads = backward(tape, dot(out, g), {"x": t})
         assert out.data.tobytes() == loop_maxpool2d(x, s, s).tobytes()
-        assert t.grad.tobytes() == loop_maxpool2d_grad(x, g, s).tobytes()
+        assert grads["x"].tobytes() == loop_maxpool2d_grad(x, g, s).tobytes()
 
     @pytest.mark.parametrize("case", MAXPOOL_CASES, ids=lambda c: c[0])
     def test_forward_same_bytes_with_and_without_tape(self, case):
@@ -380,9 +378,9 @@ class TestConcat:
         g = r.normal(size=(1, 5, 2, 2))
         with Tape() as tape:
             out = concat_channels(a, b)
-            backward(tape, dot(out, g))
-        assert np.array_equal(a.grad, g[:, :2])
-        assert np.array_equal(b.grad, g[:, 2:])
+            grads = backward(tape, dot(out, g), {"a": a, "b": b})
+        assert np.array_equal(grads["a"], g[:, :2])
+        assert np.array_equal(grads["b"], g[:, 2:])
 
 
 def relu_layer(x, keep=None, rate=0.0, relu=True) -> Tensor:
@@ -413,8 +411,8 @@ def test_fused_layer_bytes_match_composition(rate):
                                              rate=rate))
             else:
                 out = composed_conv_layer(x, Conv2dParams(k, b, padding="same"), keep, rate)
-            backward(tape, dot(out, g))
-        return [a.tobytes() for a in (out.data, x.grad, k.grad, b.grad)]
+            grads = backward(tape, dot(out, g), {"x": x, "k": k, "b": b})
+        return [a.tobytes() for a in (out.data, *grads.values())]
 
     assert run(fused=True) == run(fused=False)
 
@@ -427,8 +425,8 @@ class TestActivations:
     def test_relu_subgradient_zero_at_zero(self):
         x = Tensor(np.array([0.0, 1.0]).reshape(1, 1, 1, 2), requires_grad=True)
         with Tape() as tape:
-            backward(tape, dot(relu_layer(x), 1.0))
-        assert x.grad.ravel().tolist() == [0.0, 1.0]
+            grads = backward(tape, dot(relu_layer(x), 1.0), {"x": x})
+        assert grads["x"].ravel().tolist() == [0.0, 1.0]
 
     def test_relu_bytes_match_where_formula(self):
         # forward max(x, 0) gives np.where's bytes, signed zeros too; the input gradient
@@ -439,9 +437,9 @@ class TestActivations:
         t = Tensor(x.reshape(1, 1, 1, -1), requires_grad=True)
         with Tape() as tape:
             out = relu_layer(t)
-            backward(tape, dot(out, g.reshape(out.shape)))
+            grads = backward(tape, dot(out, g.reshape(out.shape)), {"x": t})
         assert out.data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
-        assert np.array_equal(t.grad.ravel(), g * (x > 0))
+        assert np.array_equal(grads["x"].ravel(), g * (x > 0))
 
     def test_relu_keeps_nan(self):
         # NaN passes relu and, kept or dropped (NaN * 0 is NaN), the dropout mask
@@ -449,10 +447,10 @@ class TestActivations:
             x = Tensor(np.array([np.nan, -1.0, 2.0]).reshape(1, 1, 1, 3), requires_grad=True)
             with Tape() as tape:
                 out = relu_layer(x, keep, 0.5 if keep is not None else 0.0)
-                backward(tape, dot(out, 1.0))
+                grads = backward(tape, dot(out, 1.0), {"x": x})
             scale, flat = (1.0 if keep is None else 2.0), out.data.ravel()
             assert np.isnan(flat[0]) and flat[1:].tolist() == [0.0, 2.0 * scale]
-            assert x.grad.ravel().tolist() == [0.0, 0.0, scale]
+            assert grads["x"].ravel().tolist() == [0.0, 0.0, scale]
 
 
 def tiny_model(rate):
@@ -509,11 +507,11 @@ class TestDropout:
             keep = rng(31).random(x.shape) >= 0.3
             with Tape() as tape:
                 out = relu_layer(x, keep, 0.3, relu)
-                backward(tape, dot(out, 1.0))
+                gx = backward(tape, dot(out, 1.0), {"x": x})["x"]
             mask = out.data != 0
             assert np.array_equal(mask, keep & ((x.data > 0) | (not relu)))
-            assert np.array_equal(x.grad != 0, mask)
-            assert np.allclose(x.grad[mask], 1.0 / 0.7)
+            assert np.array_equal(gx != 0, mask)
+            assert np.allclose(gx[mask], 1.0 / 0.7)
 
     def test_mask_shape_checked(self):
         with pytest.raises(ShapeError, match="dropout mask"):

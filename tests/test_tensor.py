@@ -3,9 +3,9 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import dot, sum_sq
+from conftest import dot, gate_tensors, sum_sq
 
-from auseg.attention import hybrid_attention_block, init_channel_attention, init_spatial_attention
+from auseg.attention import hybrid_attention_block
 from auseg.errors import ContractError, ShapeError
 from auseg.nn_ops import Conv2dParams, concat_channels, conv2d
 from auseg.tensor import Tape, Tensor, backward, grad_check, record_op
@@ -35,31 +35,65 @@ class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(rng(4).normal(size=(2, 3)), requires_grad=True)
         with Tape() as tape:
-            backward(tape, dot(x, 1.0))
-        assert np.array_equal(x.grad, np.ones((2, 3)))
+            grads = backward(tape, dot(x, 1.0), {"x": x})
+        assert np.array_equal(grads["x"], np.ones((2, 3)))
 
     def test_quadratic_gives_2x(self):
         # one node that reads x twice: the fan-in sum adds both input gradients
         x = Tensor(rng(5).normal(size=(7,)), requires_grad=True)
         with Tape() as tape:
-            backward(tape, dot(_mul(x, x), 1.0))
-        assert np.array_equal(x.grad, 2 * x.data)
+            grads = backward(tape, dot(_mul(x, x), 1.0), {"x": x})
+        assert np.array_equal(grads["x"], 2 * x.data)
 
-    def test_grads_accumulate_until_zeroed(self):
+    def test_fresh_sweeps_give_the_same_gradient(self):
+        # nothing carries over from one sweep to the next: no accumulation, no zeroing
         x = Tensor([1.0, 2.0], requires_grad=True)
+        grads = []
         for _ in range(2):
             with Tape() as tape:
-                backward(tape, dot(x, 1.0))
-        assert np.array_equal(x.grad, [2.0, 2.0])
-        x.zero_grad()
-        assert x.grad is None
+                grads.append(backward(tape, dot(_mul(x, x), 1.0), {"x": x})["x"])
+        assert np.array_equal(grads[0], [2.0, 4.0])
+        assert np.array_equal(grads[1], grads[0])
+        assert not np.shares_memory(grads[0], grads[1])
+
+    def test_gradients_follow_wrt_keys_and_order(self):
+        # a tensor the root does not reach, or one not marked for gradients, gets zeros
+        r = rng(20)
+        a, b = Tensor(r.normal(size=(2,)), requires_grad=True), Tensor(r.normal(size=(3,)))
+        unused = Tensor(r.normal(size=(2, 2)), requires_grad=True)
+        with Tape() as tape:
+            grads = backward(tape, dot(_mul(a, a), 1.0), {"unused": unused, "b": b, "a": a})
+        assert list(grads) == ["unused", "b", "a"]
+        assert np.array_equal(grads["unused"], np.zeros((2, 2)))
+        assert np.array_equal(grads["b"], np.zeros(3))
+        assert np.array_equal(grads["a"], 2 * a.data)
+
+    def test_root_leaf_gets_ones(self):
+        x = Tensor([3.0], requires_grad=True)
+        with Tape() as tape:
+            grads = backward(tape, x, {"x": x})
+        assert grads["x"].tolist() == [1.0]
+
+    def test_wrt_produced_tensor_rejected(self):
+        # the sweep drops intermediate gradients, so asking for one would read zeros;
+        # the check runs before the sweep, which leaves the tape usable
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            m = _mul(x, x)
+            root = dot(_add(m, x), 1.0)
+        with pytest.raises(ContractError, match="'m'"):
+            backward(tape, root, {"x": x, "m": m})
+        with pytest.raises(ContractError, match="root"):
+            backward(tape, root, {"root": root})
+        assert not tape.swept and len(tape.nodes) == 3
+        assert np.array_equal(backward(tape, root, {"x": x})["x"], 2 * x.data + 1.0)
 
     def test_non_scalar_root_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
             y = _mul(x, x)
             with pytest.raises(ContractError):
-                backward(tape, y)
+                backward(tape, y, {"x": x})
 
     def test_composite_graph_finite_differences(self):
         r = rng(6)
@@ -78,22 +112,22 @@ class TestBackward:
         x = Tensor(np.full((1, 1, 1, 1), 3.0), requires_grad=True)
         with Tape() as tape:
             y = concat_channels(x, x)  # dsum(y)/dx = 2
-            backward(tape, dot(y, 1.0))
-        assert x.grad.tolist() == [[[[2.0]]]]
+            grads = backward(tape, dot(y, 1.0), {"x": x})
+        assert grads["x"].tolist() == [[[[2.0]]]]
 
     def test_only_leaves_keep_gradients(self):
-        # intermediate gradients are dropped during the sweep; each leaf gets its own copy
+        # intermediate gradients are dropped during the sweep; each leaf gets its own
+        # copy, although _add's rule hands the same array to both of its inputs
         x = Tensor(rng(16).normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng(17).normal(size=(2, 3)), requires_grad=True)
         with Tape() as tape:
             m = _mul(x, x)
             y = _add(m, b)
             z = _add(y, x)
-            backward(tape, dot(z, 1.0))
-        assert m.grad is None and y.grad is None and z.grad is None
-        assert np.array_equal(x.grad, (1.0 + x.data) + x.data)
-        assert np.array_equal(b.grad, np.ones((2, 3)))
-        assert not np.shares_memory(x.grad, b.grad)
+            grads = backward(tape, dot(z, 1.0), {"x": x, "b": b})
+        assert np.array_equal(grads["x"], (1.0 + x.data) + x.data)
+        assert np.array_equal(grads["b"], np.ones((2, 3)))
+        assert not np.shares_memory(grads["x"], grads["b"])
 
     def test_recording_is_topological(self):
         x = Tensor(rng(8).normal(size=(2, 2)), requires_grad=True)
@@ -126,10 +160,10 @@ class TestTapeLifetime:
             root = sum_sq(y2)
         refs = [weakref.ref(y1.data), weakref.ref(y2.data)]
         del y1, y2
-        backward(tape, root)
+        grads = backward(tape, root, {"x": x, "k1": k1})
         assert tape.nodes == []
         assert [ref() for ref in refs] == [None, None]
-        assert x.grad.shape == x.shape and k1.grad.shape == k1.shape
+        assert grads["x"].shape == x.shape and grads["k1"].shape == k1.shape
 
     def test_each_node_is_freed_once_it_has_run(self, no_gc):
         x = Tensor(rng(19).normal(size=(3,)), requires_grad=True)
@@ -146,34 +180,32 @@ class TestTapeLifetime:
             root = dot(c, 1.0)
         refs = [weakref.ref(b.data), weakref.ref(c.data)]
         del a, b, c
-        backward(tape, root)
+        grads = backward(tape, root, {"x": x})
         # the later nodes' outputs were gone before the sweep reached the first node
         assert dead_when_first_ran == [[True, True]]
-        assert np.array_equal(x.grad, np.full(3, 8.0))
+        assert np.array_equal(grads["x"], np.full(3, 8.0))
 
     def test_swept_tape_raises_on_second_backward(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
             root = dot(_mul(x, x), 1.0)
-            backward(tape, root)
-            grad = x.grad.copy()
+            grad = backward(tape, root, {"x": x})["x"]
             with pytest.raises(ContractError, match="swept"):
-                backward(tape, root)
-        assert np.array_equal(x.grad, grad)
+                backward(tape, root, {"x": x})
+        assert np.array_equal(grad, 2 * x.data)
 
 
 class TestInvariantProperties:
     def test_linearity_of_backward(self):
         r = rng(10)
         x_data = r.normal(size=(2, 4, 4, 4))
-        cp, sp = init_channel_attention(4, 2, r), init_spatial_attention(3, r)
+        gate = gate_tensors(4, 2, 3, r)
         g1, g2 = r.normal(size=x_data.shape), r.normal(size=x_data.shape)
 
         def grad_of(g):
             x = Tensor(x_data.copy(), requires_grad=True)
             with Tape() as tape:
-                backward(tape, dot(hybrid_attention_block(x, cp, sp), g))
-            return x.grad
+                return backward(tape, dot(hybrid_attention_block(x, *gate), g), {"x": x})["x"]
 
         a, b = 2.5, -1.25
         lhs = grad_of(a * g1 + b * g2)
@@ -185,12 +217,12 @@ class TestInvariantProperties:
             r = rng(11)
             x = Tensor(r.normal(size=(2, 4, 4, 4)), requires_grad=True)
             k = Tensor(r.normal(size=(4, 4, 3, 3)), requires_grad=True)
-            cp, sp = init_channel_attention(4, 2, r), init_spatial_attention(3, r)
+            gate = gate_tensors(4, 2, 3, r)
             with Tape() as tape:
                 y = conv2d(x, Conv2dParams(k, Tensor(np.zeros(4)), padding="same", relu=True))
-                out = sum_sq(hybrid_attention_block(y, cp, sp))
-                backward(tape, out)
-            return out.data.tobytes(), x.grad.tobytes(), k.grad.tobytes(), cp.w1.grad.tobytes()
+                out = sum_sq(hybrid_attention_block(y, *gate))
+                grads = backward(tape, out, {"x": x, "k": k, "w1": gate[0]})
+            return out.data.tobytes(), *(g.tobytes() for g in grads.values())
 
         assert run() == run()
 

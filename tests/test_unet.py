@@ -244,5 +244,5 @@ def test_training_step_sweep_frees_every_node_output(composition, no_gc):
         loss = combined_loss(forward(model, x, training=True, rng=rng(27)), y, LossConfig())
     refs = {(i, node.op): weakref.ref(node.output.data)
             for i, node in enumerate(tape.nodes) if node.output is not loss}
-    backward(tape, loss)
+    backward(tape, loss, model.params)
     assert [key for key, ref in refs.items() if ref() is not None] == []
