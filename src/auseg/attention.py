@@ -4,7 +4,9 @@ gates, spatial gates, and their joint multiplicative application.
 ``hybrid_attention_block`` is one op with one tape node and a hand-written
 backward. ``channel_attention`` and ``spatial_attention`` are its forward
 halves: they take arrays (the input map and the gate's weights), record
-nothing, and return the gate arrays.
+nothing, and return the gate arrays. The backward rule holds the input and
+the two gates only: it recomputes the channel-gated map F * w_c rather than
+keeping it.
 Channel gates squeeze the map through a spatial mean and a two-layer
 bottleneck (sigmoid output); spatial gates convolve the stacked per-pixel
 [channel-max, channel-avg] maps with the convolution core of ``nn_ops``.
@@ -74,18 +76,21 @@ def hybrid_attention_block(f: Tensor, w1: Tensor, w2: Tensor, kernel: Tensor, bi
 
     "parallel" (default) derives both gates from F; "sequential" derives the
     spatial gate from the channel-gated map F * w_c instead. One tape node;
-    its backward recomputes the pooled maps from the saved input.
+    its backward holds F and the two gates and recomputes F * w_c (the same
+    multiply, so the same bits) and the pooled maps, so nothing of the size
+    of F but F itself outlives the forward pass.
     """
     if composition not in COMPOSITIONS:
         raise ConfigError(f"attention composition must be one of {COMPOSITIONS}, got {composition!r}")
     x, a1, a2, k = f.data, w1.data, w2.data, kernel.data
     w_c = channel_attention(x, a1, a2)
     gated = x * w_c
-    src = x if composition == "parallel" else gated
-    w_s = spatial_attention(src, k, bias.data)
+    w_s = spatial_attention(x if composition == "parallel" else gated, k, bias.data)
 
     def bwd(g: Array):
         c, h, w = x.shape[1:]
+        gated = x * w_c
+        src = x if composition == "parallel" else gated
         # spatial gate: w_s = sigmoid(conv(pools(src)) + b)
         g_gated = g * w_s
         dz = (g * gated).sum(axis=1, keepdims=True) * w_s * (1.0 - w_s)

@@ -85,7 +85,8 @@ def combined_loss(logits: Tensor, y: LabelMap, cfg: LossConfig) -> Tensor:
     w_pix = weights[y_safe] * valid
     ce = -(w_pix * log_p).sum() / count
 
-    onehot = ((y_safe[:, None] == np.arange(k)[:, None, None]) & valid[:, None]).astype(np.float64)
+    # bool, not float64: every product and sum with exact 0/1 gives the same bits
+    onehot = (y_safe[:, None] == np.arange(k)[:, None, None]) & valid[:, None]
     vmask = valid[:, None].astype(np.float64)
     inter = (probs * onehot).sum(axis=(0, 2, 3))   # I_k
     p_sum = (probs * vmask).sum(axis=(0, 2, 3))    # A_k

@@ -139,10 +139,11 @@ def _conv_kernel_grad(g: Array, x: Array, shape: tuple[int, ...], s: int, pad: i
     The columns are rebuilt, not kept from the forward pass: the tape holds no im2col buffer."""
     (n, o, ho, wo), (h, w), (kh, kw) = g.shape, x.shape[2:], shape[2:]
     taps = _cols(_window(x, -pad, h + 2 * pad, -pad, w + 2 * pad), kh, kw, s, ho, wo)
-    gk2 = np.zeros((o, x.shape[1] * kh * kw))
+    gk = np.zeros(shape)
+    gk2 = gk.reshape(o, -1)    # a view: the result owns its memory, so backward need not copy it
     for i in range(n):
         gk2 += g[i].reshape(o, -1) @ taps[i].reshape(-1, ho * wo).T
-    return gk2.reshape(shape)
+    return gk
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
@@ -165,23 +166,24 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     if ho < 1 or wo < 1:
         raise ShapeError(f"degenerate conv2d output {ho}x{wo}")
 
-    relu, keep, scale = p.relu, p.keep, 1.0 / (1.0 - p.rate)
+    keep, scale = p.keep, 1.0 / (1.0 - p.rate)
     if keep is not None and keep.shape != (n, out_ch, ho, wo):
         raise ShapeError(f"dropout mask shape {keep.shape} != conv2d output {(n, out_ch, ho, wo)}")
     out = _conv(x.data, kernel.data, s, pad, ho, wo).reshape(n, out_ch, ho, wo)
     out += bias.data[:, None, None]
-    if relu:
+    if p.relu:
         np.maximum(out, 0.0, out=out)
     if keep is not None:
         out *= keep
         out *= scale
+    relu_out = out if p.relu else None    # the rule holds the output only for the relu mask
 
     def bwd(g: Array):
         gx = gk = gb = None
         if keep is not None:
             g = g * keep * scale
-        if relu:
-            g = g * (out > 0)
+        if relu_out is not None:
+            g = g * (relu_out > 0)
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         if kernel.requires_grad:

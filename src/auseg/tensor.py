@@ -2,21 +2,30 @@
 
 It provides:
 
-- ``Tensor``, a row-major numpy array of rank <= 4;
+- ``Tensor``, a row-major numpy array of rank <= 4, with a serial ``key``
+  drawn once, at construction;
 - ``Node`` and ``Tape``, one recorded op and the define-by-run graph of a step;
 - ``record_op``, which every differentiable op (in ``nn_ops``, ``attention``
   and ``losses_metrics``) calls with its output array and backward rule;
 - ``backward``, which sweeps the nodes once, in reverse recording order, and
   returns the root's gradient with respect to each tensor of a caller's
-  key -> Tensor mapping, keyed the same way. The sweep consumes the tape: each
-  node, with its output and the arrays its backward rule holds, is freed as
-  soon as it has run, so a tape is swept once;
+  key -> Tensor mapping, keyed the same way;
 - ``grad_check``, which compares those gradients with central differences.
+
+A node holds no tensor and no array: only the keys of its output and of its
+inputs, and its backward rule. Gradients travel between nodes by key. So an
+array lives only while the caller or some node's backward rule refers to it:
+an op output that no rule reads (an upsampled map copied into a concat, say)
+dies as soon as its consumer has run, in the forward pass. The sweep consumes
+the tape: each node, with its rule and the arrays that rule holds, is freed
+as soon as it has run, so a tape is swept once.
 
 The ops themselves live with the model; this module has no arithmetic of its own.
 """
 from __future__ import annotations
 
+import itertools
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
@@ -29,11 +38,14 @@ Array = np.ndarray
 
 MAX_RANK = 4
 
+_SERIAL = itertools.count()    # next() on it is one C call, so threads never share a key
+
 
 class Tensor:
-    """A float64 array; ``requires_grad`` marks it for differentiation."""
+    """A float64 array; ``requires_grad`` marks it for differentiation, and ``key``
+    names it on the tape."""
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "key")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
@@ -41,6 +53,7 @@ class Tensor:
             raise ShapeError(f"rank {arr.ndim} exceeds supported maximum {MAX_RANK}")
         self.data: Array = arr
         self.requires_grad = bool(requires_grad)
+        self.key = next(_SERIAL)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -61,11 +74,16 @@ class Tensor:
 
 @dataclass
 class Node:
-    """One recorded operation: inputs, output, and its backward rule."""
+    """One recorded operation: the key of its output, the key of each input
+    (``None`` for an input that needs no gradient) and its backward rule.
+
+    The rule maps the output's gradient to one gradient (or ``None``) per
+    input; the arrays it reads are the only arrays the node keeps alive.
+    """
 
     op: str
-    inputs: tuple[Tensor, ...]
-    output: Tensor
+    out_key: int
+    in_keys: tuple[int | None, ...]
     backward: Callable[[Array], Sequence[Array | None]]
 
 
@@ -111,50 +129,67 @@ def record_op(op: str, inputs: Sequence[Tensor], out_data: Array,
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.nodes.append(Node(op, tuple(inputs), out, backward))
+        in_keys = tuple(t.key if t.requires_grad else None for t in inputs)
+        tape.nodes.append(Node(op, out.key, in_keys, backward))
     return out
+
+
+def _sweep(tape: Tape, root: Tensor) -> dict[int, Array]:
+    """Pop and run every node, last first; returns the gradients the leaves
+    received, by key. An output's gradient is dropped once its node has run.
+    A function of its own so that its loop variables are gone by the time
+    ``backward`` counts the references to each gradient."""
+    acc = {root.key: np.ones_like(root.data)}
+    while tape.nodes:
+        node = tape.nodes.pop()
+        g = acc.pop(node.out_key, None)
+        if g is None:
+            continue
+        for key, gi in zip(node.in_keys, node.backward(g)):
+            if key is not None and gi is not None:
+                acc[key] = acc[key] + gi if key in acc else gi
+    return acc
 
 
 def backward(tape: Tape, root: Tensor,
              wrt: Mapping[Hashable, Tensor]) -> dict[Hashable, Array]:
     """d(root)/d(t) for each tensor ``t`` of ``wrt``, keyed and ordered as ``wrt``.
 
-    Each gradient is a fresh C-order array; a tensor the root does not reach
-    (or one without ``requires_grad``) gets zeros. ``wrt`` holds leaves only:
-    a tensor some recorded node produced raises ``ContractError``, because
-    each node's output gradient is dropped as soon as that node has run.
+    Each gradient is a C-order array that nothing else refers to; a tensor the
+    root does not reach (or one without ``requires_grad``) gets zeros. ``wrt``
+    holds leaves only: a tensor some recorded node produced raises
+    ``ContractError``, because each node's output gradient is dropped as soon
+    as that node has run.
 
     The sweep consumes the tape: it pops each node as it reaches it, so the
-    node's output, its backward rule and the arrays that rule holds are freed
-    once the node has run (unless the caller still holds them). A tape is
-    swept once; a second call raises ``ContractError``.
+    node's backward rule and the arrays that rule holds are freed once the
+    node has run (unless the caller still holds them). A tape is swept once;
+    a second call raises ``ContractError``.
     """
     if root.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
     if tape.swept:
         raise ContractError("tape already swept: backward consumes its nodes")
-    produced = {id(node.output) for node in tape.nodes}
-    for key, t in wrt.items():
-        if id(t) in produced:
-            raise ContractError(f"backward wrt {key!r}: a recorded op produced that tensor; "
+    produced = {node.out_key for node in tape.nodes}
+    for name, t in wrt.items():
+        if t.key in produced:
+            raise ContractError(f"backward wrt {name!r}: a recorded op produced that tensor; "
                                 f"only leaves keep gradients")
     tape.swept = True
-    acc: dict[int, Array] = {id(root): np.ones_like(root.data)}
-    while tape.nodes:
-        node = tape.nodes.pop()
-        g = acc.pop(id(node.output), None)
+    acc = _sweep(tape, root)
+    grads = {}
+    for name, t in wrt.items():
+        g = acc.get(t.key) if t.requires_grad else None
         if g is None:
-            continue
-        for inp, gi in zip(node.inputs, node.backward(g)):
-            if gi is None or not inp.requires_grad:
-                continue
-            key = id(inp)
-            acc[key] = acc[key] + gi if key in acc else gi
-    # acc now holds leaf gradients only. The wrt tensors lived through the sweep, so
-    # no other object has taken their ids. Always a fresh C-order copy: acc entries
-    # may alias each other or arrays a backward rule held
-    return {key: np.array(acc[id(t)], order="C") if t.requires_grad and id(t) in acc
-            else np.zeros_like(t.data) for key, t in wrt.items()}
+            grads[name] = np.zeros_like(t.data)
+        # three references (acc, g and getrefcount's argument) mean nothing else
+        # reaches g: no other entry of acc or of grads, no live Tensor, no view
+        elif (type(g) is np.ndarray and g.flags.owndata and g.flags.c_contiguous
+              and sys.getrefcount(g) == 3):
+            grads[name] = g
+        else:
+            grads[name] = np.array(g, order="C")
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,13 @@ def adamw_step(params: dict[str, Tensor], grads: Sequence[np.ndarray],
         raise ConfigError(f"learning rate must be positive, got {lr}")
     if len(grads) != len(params):
         raise ContractError(f"{len(grads)} gradients for {len(params)} parameters")
+    # every gradient is checked before any state changes, so a raise leaves the
+    # parameters, m, v and t as they were. One sum of squares tests finiteness
+    # without a bool temporary; a sum that overflows (entries above ~1e154) is
+    # confirmed element by element
+    for name, g in zip(params, grads):
+        if not math.isfinite(np.vdot(g, g)) and not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
@@ -54,10 +61,6 @@ def adamw_step(params: dict[str, Tensor], grads: Sequence[np.ndarray],
     # p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * p)
     scratch = np.empty((2, max((t.size for t in params.values()), default=0)))
     for (name, t), g in zip(params.items(), grads):
-        # one sum of squares tests finiteness without a bool temporary; a sum that
-        # overflows (entries above ~1e154) is confirmed element by element
-        if not math.isfinite(np.vdot(g, g)) and not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
         m = state.m[name]
         v = state.v[name]
         w = t.data
@@ -228,10 +231,10 @@ def evaluate(model: UnetModel, samples: Sequence[Sample], loss_cfg: LossConfig,
 def _train_step(model: UnetModel, images: np.ndarray, labels: np.ndarray, cfg: TrainSettings,
                 rng: np.random.Generator, state: AdamWState, lr: float, where: str) -> float:
     """Forward, loss, backward and the AdamW update of one batch; returns the
-    loss. The tape, the activations and the gradients die on return."""
+    loss. The logits die in the loss op (its rule holds the softmax); the tape,
+    the other activations and the gradients die on return."""
     with Tape() as tape:
-        logits = forward(model, images, training=True, rng=rng)
-        loss = combined_loss(logits, labels, cfg.loss)
+        loss = combined_loss(forward(model, images, training=True, rng=rng), labels, cfg.loss)
         value = loss.item()
         if not math.isfinite(value):
             raise NumericError(f"non-finite loss at {where}")

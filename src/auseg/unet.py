@@ -152,6 +152,14 @@ def _conv_block(x: Tensor, p: dict[str, Tensor], name: str, cfg: UnetConfig, tra
     return conv2d(x, _conv(p, f"{name}.conv2", relu=True, keep=keep, rate=rate))
 
 
+def _gated_skip(p: dict[str, Tensor], cfg: UnetConfig, level: int, skip: Tensor) -> Tensor:
+    if not cfg.attention_enabled:
+        return skip
+    att = f"att{level}"
+    return hybrid_attention_block(skip, p[f"{att}.w1"], p[f"{att}.w2"], p[f"{att}.conv.kernel"],
+                                  p[f"{att}.conv.bias"], cfg.attention_composition)
+
+
 def forward(model: UnetModel, x: Tensor, training: bool = False,
             rng: np.random.Generator | None = None) -> Tensor:
     """Run the model, returning logits with the input's spatial extents."""
@@ -174,14 +182,10 @@ def forward(model: UnetModel, x: Tensor, training: bool = False,
         x = maxpool2d(x, 2, 2)
     x = _conv_block(x, p, "bottleneck", cfg, training, rng)
     for level in range(cfg.depth - 1, -1, -1):
-        x = transposed_conv2d(x, _conv(p, f"up{level}", stride=2, padding=0))
-        skip = skips[level]
-        if cfg.attention_enabled:
-            att = f"att{level}"
-            skip = hybrid_attention_block(skip, p[f"{att}.w1"], p[f"{att}.w2"],
-                                          p[f"{att}.conv.kernel"], p[f"{att}.conv.bias"],
-                                          cfg.attention_composition)
-        x = concat_channels(x, skip)
+        # no name holds the upsampled map or the gated skip: both die once the concat
+        # has copied them, since no backward rule reads them
+        x = concat_channels(transposed_conv2d(x, _conv(p, f"up{level}", stride=2, padding=0)),
+                            _gated_skip(p, cfg, level, skips[level]))
         x = _conv_block(x, p, f"dec{level}", cfg, training, rng)
     return conv2d(x, _conv(p, "head", padding=0))
 

@@ -8,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from auseg import attention, losses_metrics, nn_ops
 from auseg.data import Sample, synth_generate
 from auseg.losses_metrics import LossConfig
 from auseg.tensor import Tensor, record_op
@@ -36,6 +37,18 @@ def dot(y: Tensor, g) -> Tensor:
 def sum_sq(y: Tensor) -> Tensor:
     """The scalar sum(y * y) as one node, with backward s * 2y."""
     return record_op("sum_sq", (y,), np.vdot(y.data, y.data), lambda s: (s * 2.0 * y.data,))
+
+
+def spy_record_op(monkeypatch, seen) -> None:
+    """Route every model op's ``record_op`` through a wrapper that calls
+    ``seen(op, inputs, out)`` with each output Tensor, recorded on a tape or not."""
+    def spy(op, inputs, out_data, backward):
+        out = record_op(op, inputs, out_data, backward)
+        seen(op, inputs, out)
+        return out
+
+    for module in (nn_ops, attention, losses_metrics):
+        monkeypatch.setattr(module, "record_op", spy)
 
 
 def _uniform(r: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:

@@ -129,6 +129,50 @@ class TestBackward:
         assert np.array_equal(grads["b"], np.ones((2, 3)))
         assert not np.shares_memory(grads["x"], grads["b"])
 
+    def test_fresh_gradient_returned_as_is(self):
+        # a gradient nothing else refers to comes back as the very array the rule made
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        made = []
+
+        def rule(g):
+            gx = 3.0 * g
+            made.append(weakref.ref(gx))
+            return (gx,)
+
+        with Tape() as tape:
+            grads = backward(tape, dot(record_op("triple", (x,), 3.0 * x.data, rule), 1.0),
+                             {"x": x})
+        assert grads["x"] is made[0]()
+        assert np.array_equal(grads["x"], [3.0, 3.0])
+
+    def test_pass_through_gradients_come_back_apart(self):
+        # _add's rule hands one array to both inputs: one of the two must be a copy
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        with Tape() as tape:
+            grads = backward(tape, dot(_add(a, b), [5.0, 6.0]), {"a": a, "b": b})
+        assert np.array_equal(grads["a"], [5.0, 6.0]) and np.array_equal(grads["b"], [5.0, 6.0])
+        assert not np.shares_memory(grads["a"], grads["b"])
+
+    def test_tensor_data_returned_by_a_rule_is_copied(self):
+        # a rule may hand back a live tensor's array; the caller must not get that array
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        held = Tensor([7.0, 8.0])
+        with Tape() as tape:
+            root = record_op("const", (x,), np.float64(0.0), lambda g: (held.data,))
+            grads = backward(tape, root, {"x": x})
+        assert np.array_equal(grads["x"], [7.0, 8.0])
+        assert not np.shares_memory(grads["x"], held.data)
+        grads["x"][0] = 0.0
+        assert held.data.tolist() == [7.0, 8.0]
+
+    def test_same_tensor_under_two_names_gets_two_arrays(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            grads = backward(tape, dot(_mul(x, x), 1.0), {"x": x, "again": x})
+        assert np.array_equal(grads["x"], 2 * x.data) and np.array_equal(grads["again"], 2 * x.data)
+        assert not np.shares_memory(grads["x"], grads["again"])
+
     def test_recording_is_topological(self):
         x = Tensor(rng(8).normal(size=(2, 2)), requires_grad=True)
         with Tape() as tape:
@@ -136,10 +180,12 @@ class TestBackward:
             dot(y, 1.0)
         produced = set()
         for node in tape.nodes:
-            for inp in node.inputs:
+            assert None not in node.in_keys    # every input here needs a gradient
+            for key in node.in_keys:
                 # inputs must be leaves or outputs of earlier nodes
-                assert id(inp) == id(x) or id(inp) in produced
-            produced.add(id(node.output))
+                assert key == x.key or key in produced
+            produced.add(node.out_key)
+        assert len(produced) == len(tape.nodes) == 3
 
 
 def _scale(a: Tensor) -> Tensor:

@@ -73,6 +73,24 @@ class TestAdamW:
         with pytest.raises(TrainingError, match="p1"):
             adamw_step(params, g, state, lr=0.1)
 
+    def test_bad_gradient_changes_no_state(self):
+        # the NaN sits in the second parameter: the first must not have been updated
+        params = make_params(5)
+        state = AdamWState.init(params)
+        adamw_step(params, [np.ones_like(p.data) for p in params.values()], state, lr=0.1)
+        before = ({n: p.data.copy() for n, p in params.items()},
+                  {n: a.copy() for n, a in state.m.items()},
+                  {n: a.copy() for n, a in state.v.items()}, state.t)
+        g = [np.ones_like(p.data) for p in params.values()]
+        g[1][0] = np.nan
+        with pytest.raises(TrainingError, match="'p1'"):
+            adamw_step(params, g, state, lr=0.1)
+        after = ({n: p.data for n, p in params.items()}, state.m, state.v, state.t)
+        for want, got in zip(before[:3], after[:3]):
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[n], want[n]) for n in want)
+        assert after[3] == before[3] == 1
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_inf_grad_names_parameter(self, bad):
         params = make_params(5, shapes=((3, 4), (5,), (2,)))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spy_record_op
 from oracles import loop_argmax_labels
 
 from auseg import attention, unet
@@ -142,13 +143,17 @@ class TestForward:
         model = build_model(small_cfg(), rng(12))
         x = Tensor(rng(13).uniform(0, 1, size=(1, 3, 16, 16)))
         monkeypatch.setattr(attention, "_sigmoid", lambda z: np.full_like(z, 0.5))
+        gates = []
+        spy_record_op(monkeypatch, lambda op, inputs, out: gates.append((op, inputs[0], out)))
         with Tape() as tape:
             forward(model, x)
-        # both gates pinned to 0.5 attenuate every skip by exactly 0.25
-        gates = [node for node in tape.nodes if node.op == "hybrid_attention_block"]
+        gates = [(f, out) for op, f, out in gates if op == "hybrid_attention_block"]
         assert len(gates) == model.cfg.depth
-        for node in gates:
-            assert np.array_equal(node.output.data, 0.25 * node.inputs[0].data)
+        assert [node.op for node in tape.nodes].count("hybrid_attention_block") == len(gates)
+        # both gates pinned to 0.5 attenuate every skip by exactly 0.25
+        for f, out in gates:
+            assert out.requires_grad    # recorded on the tape
+            assert np.array_equal(out.data, 0.25 * f.data)
 
     def test_dropout_needs_rng_in_training(self):
         model = build_model(small_cfg(dropout_rate=0.5), rng(14))
@@ -233,16 +238,49 @@ def test_argmax_invariant_to_per_pixel_shift(seed):
     assert np.array_equal(np.argmax(logits, axis=1), np.argmax(logits + shift, axis=1))
 
 
+def _recorded_output_refs(monkeypatch) -> list[tuple[str, weakref.ref]]:
+    """(op, weak reference to the output array) of every op recorded on a tape from now on."""
+    refs = []
+
+    def seen(op, inputs, out):
+        if out.requires_grad:
+            refs.append((op, weakref.ref(out.data)))
+
+    spy_record_op(monkeypatch, seen)
+    return refs
+
+
 @pytest.mark.parametrize("composition", ["parallel", "sequential"])
-def test_training_step_sweep_frees_every_node_output(composition, no_gc):
+def test_training_step_sweep_frees_every_node_output(composition, monkeypatch, no_gc):
     # no op's backward rule keeps an activation alive through a reference cycle:
     # with the collector off, every node output but the loss dies in the sweep
     model = build_model(small_cfg(dropout_rate=0.2, attention_composition=composition), rng(24))
     x = Tensor(rng(25).uniform(0, 1, size=(2, 3, 16, 16)))
     y = rng(26).integers(0, 3, size=(2, 16, 16))
+    refs = _recorded_output_refs(monkeypatch)
     with Tape() as tape:
         loss = combined_loss(forward(model, x, training=True, rng=rng(27)), y, LossConfig())
-    refs = {(i, node.op): weakref.ref(node.output.data)
-            for i, node in enumerate(tape.nodes) if node.output is not loss}
+    assert len(refs) == len(tape.nodes) and refs[-1][0] == "combined_loss"
+    refs = {(i, op): ref for i, (op, ref) in enumerate(refs[:-1])}
     backward(tape, loss, model.params)
     assert [key for key, ref in refs.items() if ref() is not None] == []
+
+
+@pytest.mark.parametrize("composition", ["parallel", "sequential"])
+def test_training_forward_frees_outputs_no_rule_reads(composition, monkeypatch, no_gc):
+    # the concat copies the upsampled map and the gated skip, and the loss's rule
+    # holds the softmax: those outputs are dead before backward starts
+    model = build_model(small_cfg(dropout_rate=0.2, attention_composition=composition), rng(28))
+    x = Tensor(rng(29).uniform(0, 1, size=(2, 3, 16, 16)))
+    y = rng(30).integers(0, 3, size=(2, 16, 16))
+    refs = _recorded_output_refs(monkeypatch)
+    with Tape() as tape:
+        loss = combined_loss(forward(model, x, training=True, rng=rng(31)), y, LossConfig())
+    ops = [op for op, _ in refs]
+    head = len(ops) - 2    # the logits: the last conv2d, just before the loss
+    assert ops[head:] == ["conv2d", "combined_loss"]
+    dead = {(i, op): ref() is None for i, (op, ref) in enumerate(refs)
+            if op in ("transposed_conv2d", "hybrid_attention_block") or i == head}
+    assert len(dead) == 2 * model.cfg.depth + 1
+    assert all(dead.values()), dead
+    backward(tape, loss, model.params)
