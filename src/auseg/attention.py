@@ -115,5 +115,6 @@ def hybrid_attention_block(f: Tensor, w1: Tensor, w2: Tensor, kernel: Tensor, bi
         gx += (dz1 @ a1)[:, :, None, None] / (h * w)
         return gx, dz1.T @ squeezed, dz2.T @ hidden, gk, dz.sum(axis=(0, 2, 3))
 
-    return record_op("hybrid_attention_block", (f, w1, w2, kernel, bias), gated * w_s, bwd)
+    gated *= w_s    # the rule recomputes x * w_c, so the forward may overwrite it
+    return record_op("hybrid_attention_block", (f, w1, w2, kernel, bias), gated, bwd)
 

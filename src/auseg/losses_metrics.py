@@ -74,13 +74,15 @@ def combined_loss(logits: Tensor, y: LabelMap, cfg: LossConfig) -> Tensor:
     alpha = float(cfg.alpha)
     s = cfg.dice_smooth
     y_safe = np.where(valid, y, 0)
-    zs = logits.data - logits.data.max(axis=1, keepdims=True)
-    e = np.exp(zs)
-    total = e.sum(axis=1, keepdims=True)
-    probs = e / total
+    # one softmax-sized buffer: z - max, then (after z_y is read) exp, then probs
+    probs = logits.data - logits.data.max(axis=1, keepdims=True)
+    z_y = np.take_along_axis(probs, y_safe[:, None], axis=1)[:, 0]
+    np.exp(probs, out=probs)
+    total = probs.sum(axis=1, keepdims=True)
+    probs /= total
 
     count = int(valid.sum())
-    log_p = np.take_along_axis(zs, y_safe[:, None], axis=1)[:, 0] - np.log(total[:, 0])
+    log_p = z_y - np.log(total[:, 0])
     weights = cfg.class_weights if cfg.class_weights is not None else np.ones(k)
     w_pix = weights[y_safe] * valid
     ce = -(w_pix * log_p).sum() / count

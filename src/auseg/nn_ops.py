@@ -9,10 +9,12 @@ three array helpers: one BLAS GEMM per sample between a kernel matrix and the
 im2col columns (a strided view) of a zero-extended NCHW window. ``_conv``,
 conv2d's forward pass, multiplies the kernel as stored, [O, C*kh*kw], by the
 columns of x, and ``_conv_kernel_grad`` the output gradient by their
-transpose. ``_conv_t``, the input gradient, correlates the output gradient
-with the flipped kernel, channels swapped (Dumoulin & Visin 2016): at stride
-s, one stride-1 correlation per output phase (four 1x1 GEMMs at k = s = 2,
-as in sub-pixel convolution). ``transposed_conv2d`` is the adjoint of ``conv2d`` and has no
+transpose. ``_conv`` holds only one zero-bordered sample and one band of
+columns (at most 1 MiB) beyond its output, both allocated per call.
+``_conv_t``, the input gradient, correlates the output gradient with the
+flipped kernel, channels swapped (Dumoulin & Visin 2016): at stride s, one
+stride-1 correlation per output phase (four 1x1 GEMMs at k = s = 2, as in
+sub-pixel convolution). ``transposed_conv2d`` is the adjoint of ``conv2d`` and has no
 kernels of its own: its forward pass is conv2d's input gradient and its
 backward pass the other two.
 """
@@ -76,20 +78,27 @@ def _window(a: Array, top: int, nh: int, left: int, nw: int) -> Array:
     return out
 
 
-# The convolution core runs one GEMM per [C, Hp, Wp] sample of a window. A
-# sample's im2col columns [C*kh*kw, Ho*Wo] are in the (c, u, v) order of a
-# stored kernel [O, C, kh, kw], so ``kernel.reshape(O, -1)`` is the GEMM operand
-# as is (a view, never copied). One sample's columns are live at a time: a
-# batch-wide column buffer costs more peak memory than it saves in time.
+# The convolution core runs one GEMM per sample. A sample's im2col columns
+# [C*kh*kw, Ho*Wo] are in the (c, u, v) order of a stored kernel [O, C, kh, kw],
+# so ``kernel.reshape(O, -1)`` is the GEMM operand as is (a view, never copied).
+# ``_conv`` copies the columns of one band of output rows at a time, at most
+# _BAND elements (1 MiB), into one buffer: a band splits the GEMM's output
+# pixels, not its inner sums, so every output element has the same bits as
+# with the sample's whole column matrix. The buffer is allocated per call, not
+# kept by the module, so concurrent callers share nothing and an idle process
+# holds none of it.
+_BAND = 1 << 17
+
 
 def _cols(xp: Array, kh: int, kw: int, s: int, ho: int, wo: int) -> Array:
-    """Window [N, C, Hp, Wp] -> read-only view [N, C, kh, kw, Ho, Wo] of its taps.
+    """Window [..., Hp, Wp] -> read-only view [..., kh, kw, Ho, Wo] of its taps.
 
-    ``taps[i].reshape(-1, Ho*Wo)`` copies sample i's im2col columns [C*kh*kw, Ho*Wo].
+    For a window [N, C, Hp, Wp], ``taps[i].reshape(-1, Ho*Wo)`` copies sample
+    i's im2col columns [C*kh*kw, Ho*Wo].
     """
-    sn, sc, sh, sw = xp.strides
-    shape = xp.shape[:2] + (kh, kw, ho, wo)
-    return np.lib.stride_tricks.as_strided(xp, shape, (sn, sc, sh, sw, s * sh, s * sw),
+    sh, sw = xp.strides[-2:]
+    shape = xp.shape[:-2] + (kh, kw, ho, wo)
+    return np.lib.stride_tricks.as_strided(xp, shape, xp.strides[:-2] + (sh, sw, s * sh, s * sw),
                                            writeable=False)
 
 
@@ -123,13 +132,31 @@ def _conv_t(g: Array, kernel: Array, s: int, pad: int, h: int, w: int) -> Array:
 
 
 def _conv(x: Array, kernel: Array, s: int, pad: int, ho: int, wo: int) -> Array:
-    """conv2d's forward pass without bias: [N, C, H, W] -> [N, O, Ho*Wo]."""
-    (n, _, h, w), (o, _, kh, kw) = x.shape, kernel.shape
+    """conv2d's forward pass without bias: [N, C, H, W] -> [N, O, Ho*Wo].
+
+    A padded call copies each sample into the interior of one zero-bordered
+    [C, H+2*pad, W+2*pad] buffer; an unpadded one reads the sample in place."""
+    (n, c, h, w), (o, _, kh, kw) = x.shape, kernel.shape
     k2 = kernel.reshape(o, -1)
-    taps = _cols(_window(x, -pad, h + 2 * pad, -pad, w + 2 * pad), kh, kw, s, ho, wo)
+    depth = k2.shape[1]
+    rows = min(ho, max(1, _BAND // (depth * wo)))    # output rows per band
+    # the output first: the buffers freed on return then leave no hole below it in
+    # the heap, which keeps a training process's peak RSS and page faults down
     out = np.empty((n, o, ho * wo))
+    band = np.empty(depth * rows * wo)
+    bands = []    # (first row, end row, the band's columns as a [C, kh, kw, rows, Wo] view)
+    for y0 in range(0, ho, rows):
+        y1 = min(y0 + rows, ho)
+        bands.append((y0, y1, band[:depth * (y1 - y0) * wo].reshape(c, kh, kw, y1 - y0, wo)))
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad)) if pad else None
+    taps = _cols(xp if pad else x, kh, kw, s, ho, wo)    # the padded sample's, or every sample's
     for i in range(n):
-        np.matmul(k2, taps[i].reshape(-1, ho * wo), out=out[i])
+        if pad:
+            xp[:, pad:pad + h, pad:pad + w] = x[i]
+        sample = taps if pad else taps[i]
+        for y0, y1, cols in bands:
+            cols[...] = sample[..., y0:y1, :]
+            np.matmul(k2, cols.reshape(depth, -1), out=out[i, :, y0 * wo:y1 * wo])
     return out
 
 

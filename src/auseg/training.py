@@ -223,7 +223,7 @@ def evaluate(model: UnetModel, samples: Sequence[Sample], loss_cfg: LossConfig,
         n = images.shape[0]
         total_loss += loss.item() * n
         total_n += n
-        pred = np.argmax(logits.data, axis=1).astype(np.int64)
+        pred = np.argmax(logits.data, axis=1).astype(np.int64, copy=False)
         confusion_accumulate(cm, pred, labels, loss_cfg.ignore_index)
     return total_loss / total_n, cm
 

@@ -141,15 +141,15 @@ def _conv(p: dict[str, Tensor], name: str, stride: int = 1, padding: Padding = "
     return Conv2dParams(p[f"{name}.kernel"], p[f"{name}.bias"], stride, padding, **activation)
 
 
-def _conv_block(x: Tensor, p: dict[str, Tensor], name: str, cfg: UnetConfig, training: bool,
-                rng: np.random.Generator | None) -> Tensor:
+def _dropout_conv(p: dict[str, Tensor], name: str, shape: tuple[int, ...], cfg: UnetConfig,
+                  training: bool, rng: np.random.Generator | None) -> Conv2dParams:
+    """A block's second conv, with a fresh dropout keep mask of ``shape`` while training."""
     rate, keep = cfg.dropout_rate, None
-    x = conv2d(x, _conv(p, f"{name}.conv1", relu=True))
     if training and rate > 0.0:
         if rng is None:
             raise ContractError("dropout in training mode requires an explicit rng")
-        keep = rng.random(x.shape) >= rate  # conv2 keeps conv1's output shape
-    return conv2d(x, _conv(p, f"{name}.conv2", relu=True, keep=keep, rate=rate))
+        keep = rng.random(shape) >= rate
+    return _conv(p, f"{name}.conv2", relu=True, keep=keep, rate=rate)
 
 
 def _gated_skip(p: dict[str, Tensor], cfg: UnetConfig, level: int, skip: Tensor) -> Tensor:
@@ -174,23 +174,28 @@ def forward(model: UnetModel, x: Tensor, training: bool = False,
         raise ShapeError(f"input extents {h}x{w} must be divisible by {multiple} "
                          f"(2^depth at depth {cfg.depth})")
 
+    # Every op rebinds x, so each activation dies at its last use unless a backward
+    # rule holds it: a block's input once its conv1 has run, the deeper map once it
+    # is upsampled. The encoder pushes each skip and the decoder pops it, so a
+    # skip dies once its gate has read it, and the gated skip once concatenated.
     p = model.params
     skips: list[Tensor] = []
     for level in range(cfg.depth):
-        x = _conv_block(x, p, f"enc{level}", cfg, training, rng)
+        x = conv2d(x, _conv(p, f"enc{level}.conv1", relu=True))
+        x = conv2d(x, _dropout_conv(p, f"enc{level}", x.shape, cfg, training, rng))
         skips.append(x)
         x = maxpool2d(x, 2, 2)
-    x = _conv_block(x, p, "bottleneck", cfg, training, rng)
+    x = conv2d(x, _conv(p, "bottleneck.conv1", relu=True))
+    x = conv2d(x, _dropout_conv(p, "bottleneck", x.shape, cfg, training, rng))
     for level in range(cfg.depth - 1, -1, -1):
-        # no name holds the upsampled map or the gated skip: both die once the concat
-        # has copied them, since no backward rule reads them
-        x = concat_channels(transposed_conv2d(x, _conv(p, f"up{level}", stride=2, padding=0)),
-                            _gated_skip(p, cfg, level, skips[level]))
-        x = _conv_block(x, p, f"dec{level}", cfg, training, rng)
+        x = transposed_conv2d(x, _conv(p, f"up{level}", stride=2, padding=0))
+        x = concat_channels(x, _gated_skip(p, cfg, level, skips.pop()))
+        x = conv2d(x, _conv(p, f"dec{level}.conv1", relu=True))
+        x = conv2d(x, _dropout_conv(p, f"dec{level}", x.shape, cfg, training, rng))
     return conv2d(x, _conv(p, "head", padding=0))
 
 
 def predict_labels(model: UnetModel, x: Tensor) -> LabelMap:
     """Per-pixel argmax over class logits; ties break toward the lowest index."""
     logits = forward(model, x, training=False)
-    return np.argmax(logits.data, axis=1).astype(np.int64)
+    return np.argmax(logits.data, axis=1).astype(np.int64, copy=False)

@@ -4,9 +4,11 @@ import pytest
 from oracles import (composed_conv_layer, loop_conv2d, loop_maxpool2d, loop_maxpool2d_grad,
                      loop_transposed_conv2d)
 
-from conftest import dot, sum_sq
+from conftest import desk_unet_config, dot, sum_sq
 
+from auseg import attention, nn_ops
 from auseg.errors import ConfigError, ContractError, ShapeError
+from auseg.losses_metrics import LossConfig, combined_loss
 from auseg.nn_ops import Conv2dParams, concat_channels, conv2d, maxpool2d, transposed_conv2d
 from auseg.tensor import Tape, Tensor, backward, grad_check
 from auseg.unet import UnetConfig, build_model, forward
@@ -286,6 +288,55 @@ def test_conv_sample_of_batch_equals_sample_alone(case):
         yi, gxi = run(x[i:i + 1], g[i:i + 1])
         assert yi.tobytes() == y[i:i + 1].tobytes()
         assert gxi.tobytes() == gx[i:i + 1].tobytes()
+
+
+def _one_gemm_per_sample(x, kernel, s, pad, ho, wo):
+    """The forward core without bands: each sample's whole im2col matrix in one GEMM."""
+    (n, c), (o, _, kh, kw) = x.shape[:2], kernel.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = win[:, :, ::s, ::s][:, :, :ho, :wo].transpose(0, 1, 4, 5, 2, 3).reshape(n, -1, ho * wo)
+    return np.stack([kernel.reshape(o, -1) @ cols[i] for i in range(n)])
+
+
+def _core_calls(monkeypatch, cfg, size):
+    """(sample shape, kernel shape, stride, pad, Ho, Wo) of every ``_conv`` call made by
+    one forward and backward pass of ``cfg`` at size x size."""
+    core, calls = nn_ops._conv, set()
+
+    def spy(x, kernel, s, pad, ho, wo):
+        calls.add((x.shape[1:], kernel.shape, s, pad, ho, wo))
+        return core(x, kernel, s, pad, ho, wo)
+
+    monkeypatch.setattr(nn_ops, "_conv", spy)
+    monkeypatch.setattr(attention, "_conv", spy)
+    model = build_model(cfg, rng(50))
+    x = Tensor(rng(51).uniform(0, 1, size=(1, 3, size, size)))
+    y = rng(52).integers(0, cfg.num_classes, size=(1, size, size))
+    with Tape() as tape:
+        backward(tape, combined_loss(forward(model, x), y, LossConfig()), model.params)
+    monkeypatch.undo()
+    return sorted(calls)
+
+
+@pytest.mark.parametrize("cfg, size", [(UnetConfig(), 64), (desk_unet_config(), 32)],
+                         ids=["default_64", "desk_32"])
+def test_conv_bands_equal_one_gemm_per_sample(cfg, size, monkeypatch):
+    # a band splits the GEMM's output pixels, never an inner sum, so BLAS must give every
+    # element the bits of the whole-sample product; this pins that for every shape the
+    # models run (the 3x3 convs, the head, the 7x7 gate, the up-conv's stride-2 input gradient)
+    calls = _core_calls(monkeypatch, cfg, size)
+    assert {(s, kernel[2]) for _, kernel, s, *_ in calls} >= {(1, 3), (1, 1), (1, 7), (2, 2)}
+    r = rng(53)
+    banded = 0
+    for (c, h, w), kernel_shape, s, pad, ho, wo in calls:
+        kernel = r.normal(size=kernel_shape)
+        banded += kernel[0].size * ho * wo > nn_ops._BAND
+        for n in (1, 4):
+            x = r.normal(size=(n, c, h, w))
+            got = nn_ops._conv(x, kernel, s, pad, ho, wo)
+            assert got.tobytes() == _one_gemm_per_sample(x, kernel, s, pad, ho, wo).tobytes()
+    assert banded > 0
 
 
 # (id, input maker, stride): batch > 1 and several channels throughout

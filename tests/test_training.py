@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -439,6 +440,8 @@ cfg = replace(desk_unet_config(), num_classes=19, depth=4, base_channels=16)
 image = synth_generate(1, 64, 64, 19, rng(300))[0].image
 mid = build_model(cfg, init_rng(1))
 logits = forward(mid, Tensor(image[None]))
+quad = synth_generate(4, 64, 64, 19, rng(500))
+batch = forward(mid, Tensor(np.stack([s.image for s in quad])))    # batch > 1, many bands
 pair = synth_generate(2, 64, 64, 19, rng(400))
 with Tape() as tape:
     out = forward(mid, Tensor(np.stack([s.image for s in pair])))
@@ -448,7 +451,8 @@ grads = hashlib.sha256()
 for _, g in sorted(grad_arrays.items()):
     grads.update(g.tobytes())
 print(row.train_loss.hex(), row.val_loss.hex(), digest.hexdigest(),
-      hashlib.sha256(logits.data.tobytes()).hexdigest(), grads.hexdigest())
+      hashlib.sha256(logits.data.tobytes()).hexdigest(),
+      hashlib.sha256(batch.data.tobytes()).hexdigest(), grads.hexdigest())
 """
 
 
@@ -463,8 +467,30 @@ def test_train_step_bytes_independent_of_blas_threads():
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout.split())
-    assert len(outputs[0]) == 5
+    assert len(outputs[0]) == 6
     assert outputs[0] == outputs[1]
+
+
+def _traced_rise_mib(fn) -> float:
+    """How far traced memory rises above its level at the call, in MiB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_inference_traced_peaks():
+    # each conv holds one sample's padded input and one column band, the loss one
+    # softmax-sized buffer, and no activation outlives its last use (about 11 and 3.6 MiB);
+    # whole-batch padded copies and whole-sample im2col matrices rose about 23.5 and 12.5
+    model = build_model(unet.UnetConfig(), init_rng(1))
+    samples = synth_generate(4, 64, 64, 19, rng(60))
+    x = Tensor(samples[0].image[None])
+    assert _traced_rise_mib(lambda: evaluate(model, samples, LossConfig(), 4)) <= 16
+    assert _traced_rise_mib(lambda: unet.predict_labels(model, x)) <= 6
 
 
 def test_instrumented_calling_conventions(monkeypatch):

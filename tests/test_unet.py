@@ -1,3 +1,5 @@
+import sys
+import threading
 import weakref
 from collections import Counter
 
@@ -284,3 +286,59 @@ def test_training_forward_frees_outputs_no_rule_reads(composition, monkeypatch, 
     assert len(dead) == 2 * model.cfg.depth + 1
     assert all(dead.values()), dead
     backward(tape, loss, model.params)
+
+
+@pytest.mark.parametrize("attention", [True, False])
+def test_inference_frees_block_inputs_and_skips_before_conv2(attention, monkeypatch, no_gc):
+    # with no tape, a block's input (in the decoder, the concat) is dead once its conv1
+    # has run, and each skip once its gate, or ungated the concat, has read it
+    model = build_model(small_cfg(depth=3, attention_enabled=attention), rng(32))
+    layers = {id(t): name.rsplit(".", 1)[0] for name, t in model.params.items()}
+    conv, inputs, skips, alive = unet.conv2d, {}, {}, []
+
+    def spy(x, p):
+        block, _, part = layers[id(p.kernel)].partition(".")
+        if part == "conv1":
+            inputs[block] = weakref.ref(x.data)
+        elif part == "conv2" and block != "enc0":    # enc0's input is the caller's
+            if inputs[block]() is not None:
+                alive.append(block)
+            if block.startswith("dec") and skips[block[3:]]() is not None:
+                alive.append(f"skip{block[3:]}")
+        out = conv(x, p)
+        if part == "conv2" and block.startswith("enc"):
+            skips[block[3:]] = weakref.ref(out.data)
+        return out
+
+    monkeypatch.setattr(unet, "conv2d", spy)
+    forward(model, Tensor(rng(33).uniform(0, 1, size=(2, 3, 16, 16))))
+    assert sorted(inputs) == ["bottleneck", "dec0", "dec1", "dec2", "enc0", "enc1", "enc2"]
+    assert alive == []
+
+
+def test_concurrent_predicts_match_sequential():
+    # the conv core allocates its buffers per call, so two threads predicting at once
+    # (BLAS and copies release the interpreter lock) get the bytes of sequential runs
+    model = build_model(UnetConfig(num_classes=19, depth=2, base_channels=16), rng(34))
+    inputs = [Tensor(rng(35 + i).uniform(0, 1, size=(1, 3, 64, 64))) for i in range(2)]
+    want = [predict_labels(model, x).tobytes() for x in inputs]
+    got: list[list[bytes]] = [[], []]
+    start = threading.Barrier(2)
+
+    def run(i):
+        start.wait()
+        for _ in range(4):
+            got[i].append(predict_labels(model, inputs[i]).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want[0]] * 4, [want[1]] * 4]
