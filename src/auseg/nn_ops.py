@@ -5,41 +5,43 @@ no backward state: each backward rule on the active tape derives its routing
 from arrays the node holds. Every kernel is checked against a loop oracle.
 
 Both convolutions, and the attention gate's convolution, share one core of
-three array helpers: one BLAS GEMM per sample between a kernel matrix and the
-im2col columns (a strided view) of a zero-extended NCHW window. ``_conv``,
-conv2d's forward pass, multiplies the kernel as stored, [O, C*kh*kw], by the
-columns of x, and ``_conv_kernel_grad`` the output gradient by their
-transpose. ``_conv`` holds only one zero-bordered sample and one band of
-columns (at most 1 MiB) beyond its output, both allocated per call.
-``_conv_t``, the input gradient, correlates the output gradient with the
-flipped kernel, channels swapped (Dumoulin & Visin 2016): at stride s, one
-stride-1 correlation per output phase (four 1x1 GEMMs at k = s = 2, as in
-sub-pixel convolution). ``transposed_conv2d`` is the adjoint of ``conv2d`` and has no
-kernels of its own: its forward pass is conv2d's input gradient and its
-backward pass the other two.
+array helpers: one BLAS GEMM per sample between a kernel matrix and the
+im2col columns of a window of an NCHW array. ``_taps`` is the only place
+that zero-extends: sample by sample, it reads a window that lies inside the
+array in place and copies any other into one zero-bordered buffer per call.
+``_conv``, conv2d's forward pass, multiplies the kernel as stored,
+[O, C*kh*kw], by the columns of x, and ``_conv_kernel_grad`` the output
+gradient by their transpose. ``_conv`` holds one band of columns (at most
+1 MiB) beyond its output. ``_conv_t``, the input gradient, correlates the
+output gradient with the flipped kernel, channels swapped (Dumoulin & Visin
+2016): at stride s, one stride-1 correlation per output phase (four 1x1
+GEMMs at k = s = 2, as in sub-pixel convolution). So no convolution, forward
+or backward, holds more than one padded sample. ``transposed_conv2d`` is the
+adjoint of ``conv2d`` and has no kernels of its own: its forward pass is
+conv2d's input gradient and its backward pass the other two.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .tensor import Array, Tensor, record_op
 
-Padding = int | str
-
 
 @dataclass
 class Conv2dParams:
     """Kernel + bias for conv2d ([out, in, kh, kw]) or transposed_conv2d ([in, out, kh, kw]),
-    stride, padding ("same" or int), and conv2d's relu and dropout (``keep`` mask, ``rate``)."""
+    stride, padding (a non-negative int: zeros on each side), and conv2d's relu and dropout
+    (``keep`` mask, ``rate``)."""
 
     kernel: Tensor
     bias: Tensor
     stride: int = 1
-    padding: Padding = 0
+    padding: int = 0
     relu: bool = False
     keep: Array | None = None
     rate: float = 0.0
@@ -53,12 +55,8 @@ class Conv2dParams:
             raise ShapeError(f"conv bias must be rank 1, got {self.bias.shape}")
         if self.stride < 1:
             raise ShapeError(f"stride must be positive, got {self.stride}")
-        kh, kw = self.kernel.shape[2], self.kernel.shape[3]
-        if self.padding == "same":
-            if kh % 2 == 0 or kw % 2 == 0:
-                raise ShapeError(f'"same" padding needs odd kernel extents, got {kh}x{kw}')
-        elif not isinstance(self.padding, int) or self.padding < 0:
-            raise ShapeError(f'padding must be "same" or a non-negative int, got {self.padding!r}')
+        if not isinstance(self.padding, int) or self.padding < 0:
+            raise ShapeError(f"padding must be a non-negative int, got {self.padding!r}")
 
 
 def _require_nchw(x: Tensor, op: str) -> None:
@@ -66,16 +64,12 @@ def _require_nchw(x: Tensor, op: str) -> None:
         raise ShapeError(f"{op} expects a rank-4 NCHW tensor, got shape {x.shape}")
 
 
-def _window(a: Array, top: int, nh: int, left: int, nw: int) -> Array:
-    """Rows [top, top+nh), columns [left, left+nw) of NCHW ``a``, zero-extended (a view if inside)."""
-    n, c, h, w = a.shape
-    if top >= 0 and left >= 0 and top + nh <= h and left + nw <= w:
-        return a[:, :, top:top + nh, left:left + nw]
-    out = np.zeros((n, c, nh, nw))
-    y0, y1, x0, x1 = max(top, 0), min(top + nh, h), max(left, 0), min(left + nw, w)
-    if y1 > y0 and x1 > x0:
-        out[:, :, y0 - top:y1 - top, x0 - left:x1 - left] = a[:, :, y0:y1, x0:x1]
-    return out
+def _check_conv(op: str, x: Tensor, in_ch: int, bias: Tensor, out_ch: int) -> None:
+    _require_nchw(x, op)
+    if x.shape[1] != in_ch:
+        raise ShapeError(f"{op} channel mismatch: input has {x.shape[1]}, kernel expects {in_ch}")
+    if bias.shape != (out_ch,):
+        raise ShapeError(f"bias shape {bias.shape} does not match {out_ch} output channels")
 
 
 # The convolution core runs one GEMM per sample. A sample's im2col columns
@@ -90,16 +84,35 @@ def _window(a: Array, top: int, nh: int, left: int, nw: int) -> Array:
 _BAND = 1 << 17
 
 
-def _cols(xp: Array, kh: int, kw: int, s: int, ho: int, wo: int) -> Array:
-    """Window [..., Hp, Wp] -> read-only view [..., kh, kw, Ho, Wo] of its taps.
+def _taps(a: Array, top: int, left: int, kh: int, kw: int, s: int, ho: int,
+          wo: int) -> Iterator[Array]:
+    """Per sample of NCHW ``a``, a read-only view [C, kh, kw, Ho, Wo] of the taps of the
+    window at (top, left), zero-extended: ``taps.reshape(-1, Ho*Wo)`` copies the sample's
+    im2col columns [C*kh*kw, Ho*Wo].
 
-    For a window [N, C, Hp, Wp], ``taps[i].reshape(-1, Ho*Wo)`` copies sample
-    i's im2col columns [C*kh*kw, Ho*Wo].
-    """
-    sh, sw = xp.strides[-2:]
-    shape = xp.shape[:-2] + (kh, kw, ho, wo)
-    return np.lib.stride_tricks.as_strided(xp, shape, xp.strides[:-2] + (sh, sw, s * sh, s * sw),
+    A window inside ``a`` is read in place; any other is copied, one sample at a time,
+    into the interior of one zero-bordered buffer, so each view is valid only until the
+    next sample is drawn."""
+    n, c, h, w = a.shape
+    nh, nw = (ho - 1) * s + kh, (wo - 1) * s + kw
+    inside = top >= 0 and left >= 0 and top + nh <= h and left + nw <= w
+    if inside:
+        win = a[:, :, top:top + nh, left:left + nw]
+    else:
+        win = np.zeros((c, nh, nw))
+        y0, x0 = max(top, 0), max(left, 0)
+        y1, x1 = max(y0, min(top + nh, h)), max(x0, min(left + nw, w))
+        interior = win[:, y0 - top:y1 - top, x0 - left:x1 - left]
+    sh, sw = win.strides[-2:]
+    taps = np.lib.stride_tricks.as_strided(win, win.shape[:-2] + (kh, kw, ho, wo),
+                                           win.strides[:-2] + (sh, sw, s * sh, s * sw),
                                            writeable=False)
+    for i in range(n):
+        if inside:
+            yield taps[i]
+        else:
+            interior[...] = a[i, :, y0:y1, x0:x1]
+            yield taps
 
 
 def _phase(r: int, k: int, s: int, pad: int, size: int) -> tuple[int, int, int, int]:
@@ -125,18 +138,14 @@ def _conv_t(g: Array, kernel: Array, s: int, pad: int, h: int, w: int) -> Array:
             if nq < 1 or nx < 1:
                 continue
             k2 = kernel[:, :, r::s, t::s][:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(b, -1)
-            taps = _cols(_window(g, top, nq + nu - 1, left, nx + nv - 1), nu, nv, 1, nq, nx)
-            for i in range(n):
-                out[i, :, y0::s, x0::s] = (k2 @ taps[i].reshape(-1, nq * nx)).reshape(b, nq, nx)
+            for i, taps in enumerate(_taps(g, top, left, nu, nv, 1, nq, nx)):
+                out[i, :, y0::s, x0::s] = (k2 @ taps.reshape(-1, nq * nx)).reshape(b, nq, nx)
     return out
 
 
 def _conv(x: Array, kernel: Array, s: int, pad: int, ho: int, wo: int) -> Array:
-    """conv2d's forward pass without bias: [N, C, H, W] -> [N, O, Ho*Wo].
-
-    A padded call copies each sample into the interior of one zero-bordered
-    [C, H+2*pad, W+2*pad] buffer; an unpadded one reads the sample in place."""
-    (n, c, h, w), (o, _, kh, kw) = x.shape, kernel.shape
+    """conv2d's forward pass without bias: [N, C, H, W] -> [N, O, Ho*Wo]."""
+    (n, c), (o, _, kh, kw) = x.shape[:2], kernel.shape
     k2 = kernel.reshape(o, -1)
     depth = k2.shape[1]
     rows = min(ho, max(1, _BAND // (depth * wo)))    # output rows per band
@@ -148,14 +157,9 @@ def _conv(x: Array, kernel: Array, s: int, pad: int, ho: int, wo: int) -> Array:
     for y0 in range(0, ho, rows):
         y1 = min(y0 + rows, ho)
         bands.append((y0, y1, band[:depth * (y1 - y0) * wo].reshape(c, kh, kw, y1 - y0, wo)))
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad)) if pad else None
-    taps = _cols(xp if pad else x, kh, kw, s, ho, wo)    # the padded sample's, or every sample's
-    for i in range(n):
-        if pad:
-            xp[:, pad:pad + h, pad:pad + w] = x[i]
-        sample = taps if pad else taps[i]
+    for i, taps in enumerate(_taps(x, -pad, -pad, kh, kw, s, ho, wo)):
         for y0, y1, cols in bands:
-            cols[...] = sample[..., y0:y1, :]
+            cols[...] = taps[..., y0:y1, :]
             np.matmul(k2, cols.reshape(depth, -1), out=out[i, :, y0 * wo:y1 * wo])
     return out
 
@@ -164,12 +168,11 @@ def _conv_kernel_grad(g: Array, x: Array, shape: tuple[int, ...], s: int, pad: i
     """conv2d's kernel gradient: output gradient [N, O, Ho, Wo], input [N, C, H, W] -> ``shape``.
 
     The columns are rebuilt, not kept from the forward pass: the tape holds no im2col buffer."""
-    (n, o, ho, wo), (h, w), (kh, kw) = g.shape, x.shape[2:], shape[2:]
-    taps = _cols(_window(x, -pad, h + 2 * pad, -pad, w + 2 * pad), kh, kw, s, ho, wo)
+    (o, ho, wo), (kh, kw) = g.shape[1:], shape[2:]
     gk = np.zeros(shape)
     gk2 = gk.reshape(o, -1)    # a view: the result owns its memory, so backward need not copy it
-    for i in range(n):
-        gk2 += g[i].reshape(o, -1) @ taps[i].reshape(-1, ho * wo).T
+    for gi, taps in zip(g, _taps(x, -pad, -pad, kh, kw, s, ho, wo)):
+        gk2 += gi.reshape(o, -1) @ taps.reshape(-1, ho * wo).T
     return gk
 
 
@@ -177,21 +180,14 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """Cross-correlation (no kernel flip) plus bias, NCHW -> NOH'W', then in place, as ``p``
     asks: relu (NaN kept), out *= keep, out *= scale = 1/(1 - rate). The backward pass takes
     g * keep * scale * (out > 0) from that output, as in-place activated batch norm does."""
-    _require_nchw(x, "conv2d")
-    kernel, bias, s = p.kernel, p.bias, p.stride
+    kernel, bias, s, pad = p.kernel, p.bias, p.stride, p.padding
     out_ch, in_ch, kh, kw = kernel.shape
-    n, c, h, w = x.shape
-    if c != in_ch:
-        raise ShapeError(f"conv2d channel mismatch: input has {c}, kernel expects {in_ch}")
-    if bias.shape != (out_ch,):
-        raise ShapeError(f"bias shape {bias.shape} does not match {out_ch} output channels")
-    pad = (kh - 1) // 2 if p.padding == "same" else int(p.padding)
+    _check_conv("conv2d", x, in_ch, bias, out_ch)
+    n, _, h, w = x.shape
     if h + 2 * pad < kh or w + 2 * pad < kw:
         raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw} after padding {pad}")
     ho = (h + 2 * pad - kh) // s + 1
     wo = (w + 2 * pad - kw) // s + 1
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"degenerate conv2d output {ho}x{wo}")
 
     keep, scale = p.keep, 1.0 / (1.0 - p.rate)
     if keep is not None and keep.shape != (n, out_ch, ho, wo):
@@ -229,17 +225,10 @@ def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     The forward pass is conv2d's input gradient, the input gradient is conv2d's
     forward pass, and the kernel gradient is conv2d's with the operands swapped.
     """
-    _require_nchw(x, "transposed_conv2d")
-    kernel, bias, s = p.kernel, p.bias, p.stride
+    kernel, bias, s, pad = p.kernel, p.bias, p.stride, p.padding
     in_ch, out_ch, kh, kw = kernel.shape
-    n, c, h, w = x.shape
-    if c != in_ch:
-        raise ShapeError(f"transposed_conv2d channel mismatch: input has {c}, kernel expects {in_ch}")
-    if bias.shape != (out_ch,):
-        raise ShapeError(f"bias shape {bias.shape} does not match {out_ch} output channels")
-    if p.padding == "same":
-        raise ShapeError('transposed_conv2d requires an explicit integer padding, not "same"')
-    pad = int(p.padding)
+    _check_conv("transposed_conv2d", x, in_ch, bias, out_ch)
+    h, w = x.shape[2:]
     ho, wo = (h - 1) * s + kh - 2 * pad, (w - 1) * s + kw - 2 * pad
     if ho < 1 or wo < 1:
         raise ShapeError(f"degenerate transposed_conv2d output {ho}x{wo}")
@@ -255,16 +244,15 @@ def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     return record_op("transposed_conv2d", (x, kernel, bias), out, bwd)
 
 
-def maxpool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
-    """Non-overlapping max pooling: a running max over strided slices, no saved
-    state. Each window's gradient goes to its first row-major entry equal to the max."""
+def maxpool2d(x: Tensor, stride: int = 2) -> Tensor:
+    """Max pooling over non-overlapping stride x stride windows: a running max over strided
+    slices, no saved state. Each window's gradient goes to its first row-major entry equal
+    to the max."""
     _require_nchw(x, "maxpool2d")
-    if window != stride:
-        raise ShapeError(f"maxpool2d supports window == stride only, got {window}/{stride}")
     h, w = x.shape[2:]
     s = stride
-    if h % s or w % s:
-        raise ShapeError(f"spatial extents {h}x{w} not divisible by stride {s}")
+    if s < 1 or h % s or w % s:
+        raise ShapeError(f"maxpool2d stride {s} must be positive and divide {h}x{w}")
     rows = reduce(np.maximum, (x.data[:, :, u::s] for u in range(s)))
     out = reduce(np.maximum, (rows[..., v::s] for v in range(s)))
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .attention import COMPOSITIONS, hybrid_attention_block
 from .errors import ConfigError, ContractError, ShapeError
-from .nn_ops import Conv2dParams, Padding, concat_channels, conv2d, maxpool2d, transposed_conv2d
+from .nn_ops import Conv2dParams, concat_channels, conv2d, maxpool2d, transposed_conv2d
 from .tensor import Tensor
 
 LabelMap = np.ndarray  # integer class indices, shape [N, H, W] or [H, W]
@@ -83,16 +83,21 @@ class UnetModel:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
+        """Take every parameter's array from ``state``, which must name each parameter once
+        with its shape. The whole state is checked first: one that fails changes nothing."""
+        arrays = {}
         for name, t in self.params.items():
             if name not in state:
                 raise ConfigError(f"missing parameter {name!r} in state")
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != t.shape:
                 raise ConfigError(f"parameter {name!r} shape {arr.shape} != {t.shape}")
-            t.data = np.ascontiguousarray(arr)
+            arrays[name] = np.ascontiguousarray(arr)
         extra = set(state) - set(self.params)
         if extra:
             raise ConfigError(f"unknown parameters in state: {sorted(extra)}")
+        for name, arr in arrays.items():
+            self.params[name].data = arr
 
 
 def build_model(cfg: UnetConfig, rng: np.random.Generator) -> UnetModel:
@@ -136,7 +141,7 @@ def build_model(cfg: UnetConfig, rng: np.random.Generator) -> UnetModel:
     return UnetModel(cfg=cfg, params=params)
 
 
-def _conv(p: dict[str, Tensor], name: str, stride: int = 1, padding: Padding = "same",
+def _conv(p: dict[str, Tensor], name: str, stride: int = 1, padding: int = 1,
           **activation) -> Conv2dParams:
     return Conv2dParams(p[f"{name}.kernel"], p[f"{name}.bias"], stride, padding, **activation)
 
@@ -184,7 +189,7 @@ def forward(model: UnetModel, x: Tensor, training: bool = False,
         x = conv2d(x, _conv(p, f"enc{level}.conv1", relu=True))
         x = conv2d(x, _dropout_conv(p, f"enc{level}", x.shape, cfg, training, rng))
         skips.append(x)
-        x = maxpool2d(x, 2, 2)
+        x = maxpool2d(x)
     x = conv2d(x, _conv(p, "bottleneck.conv1", relu=True))
     x = conv2d(x, _dropout_conv(p, "bottleneck", x.shape, cfg, training, rng))
     for level in range(cfg.depth - 1, -1, -1):

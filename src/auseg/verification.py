@@ -71,7 +71,7 @@ def _unit_conv2d(rng):
     x = _t(rng, 2, 3, 6, 6)
     k = _t(rng, 4, 3, 3, 3, lo=-1.0, hi=1.0)
     b = _t(rng, 4, lo=-0.5, hi=0.5)
-    return (lambda x, k, b: _mean_sq(F.conv2d(x, Conv2dParams(k, b, stride=1, padding="same"))),
+    return (lambda x, k, b: _mean_sq(F.conv2d(x, Conv2dParams(k, b, stride=1, padding=1))),
             [x, k, b])
 
 
@@ -85,7 +85,7 @@ def _unit_transposed_conv2d(rng):
 
 def _unit_maxpool(rng):
     x = _t(rng, 2, 2, 6, 6)
-    return lambda x: _mean_sq(F.maxpool2d(x, 2, 2)), [x]
+    return lambda x: _mean_sq(F.maxpool2d(x)), [x]
 
 
 def _unit_concat(rng):

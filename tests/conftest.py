@@ -1,5 +1,6 @@
 import gc
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +38,17 @@ def dot(y: Tensor, g) -> Tensor:
 def sum_sq(y: Tensor) -> Tensor:
     """The scalar sum(y * y) as one node, with backward s * 2y."""
     return record_op("sum_sq", (y,), np.vdot(y.data, y.data), lambda s: (s * 2.0 * y.data,))
+
+
+def traced_rise_mib(fn) -> float:
+    """How far traced memory rises above its level at the call, in MiB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def spy_record_op(monkeypatch, seen) -> None:

@@ -4,7 +4,7 @@ import pytest
 from oracles import (composed_conv_layer, loop_conv2d, loop_maxpool2d, loop_maxpool2d_grad,
                      loop_transposed_conv2d)
 
-from conftest import desk_unet_config, dot, sum_sq
+from conftest import desk_unet_config, dot, sum_sq, traced_rise_mib
 
 from auseg import attention, nn_ops
 from auseg.errors import ConfigError, ContractError, ShapeError
@@ -21,10 +21,10 @@ def rng(seed=0):
 def params(kernel, bias=None, stride=1, padding=0, grad=False):
     kernel = np.asarray(kernel, dtype=np.float64)
     if bias is None:
-        bias = np.zeros(kernel.shape[0] if padding != "transposed" else kernel.shape[1])
+        bias = np.zeros(kernel.shape[0])
     return Conv2dParams(Tensor(kernel, requires_grad=grad),
                         Tensor(np.asarray(bias, dtype=np.float64), requires_grad=grad),
-                        stride=stride, padding=0 if padding == "transposed" else padding)
+                        stride=stride, padding=padding)
 
 
 class TestConv2d:
@@ -37,7 +37,7 @@ class TestConv2d:
 
     def test_zero_kernel(self):
         x = Tensor(rng(1).normal(size=(2, 3, 5, 5)))
-        p = params(np.zeros((4, 3, 3, 3)), padding="same")
+        p = params(np.zeros((4, 3, 3, 3)), padding=1)
         assert np.all(conv2d(x, p).data == 0.0)
 
     def test_same_padding_vs_loop_oracle(self):
@@ -45,7 +45,7 @@ class TestConv2d:
         x = r.uniform(-2, 2, size=(1, 3, 5, 5))
         k = r.uniform(-2, 2, size=(4, 3, 3, 3))
         b = r.uniform(-1, 1, size=4)
-        out = conv2d(Tensor(x), params(k, b, padding="same"))
+        out = conv2d(Tensor(x), params(k, b, padding=1))
         assert np.max(np.abs(out.data - loop_conv2d(x, k, b, 1, 1))) < 1e-12
 
     def test_stride_two_vs_oracle(self):
@@ -64,14 +64,15 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             conv2d(Tensor(np.zeros((1, 1, 2, 2))), params(np.zeros((1, 1, 3, 3))))
 
-    def test_same_requires_odd_kernel(self):
-        with pytest.raises(ShapeError):
-            params(np.zeros((1, 1, 2, 2)), padding="same")
+    @pytest.mark.parametrize("padding", ["same", -1, 1.0, None])
+    def test_padding_must_be_non_negative_int(self, padding):
+        with pytest.raises(ShapeError, match="padding must be a non-negative int"):
+            params(np.zeros((1, 1, 3, 3)), padding=padding)
 
     def test_same_preserves_spatial_extent(self):
         for h, w, k in [(4, 6, 3), (8, 8, 5), (5, 7, 7)]:
             x = Tensor(rng(4).normal(size=(1, 2, h, w)))
-            p = params(rng(5).normal(size=(3, 2, k, k)), padding="same")
+            p = params(rng(5).normal(size=(3, 2, k, k)), padding=(k - 1) // 2)
             assert conv2d(x, p).shape == (1, 3, h, w)
 
     def test_gradcheck(self):
@@ -81,7 +82,7 @@ class TestConv2d:
         b = Tensor(r.normal(size=3), requires_grad=True)
 
         def f(x, k, b):
-            p = Conv2dParams(k, b, stride=1, padding="same")
+            p = Conv2dParams(k, b, stride=1, padding=1)
             out = conv2d(x, p)
             return sum_sq(out)
 
@@ -147,7 +148,7 @@ class TestTransposedConv2d:
         assert grad_check(f, [x, k, b], tol=1e-5, rng=rng(14)).passed
 
 
-# Shapes the shared convolution core must get right beyond 3x3 "same" at
+# Shapes the shared convolution core must get right beyond 3x3 at padding 1 and
 # stride 1: (n, c, o, h, w, k, stride, pad).
 CONV_CASES = {
     "stride2_pad1": (2, 3, 4, 7, 6, 3, 2, 1),
@@ -256,7 +257,7 @@ def test_conv_adjoint_identity_grid(case):
 # (op, c, o, h, w, k, stride, padding): the convolutions run one GEMM per sample
 BATCH_CASES = {
     "conv_stride2_pad1": (conv2d, 3, 4, 7, 6, 3, 2, 1),
-    "conv_7x7_same": (conv2d, 2, 1, 6, 6, 7, 1, "same"),
+    "conv_7x7_same": (conv2d, 2, 1, 6, 6, 7, 1, 3),
     "transposed_k3_s2_pad1": (transposed_conv2d, 3, 2, 3, 4, 3, 2, 1),
     "transposed_k7_s1_pad3": (transposed_conv2d, 2, 1, 6, 6, 7, 1, 3),
     "transposed_k2_s2_pad0": (transposed_conv2d, 3, 2, 3, 4, 2, 2, 0),
@@ -339,6 +340,21 @@ def test_conv_bands_equal_one_gemm_per_sample(cfg, size, monkeypatch):
     assert banded > 0
 
 
+def test_conv2d_backward_holds_one_padded_sample():
+    # dec0.conv1 of the default model at 64x64, batch 4: beyond the input gradient (4 MiB),
+    # the relu-masked output gradient and the kernel gradient's products, each backward
+    # helper holds one zero-bordered sample; whole-batch padded copies of the input and
+    # of the output gradient rose about 17.3 MiB
+    r = rng(47)
+    x = Tensor(r.normal(size=(4, 32, 64, 64)), requires_grad=True)
+    k = Tensor(r.normal(size=(16, 32, 3, 3)), requires_grad=True)
+    b = Tensor(np.zeros(16), requires_grad=True)
+    g = r.normal(size=(4, 16, 64, 64))
+    with Tape() as tape:
+        root = dot(conv2d(x, Conv2dParams(k, b, padding=1, relu=True)), g)
+        assert traced_rise_mib(lambda: backward(tape, root, {"x": x, "k": k, "b": b})) <= 15.5
+
+
 # (id, input maker, stride): batch > 1 and several channels throughout
 MAXPOOL_CASES = [
     ("normal_s2", lambda r: r.normal(size=(3, 4, 8, 10)), 2),
@@ -352,26 +368,28 @@ MAXPOOL_CASES = [
 
 class TestMaxpool:
     def test_hand_window(self):
-        out = maxpool2d(Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]), 2, 2)
+        out = maxpool2d(Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]))
         assert out.data.tolist() == [[[[4.0]]]]
 
     def test_constant_input(self):
-        out = maxpool2d(Tensor(np.full((1, 2, 4, 4), 3.25)), 2, 2)
+        out = maxpool2d(Tensor(np.full((1, 2, 4, 4), 3.25)))
         assert np.all(out.data == 3.25)
 
     def test_vs_loop_oracle(self):
         x = rng(15).uniform(-2, 2, size=(1, 2, 8, 8))
-        out = maxpool2d(Tensor(x), 2, 2)
+        out = maxpool2d(Tensor(x))
         assert np.max(np.abs(out.data - loop_maxpool2d(x, 2, 2))) < 1e-12
 
     def test_non_divisible(self):
         with pytest.raises(ShapeError):
-            maxpool2d(Tensor(np.zeros((1, 1, 5, 4))), 2, 2)
+            maxpool2d(Tensor(np.zeros((1, 1, 5, 4))))
+        with pytest.raises(ShapeError, match="stride 0 must be positive"):
+            maxpool2d(Tensor(np.zeros((1, 1, 4, 4))), 0)
 
     def test_grad_routes_to_first_argmax(self):
         x = Tensor(np.array([[[[2.0, 2.0], [1.0, 2.0]]]]), requires_grad=True)
         with Tape() as tape:
-            grads = backward(tape, dot(maxpool2d(x, 2, 2), 1.0), {"x": x})
+            grads = backward(tape, dot(maxpool2d(x), 1.0), {"x": x})
         # tie between three entries: row-major first (0,0) wins
         assert grads["x"].tolist() == [[[[1.0, 0.0], [0.0, 0.0]]]]
 
@@ -383,7 +401,7 @@ class TestMaxpool:
         g = r.normal(size=(x.shape[0], x.shape[1], x.shape[2] // s, x.shape[3] // s))
         t = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            out = maxpool2d(t, s, s)
+            out = maxpool2d(t, s)
             grads = backward(tape, dot(out, g), {"x": t})
         assert out.data.tobytes() == loop_maxpool2d(x, s, s).tobytes()
         assert grads["x"].tobytes() == loop_maxpool2d_grad(x, g, s).tobytes()
@@ -393,14 +411,14 @@ class TestMaxpool:
         _, make, s = case
         x = make(rng(19))
         with Tape():
-            taped = maxpool2d(Tensor(x, requires_grad=True), s, s)
+            taped = maxpool2d(Tensor(x, requires_grad=True), s)
         assert taped.requires_grad
-        assert maxpool2d(Tensor(x), s, s).data.tobytes() == taped.data.tobytes()
+        assert maxpool2d(Tensor(x), s).data.tobytes() == taped.data.tobytes()
 
     def test_shape_round_trip_with_upsampling(self):
         for size in (8, 16, 32):
             x = Tensor(rng(16).normal(size=(1, 2, size, size)))
-            pooled = maxpool2d(x, 2, 2)
+            pooled = maxpool2d(x)
             p = Conv2dParams(Tensor(rng(17).normal(size=(2, 2, 2, 2))), Tensor(np.zeros(2)),
                              stride=2, padding=0)
             restored = transposed_conv2d(pooled, p)
@@ -458,10 +476,10 @@ def test_fused_layer_bytes_match_composition(rate):
         k, b = Tensor(k_data, requires_grad=True), Tensor(b_data, requires_grad=True)
         with Tape() as tape:
             if fused:
-                out = conv2d(x, Conv2dParams(k, b, padding="same", relu=True, keep=keep,
+                out = conv2d(x, Conv2dParams(k, b, padding=1, relu=True, keep=keep,
                                              rate=rate))
             else:
-                out = composed_conv_layer(x, Conv2dParams(k, b, padding="same"), keep, rate)
+                out = composed_conv_layer(x, Conv2dParams(k, b, padding=1), keep, rate)
             grads = backward(tape, dot(out, g), {"x": x, "k": k, "b": b})
         return [a.tobytes() for a in (out.data, *grads.values())]
 
@@ -578,5 +596,5 @@ def test_oracle_equivalence_random_battery():
         x = r.uniform(-2, 2, size=(n, c, h, w))
         k = r.uniform(-2, 2, size=(o, c, 3, 3))
         b = r.uniform(-2, 2, size=o)
-        out = conv2d(Tensor(x), params(k, b, padding="same"))
+        out = conv2d(Tensor(x), params(k, b, padding=1))
         assert np.max(np.abs(out.data - loop_conv2d(x, k, b, 1, 1))) < 1e-12

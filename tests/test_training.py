@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +11,7 @@ import pytest
 
 from oracles import adam_reference_step
 
-from conftest import DESK_SEED, desk_data, desk_train_settings, desk_unet_config
+from conftest import DESK_SEED, desk_data, desk_train_settings, desk_unet_config, traced_rise_mib
 
 from auseg.data import synth_generate
 import auseg
@@ -471,17 +470,6 @@ def test_train_step_bytes_independent_of_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-def _traced_rise_mib(fn) -> float:
-    """How far traced memory rises above its level at the call, in MiB."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
-    finally:
-        tracemalloc.stop()
-
-
 def test_inference_traced_peaks():
     # each conv holds one sample's padded input and one column band, the loss one
     # softmax-sized buffer, and no activation outlives its last use (about 11 and 3.6 MiB);
@@ -489,8 +477,8 @@ def test_inference_traced_peaks():
     model = build_model(unet.UnetConfig(), init_rng(1))
     samples = synth_generate(4, 64, 64, 19, rng(60))
     x = Tensor(samples[0].image[None])
-    assert _traced_rise_mib(lambda: evaluate(model, samples, LossConfig(), 4)) <= 16
-    assert _traced_rise_mib(lambda: unet.predict_labels(model, x)) <= 6
+    assert traced_rise_mib(lambda: evaluate(model, samples, LossConfig(), 4)) <= 16
+    assert traced_rise_mib(lambda: unet.predict_labels(model, x)) <= 6
 
 
 def test_instrumented_calling_conventions(monkeypatch):

@@ -103,6 +103,30 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build_model(small_cfg(depth=0), rng(4))
 
+    @pytest.mark.parametrize("fault, error, message", [
+        ("missing", ConfigError, "missing parameter 'head.bias'"),
+        ("shape", ConfigError, r"parameter 'head.bias' shape \(4,\) != \(3,\)"),
+        ("value", ValueError, "could not convert string to float"),
+        ("extra", ConfigError, "unknown parameters in state: \\['head.scale'\\]"),
+    ])
+    def test_failed_load_changes_no_parameter(self, fault, error, message):
+        # every fault sits in the last parameter or after it, so a load that swaps
+        # parameters in as it checks them would already have changed all the others
+        model = build_model(small_cfg(), rng(6))
+        before = {name: t.data.tobytes() for name, t in model.params.items()}
+        state = {name: t.data + 1.0 for name, t in model.params.items()}
+        if fault == "missing":
+            del state["head.bias"]
+        elif fault == "shape":
+            state["head.bias"] = np.zeros(4)
+        elif fault == "value":
+            state["head.bias"] = ["a", "b", "c"]
+        else:
+            state["head.scale"] = np.zeros(1)
+        with pytest.raises(error, match=message):
+            model.load_state_arrays(state)
+        assert {name: t.data.tobytes() for name, t in model.params.items()} == before
+
     def test_unique_parameter_names(self, monkeypatch):
         # a build that names every level as level 0 must not overwrite enc0's tensors
         monkeypatch.setattr(unet, "range", lambda *args: [0] * len(range(*args)), raising=False)
