@@ -39,7 +39,7 @@ def run(argv=None) -> int:
                                                      total_epochs=args.epochs),
                              patience=args.epochs, jitter_delta=0.02)
 
-    rows = lr_sweep(cfg, train_s, val_s, settings, lrs, log_line=None)
+    rows = lr_sweep(cfg, train_s, val_s, settings, lrs)
     report = format_sweep_report(rows)
     print(report, end="")
     if args.out:

@@ -7,7 +7,6 @@ bytes. save -> load -> save round-trips byte-identically.
 """
 from __future__ import annotations
 
-import io
 import os
 import struct
 import zlib
@@ -16,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptionError
+from .tensor import MAX_RANK
 
 MAGIC = b"AUSEG\x01"
-MAX_RANK = 4
 MAX_NAME = 4096
 
 
@@ -37,12 +36,6 @@ def _write(fh, config_text: str, params: dict[str, np.ndarray]) -> None:
         crc = zlib.crc32(chunk, crc)
         fh.write(chunk)
     fh.write(struct.pack("<I", crc))
-
-
-def serialize(config_text: str, params: dict[str, np.ndarray]) -> bytes:
-    buf = io.BytesIO()
-    _write(buf, config_text, params)
-    return buf.getvalue()
 
 
 def deserialize(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:

@@ -32,8 +32,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_CORRUPT = 5
 
-TRAIN_ARTIFACTS = ("resolved.cfg", "trainlog.csv", "losscurve.svg", "best.ckpt", "final.ckpt")
-
 
 def _load_run_data(cfg: RunConfig):
     if not cfg.data_root:
@@ -64,7 +62,7 @@ def cmd_train(args) -> int:
     write_loss_svg(out_dir / "losscurve.svg", [r.epoch for r in rows],
                    [r.train_loss for r in rows], [r.val_loss for r in rows])
     save_checkpoint(out_dir / "best.ckpt", resolved, result.best_state)
-    save_checkpoint(out_dir / "final.ckpt", resolved, result.model.state_arrays())
+    save_checkpoint(out_dir / "final.ckpt", resolved, model.state_arrays())
     best = result.log.best_row()
     print(f"done: best epoch {best.epoch} val_loss {best.val_loss:.6f} "
           f"mIoU {best.val_miou:.4f} PA {best.val_pa:.4f}")
@@ -118,7 +116,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_gradcheck_suite(seed=args.seed, num_seeds=3, tol_override=args.tolerance)
+    results = run_gradcheck_suite(seed=args.seed, tol_override=args.tolerance)
     print(format_gradcheck_table(results), end="")
     failures = [r.name for r in results if not r.passed]
     if failures:
@@ -145,8 +143,8 @@ def cmd_sweep_lr(args) -> int:
         lrs = [float(tok) for tok in args.lrs.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"--lrs must be comma-separated floats, got {args.lrs!r}") from exc
-    if not lrs or not all(lr > 0 for lr in lrs):
-        raise ConfigError(f"--lrs must list positive learning rates, got {args.lrs!r}")
+    if not lrs or not all(0 < lr < np.inf for lr in lrs):
+        raise ConfigError(f"--lrs must list positive finite learning rates, got {args.lrs!r}")
     train_samples, val_samples = _load_run_data(cfg)
     loss_cfg = cfg.loss_config(train_labels=[s.label for s in train_samples])
     settings = cfg.train_settings(loss_cfg)

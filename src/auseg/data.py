@@ -94,11 +94,6 @@ def read_ppm(path) -> np.ndarray:
     return _parse_netpbm(Path(path).read_bytes(), path, b"P6", 3)[0]
 
 
-def read_pgm(path) -> np.ndarray:
-    """Binary P5 -> uint8 [H, W]."""
-    return _parse_netpbm(Path(path).read_bytes(), path, b"P5", 1)[0]
-
-
 def write_ppm(path, image: np.ndarray) -> None:
     image = np.asarray(image, dtype=np.uint8)
     h, w, c = image.shape

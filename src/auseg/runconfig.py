@@ -1,12 +1,14 @@
 """Flat ``key = value`` run configuration.
 
 Every configurable of the model, loss, schedule, stopper, and data pipeline
-maps to exactly one documented key. Unknown keys are rejected. The fully
-resolved config (canonical key order) is echoed into the run directory and
-embedded in checkpoints, so a checkpoint alone reconstructs its model.
+maps to exactly one documented key. Unknown keys, keys given twice and
+non-finite numbers are rejected. The fully resolved config (canonical key
+order) is echoed into the run directory and embedded in checkpoints, so a
+checkpoint alone reconstructs its model.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -140,12 +142,15 @@ def _parse_value(key: str, raw: str, target_type: type):
             return low == "true"
         if target_type is int:
             return int(raw)
-        if target_type is float:
-            return float(raw)
-        return raw
+        if target_type is not float:
+            return raw
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as "
                           f"{target_type.__name__}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {raw!r}")
+    return value
 
 
 # Keys that are gone but that config echoes in older checkpoints still carry:
@@ -158,10 +163,11 @@ _RETIRED = {
 }
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    cfg = base if base is not None else RunConfig()
+def parse_config_text(text: str) -> RunConfig:
+    cfg = RunConfig()
     known = {f.name: f.type for f in fields(RunConfig)}
     types = {"int": int, "float": float, "str": str, "bool": bool}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -170,6 +176,9 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
+        if key in seen:
+            raise ConfigError(f"config key {key!r} given twice: lines {seen[key]} and {lineno}")
+        seen[key] = lineno
         if key in _RETIRED:
             kind, valid, rule = _RETIRED[key]
             if not valid(_parse_value(key, raw, kind)):

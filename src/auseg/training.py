@@ -21,15 +21,17 @@ from .losses_metrics import (ConfusionMatrix, LossConfig, combined_loss, confusi
 from .tensor import Tape, Tensor, backward
 from .unet import UnetConfig, UnetModel, build_model, forward
 
+# AdamW's moment decays and denominator guard, as in Loshchilov & Hutter (2019)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamWState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
 
     @classmethod
@@ -55,8 +57,8 @@ def adamw_step(params: dict[str, Tensor], grads: Sequence[np.ndarray],
         if not math.isfinite(np.vdot(g, g)) and not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     # in place through two scratch rows shared by every parameter, in the order of
     # p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * p)
     scratch = np.empty((2, max((t.size for t in params.values()), default=0)))
@@ -65,14 +67,14 @@ def adamw_step(params: dict[str, Tensor], grads: Sequence[np.ndarray],
         v = state.v[name]
         w = t.data
         a, b = (row[:w.size].reshape(w.shape) for row in scratch)
-        m *= state.beta1
-        m += np.multiply(1.0 - state.beta1, g, out=a)
-        v *= state.beta2
-        np.multiply(1.0 - state.beta2, g, out=a)
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, g, out=a)
+        v *= BETA2
+        np.multiply(1.0 - BETA2, g, out=a)
         v += np.multiply(a, g, out=a)
         np.divide(v, bc2, out=a)
         np.sqrt(a, out=a)
-        a += state.eps
+        a += EPS
         np.divide(m, bc1, out=b)
         b /= a
         b += np.multiply(state.weight_decay, w, out=a)
@@ -147,18 +149,6 @@ class TrainLog:
                          f"{r.val_miou:.9g},{r.val_pa:.9g},{r.seconds:.9g}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "TrainLog":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or lines[0] != cls.CSV_HEADER:
-            raise ConfigError("train log CSV header mismatch")
-        rows = []
-        for ln in lines[1:]:
-            e, tl, vl, lr, mi, pa, sec = ln.split(",")
-            rows.append(EpochRow(int(e), float(tl), float(vl), float(lr),
-                                 float(mi), float(pa), float(sec)))
-        return cls(rows=rows)
-
     def best_row(self) -> EpochRow:
         if not self.rows:
             raise ConfigError("empty train log")
@@ -185,10 +175,8 @@ class TrainSettings:
 
 @dataclass
 class TrainResult:
-    model: UnetModel
     log: TrainLog
     best_state: dict[str, np.ndarray]
-    best_epoch: int
 
 
 def _rng_for(seed: int, stream: int) -> np.random.Generator:
@@ -245,7 +233,7 @@ def _train_step(model: UnetModel, images: np.ndarray, labels: np.ndarray, cfg: T
 
 def train(model: UnetModel, train_samples: Sequence[Sample], val_samples: Sequence[Sample],
           cfg: TrainSettings, log_line=None) -> TrainResult:
-    """Optimize the model, returning the log and the best-validation snapshot.
+    """Optimize the model in place, returning the log and the best-validation snapshot.
 
     Per epoch: shuffled augmented batches -> combined loss -> backward ->
     AdamW at the cosine-annealed rate; then a validation pass (loss, mIoU,
@@ -267,7 +255,6 @@ def train(model: UnetModel, train_samples: Sequence[Sample], val_samples: Sequen
     augs = _augmentations(cfg)
     log = TrainLog()
     best_state: dict[str, np.ndarray] = {}
-    best_epoch = -1
     best_val = math.inf
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
@@ -293,10 +280,9 @@ def train(model: UnetModel, train_samples: Sequence[Sample], val_samples: Sequen
         if val_loss < best_val:
             best_val = val_loss
             best_state = model.state_arrays()
-            best_epoch = epoch
         if early_stop_check(stopper, val_loss):
             break
-    return TrainResult(model=model, log=log, best_state=best_state, best_epoch=best_epoch)
+    return TrainResult(log=log, best_state=best_state)
 
 
 @dataclass
@@ -308,7 +294,7 @@ class SweepRow:
 
 def lr_sweep(unet_cfg: UnetConfig, train_samples: Sequence[Sample],
              val_samples: Sequence[Sample], cfg: TrainSettings,
-             lrs: Sequence[float], log_line=None) -> list[SweepRow]:
+             lrs: Sequence[float]) -> list[SweepRow]:
     """Full train + best-checkpoint eval per learning rate, identical seeds/data.
 
     Rows keep the input grid order.
@@ -320,7 +306,7 @@ def lr_sweep(unet_cfg: UnetConfig, train_samples: Sequence[Sample],
         run_cfg = replace(cfg, schedule=replace(cfg.schedule, eta_max=lr,
                                                 eta_min=min(cfg.schedule.eta_min, lr)))
         model = build_model(unet_cfg, init_rng(cfg.seed))
-        result = train(model, train_samples, val_samples, run_cfg, log_line=log_line)
+        result = train(model, train_samples, val_samples, run_cfg)
         model.load_state_arrays(result.best_state)
         _, cm = evaluate(model, val_samples, cfg.loss, cfg.batch_size)
         rows.append(SweepRow(lr=lr, val_miou=miou(cm), val_pa=pixel_accuracy(cm)))

@@ -76,9 +76,6 @@ class UnetModel:
     cfg: UnetConfig
     params: dict[str, Tensor]
 
-    def parameter_count(self) -> int:
-        return sum(t.size for t in self.params.values())
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
 

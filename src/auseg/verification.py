@@ -25,6 +25,7 @@ from .unet import UnetConfig, build_model, forward
 
 TOL_SINGLE = 1e-5
 TOL_COMPOSED = 1e-4
+NUM_SEEDS = 3
 
 
 @dataclass
@@ -154,15 +155,14 @@ UNITS: list[tuple[str, float, object]] = [
 ]
 
 
-def run_gradcheck_suite(seed: int = 0, num_seeds: int = 3,
-                        tol_override: float | None = None) -> list[UnitResult]:
-    """Run every unit on ``num_seeds`` consecutive seeds; worst error wins."""
+def run_gradcheck_suite(seed: int = 0, tol_override: float | None = None) -> list[UnitResult]:
+    """Run every unit on ``NUM_SEEDS`` consecutive seeds from ``seed``; worst error wins."""
     results = []
     for name, default_tol, builder in UNITS:
         tol = default_tol if tol_override is None else tol_override
         worst = 0.0
         coords, h = (4, 1e-7) if name == "unet_forward" else (8, 1e-5)
-        for s in range(num_seeds):
+        for s in range(NUM_SEEDS):
             rng = np.random.default_rng(np.random.SeedSequence([seed + s, zlib.crc32(name.encode())]))
             f, inputs = builder(rng)
             report = grad_check(f, inputs, h=h, tol=tol, coords_per_input=coords,

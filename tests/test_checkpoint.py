@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from auseg import checkpoint
-from auseg.checkpoint import MAGIC, deserialize, load_checkpoint, save_checkpoint, serialize
+from auseg.checkpoint import MAGIC, deserialize, load_checkpoint, save_checkpoint
 from auseg.errors import CorruptionError
 from auseg.training import init_rng
 from auseg.unet import UnetConfig, build_model
@@ -25,13 +25,20 @@ def sample_params(seed=0):
     }
 
 
+def saved_bytes(tmp_path, config_text, params) -> bytes:
+    """The file ``save_checkpoint`` writes for ``config_text`` and ``params``."""
+    path = tmp_path / "saved.ckpt"
+    save_checkpoint(path, config_text, params)
+    return path.read_bytes()
+
+
 class TestRoundTrip:
     def test_save_load_save_byte_identical(self, tmp_path):
         params = sample_params()
-        blob = serialize("seed = 0\n", params)
+        blob = saved_bytes(tmp_path, "seed = 0\n", params)
         cfg, loaded = deserialize(blob)
         assert cfg == "seed = 0\n"
-        blob2 = serialize(cfg, loaded)
+        blob2 = saved_bytes(tmp_path, cfg, loaded)
         assert blob2 == blob
 
     def test_values_bit_exact(self, tmp_path):
@@ -56,13 +63,13 @@ class TestRoundTrip:
         for name in model.params:
             assert model.params[name].data.tobytes() == model2.params[name].data.tobytes()
 
-    def test_unicode_names_round_trip(self):
+    def test_unicode_names_round_trip(self, tmp_path):
         params = {"enc0.kérnel": rng(4).normal(size=(2, 2))}
-        _, loaded = deserialize(serialize("", params))
+        _, loaded = deserialize(saved_bytes(tmp_path, "", params))
         assert list(loaded) == list(params)
 
-    def test_magic_prefix(self):
-        blob = serialize("", sample_params())
+    def test_magic_prefix(self, tmp_path):
+        blob = saved_bytes(tmp_path, "", sample_params())
         assert blob.startswith(MAGIC)
 
 
@@ -79,23 +86,25 @@ def test_save_streams_without_copying_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < max(a.nbytes for a in state.values()) + 256 * 1024
-    assert path.read_bytes() == serialize("cfg", state)
+    cfg, loaded = deserialize(path.read_bytes())
+    assert cfg == "cfg" and list(loaded) == list(state)
+    assert all(loaded[name].tobytes() == state[name].tobytes() for name in state)
 
 
 class TestCorruption:
     def test_truncated_rejected(self, tmp_path):
-        blob = serialize("cfg", sample_params())
+        blob = saved_bytes(tmp_path, "cfg", sample_params())
         with pytest.raises(CorruptionError):
             deserialize(blob[:len(blob) // 2])
 
-    def test_bit_flip_rejected(self):
-        blob = bytearray(serialize("cfg", sample_params()))
+    def test_bit_flip_rejected(self, tmp_path):
+        blob = bytearray(saved_bytes(tmp_path, "cfg", sample_params()))
         blob[20] ^= 0x40
         with pytest.raises(CorruptionError, match="CRC"):
             deserialize(bytes(blob))
 
-    def test_bad_magic_rejected(self):
-        blob = bytearray(serialize("cfg", sample_params()))
+    def test_bad_magic_rejected(self, tmp_path):
+        blob = bytearray(saved_bytes(tmp_path, "cfg", sample_params()))
         blob[0] = ord("X")
         with pytest.raises(CorruptionError):
             deserialize(bytes(blob))
@@ -110,9 +119,9 @@ class TestCorruption:
 
     @pytest.mark.parametrize("offset, what", [(len(MAGIC) + 4 + 2, "config echo"),
                                               (len(MAGIC) + 4 + 3 + 4 + 5, "name")])
-    def test_non_utf8_text_rejected_with_byte_offset(self, offset, what):
+    def test_non_utf8_text_rejected_with_byte_offset(self, tmp_path, offset, what):
         # "cfg" then the first name, "enc0.conv1.kernel"; the CRC is recomputed
-        body = bytearray(serialize("cfg", sample_params())[:-4])
+        body = bytearray(saved_bytes(tmp_path, "cfg", sample_params())[:-4])
         body[offset] = 0xFF
         blob = bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
         with pytest.raises(CorruptionError, match=f"{what} is not UTF-8 at byte {offset}$"):

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auseg.data import (DatasetSpec, Sample, batch_iter, class_color, color_jitter,
-                        horizontal_flip, load_sample, load_split, random_crop, read_pgm,
-                        read_ppm, save_sample, synth_generate, write_pgm, write_ppm)
+                        horizontal_flip, load_sample, load_split, random_crop, read_ppm,
+                        save_sample, synth_generate, write_pgm, write_ppm)
 from auseg.errors import ConfigError, DataError
 
 
@@ -15,6 +15,13 @@ def rng(seed=0):
 
 def make_sample(seed=0, h=8, w=8, k=3):
     return synth_generate(1, max(16, h), max(16, w), k, rng(seed))[0]
+
+
+def read_labels(path, h=2, w=2):
+    """``path`` parsed as a label map by ``load_sample``, beside a black h x w image."""
+    image = path.with_name("pair_img.ppm")
+    write_ppm(image, np.zeros((h, w, 3), dtype=np.uint8))
+    return load_sample(image, path, DatasetSpec(root=path.parent, split=".", num_classes=256)).label
 
 
 class TestNetpbm:
@@ -28,7 +35,7 @@ class TestNetpbm:
         lab = rng(2).integers(0, 4, size=(6, 4)).astype(np.uint8)
         path = tmp_path / "x.pgm"
         write_pgm(path, lab)
-        assert np.array_equal(read_pgm(path), lab)
+        assert np.array_equal(read_labels(path, 6, 4), lab)
 
     def test_extremal_pixels(self, tmp_path):
         write_ppm(tmp_path / "w_img.ppm", np.full((2, 2, 3), 255, dtype=np.uint8))
@@ -54,29 +61,29 @@ class TestNetpbm:
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P5\n2 x\n255\n....")
         with pytest.raises(DataError, match="non-numeric"):
-            read_pgm(path)
+            read_labels(path)
 
     def test_short_payload_reports_offset(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P5\n2 2\n255\n\x00\x00\x00")
         with pytest.raises(DataError, match="expected 4 data bytes at byte 11"):
-            read_pgm(path)
+            read_labels(path)
 
     def test_wrong_maxval(self, tmp_path):
         # the error names the first byte of the maxval token
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P5\n2 2\n15\n" + b"\x00" * 4)
         with pytest.raises(DataError, match="maxval 255 supported, got 15 at byte 7$"):
-            read_pgm(path)
+            read_labels(path)
         path.write_bytes(b"P5 2 2 65535\n" + b"\x00" * 8)
         with pytest.raises(DataError, match="got 65535 at byte 7$"):
-            read_pgm(path)
+            read_labels(path)
 
     def test_degenerate_extents_name_width_byte(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P5\n  0 2\n255\n")
         with pytest.raises(DataError, match="degenerate extents 0x2 in header at byte 5$"):
-            read_pgm(path)
+            read_labels(path)
 
 
 class TestLoadSample:

@@ -1,8 +1,10 @@
-"""Every module under src/auseg, tests/ and scripts/ uses each name it imports.
+"""Every module under src/auseg, tests/ and scripts/ uses each name it imports, and
+every definition under src/auseg has a caller outside the tests.
 
-``src/auseg/__init__.py`` is skipped: its imports are the public API.
+``src/auseg/__init__.py`` is skipped by the import check: its imports are the public API.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # package modules are named by file name, test and script files by directory/file name
 FILES = {p.name: p for p in (ROOT / "src" / "auseg").glob("*.py") if p.name != "__init__.py"}
 FILES.update({f"{d}/{p.name}": p for d in ("tests", "scripts") for p in (ROOT / d).glob("*.py")})
+# the code that may call the package: tests do not count
+CALLERS = [p for d in ("src", "scripts", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
+           if not p.name.startswith("test_")]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,3 +51,43 @@ def test_checker_finds_unused_names():
     source = ("import os\nimport numpy as np\nfrom .tensor import Tensor, full\n"
               "def f(x: 'Tensor') -> None:\n    return np.zeros(1)\n")
     assert unused_imports(source) == ["full (line 3)", "os (line 1)"]
+
+
+def definitions(source: str) -> set[str]:
+    """Functions and classes at any depth, methods included, and upper-case names bound
+    by assignment. Dunder methods are left out: the language calls them."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()}
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def references(source: str) -> set[str]:
+    """Names that are read, bare or as an attribute; a definition or assignment is not one."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def test_every_definition_has_a_caller_besides_tests():
+    defined = set().union(*(definitions(p.read_text())
+                            for p in (ROOT / "src" / "auseg").glob("*.py")))
+    named = set().union(*(references(p.read_text()) for p in CALLERS))
+    # console scripts, "module:function" in pyproject.toml, are called by name
+    named |= set(re.findall(r'"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
+    assert sorted(defined - named) == []
+
+
+def test_dead_code_checker_finds_uncalled_names():
+    source = ("LIMIT = 3\nSPARE = 4\nclass Box:\n    def __init__(self): pass\n"
+              "    def size(self): return LIMIT\n    def spare(self): pass\n"
+              "def make(): return Box().size()\n")
+    assert definitions(source) - references(source) == {"SPARE", "spare", "make"}

@@ -42,7 +42,8 @@ class TestBuild:
         att0 = (1 * 4) + (4 * 1) + (1 * 2 * 7 * 7 + 1)
         dec0 = (4 * 8 * 3 * 3 + 4) + (4 * 4 * 3 * 3 + 4)
         head = 2 * 4 * 1 * 1 + 2
-        assert model.parameter_count() == enc0 + bottleneck + up0 + att0 + dec0 + head
+        total = sum(t.size for t in model.params.values())
+        assert total == enc0 + bottleneck + up0 + att0 + dec0 + head
 
     def test_ablation_has_no_attention_params(self):
         model = build_model(small_cfg(attention_enabled=False), rng(1))
