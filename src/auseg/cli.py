@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import DatasetSpec, load_split, save_sample, synth_generate
+from .data import (DatasetSpec, check_crop, load_split, read_ppm, save_sample, synth_generate,
+                   write_pgm)
 from .errors import (ConfigError, ContractError, CorruptionError, DataError, NumericError,
                      ShapeError, TrainingError)
 from .losses_metrics import eval_report_csv, format_eval_report
@@ -22,7 +23,7 @@ from .svgplot import write_loss_svg
 from .tensor import Tensor
 from .training import (evaluate, format_sweep_report, init_rng, lr_sweep, sweep_report_csv,
                        train)
-from .unet import build_model, predict_labels
+from .unet import build_model, check_extents, predict_labels
 from .verification import format_gradcheck_table, run_gradcheck_suite
 
 EXIT_OK = 0
@@ -36,11 +37,22 @@ EXIT_CORRUPT = 5
 def _load_run_data(cfg: RunConfig):
     if not cfg.data_root:
         raise ConfigError("config key data_root must point at the dataset")
-    train_spec = DatasetSpec(root=Path(cfg.data_root), split="train",
-                             num_classes=cfg.num_classes, ignore_index=cfg.ignore_index)
-    val_spec = DatasetSpec(root=Path(cfg.data_root), split="val",
-                           num_classes=cfg.num_classes, ignore_index=cfg.ignore_index)
-    return load_split(train_spec), load_split(val_spec)
+    return [load_split(DatasetSpec(root=Path(cfg.data_root), split=split,
+                                   num_classes=cfg.num_classes, ignore_index=cfg.ignore_index))
+            for split in ("train", "val")]
+
+
+def _check_data_fits_model(cfg: RunConfig, train_samples, val_samples) -> None:
+    """Every crop fits its training image, and the model takes every extent it
+    will see: the crop (or the whole training image) and each validation image."""
+    unet_cfg = cfg.unet_config()
+    for s in train_samples:
+        _, h, w = s.image.shape
+        if cfg.crop_h > 0:
+            check_crop(cfg.crop_h, cfg.crop_w, h, w)
+        check_extents(unet_cfg, cfg.crop_h or h, cfg.crop_w or w)
+    for s in val_samples:
+        check_extents(unet_cfg, *s.image.shape[1:])
 
 
 def cmd_train(args) -> int:
@@ -48,12 +60,13 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.validate()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_samples, val_samples = _load_run_data(cfg)
+    _check_data_fits_model(cfg, train_samples, val_samples)
     loss_cfg = cfg.loss_config(train_labels=[s.label for s in train_samples])
     settings = cfg.train_settings(loss_cfg)
     model = build_model(cfg.unet_config(), init_rng(cfg.seed))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     resolved = cfg.resolved_text()
     (out_dir / "resolved.cfg").write_text(resolved)
     result = train(model, train_samples, val_samples, settings, log_line=print)
@@ -99,8 +112,6 @@ def cmd_predict(args) -> int:
     image_path = Path(args.image)
     if not image_path.is_file():
         raise DataError(f"image not found: {image_path}")
-    from .data import read_ppm, write_pgm
-
     rgb = read_ppm(image_path)
     h, w = rgb.shape[:2]
     multiple = 2 ** cfg.depth

@@ -18,6 +18,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .losses_metrics import DEFAULT_IGNORE
 from .tensor import Tensor
 from .unet import LabelMap
 
@@ -38,11 +39,7 @@ class DatasetSpec:
     root: Path
     split: str
     num_classes: int
-    ignore_index: int = 255
-
-    @property
-    def directory(self) -> Path:
-        return Path(self.root) / self.split
+    ignore_index: int = DEFAULT_IGNORE
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +127,7 @@ def load_sample(image_path, label_path, spec: DatasetSpec) -> Sample:
 
 def load_split(spec: DatasetSpec) -> list[Sample]:
     """Load every pair under ``root/split``, sorted by id; unpaired files error."""
-    directory = spec.directory
+    directory = Path(spec.root) / spec.split
     if not directory.is_dir():
         raise DataError(f"dataset split directory not found: {directory}")
     images = {p.name[: -len(IMG_SUFFIX)]: p for p in directory.glob(f"*{IMG_SUFFIX}")}
@@ -174,14 +171,13 @@ def synth_generate(n: int, h: int, w: int, k: int, rng: np.random.Generator,
         raise ConfigError(f"palette supports at most {MAX_CLASSES} classes, got {k}")
     if h < 16 or w < 16:
         raise ConfigError(f"extents must be >= 16, got {h}x{w}")
-    ys, xs = np.mgrid[0:h, 0:w]
+    ys, xs = np.ogrid[0:h, 0:w]
+    half_lo, half_hi = max(2, min(h, w) // 10), max(3, min(h, w) // 4)
+    palette = np.array([class_color(cls) for cls in range(k)]).T  # [3, k]
     samples = []
     for i in range(n):
-        image = np.empty((3, h, w))
-        image[:] = np.array(class_color(0))[:, None, None]
         label = np.zeros((h, w), dtype=np.int64)
         for cls in range(1, k):
-            half_lo, half_hi = max(2, min(h, w) // 10), max(3, min(h, w) // 4)
             cy = int(rng.integers(half_hi, h - half_hi))
             cx = int(rng.integers(half_hi, w - half_hi))
             if rng.random() < 0.5:
@@ -192,8 +188,7 @@ def synth_generate(n: int, h: int, w: int, k: int, rng: np.random.Generator,
                 radius = int(rng.integers(half_lo, half_hi + 1))
                 mask = (ys - cy) ** 2 + (xs - cx) ** 2 <= radius ** 2
             label[mask] = cls
-            color = np.array(class_color(cls))
-            image[:, mask] = color[:, None]
+        image = np.take(palette, label, axis=1)  # [3, H, W], C-contiguous
         if noise_sigma > 0:
             image = image + rng.normal(0.0, noise_sigma, size=image.shape)
         image = np.clip(image, 0.0, 1.0)
@@ -205,10 +200,14 @@ def synth_generate(n: int, h: int, w: int, k: int, rng: np.random.Generator,
 # augmentations (image and label always move together)
 
 
-def random_crop(s: Sample, ch: int, cw: int, rng: np.random.Generator) -> Sample:
-    _, h, w = s.image.shape
+def check_crop(ch: int, cw: int, h: int, w: int) -> None:
     if ch > h or cw > w:
         raise ConfigError(f"crop {ch}x{cw} larger than image {h}x{w}")
+
+
+def random_crop(s: Sample, ch: int, cw: int, rng: np.random.Generator) -> Sample:
+    _, h, w = s.image.shape
+    check_crop(ch, cw, h, w)
     top = int(rng.integers(0, h - ch + 1))
     left = int(rng.integers(0, w - cw + 1))
     return Sample(image=s.image[:, top:top + ch, left:left + cw].copy(),

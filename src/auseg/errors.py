@@ -1,8 +1,10 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and ``check_range``, the range
+check each config dataclass runs on its own fields.
 
 Each class maps to one CLI exit code: see ``cli.main`` and the exit-code
 table in the README.
 """
+import math
 
 
 class AusegError(Exception):
@@ -35,3 +37,10 @@ class CorruptionError(AusegError):
 
 class TrainingError(AusegError):
     """Optimizer-level failure, e.g. NaN gradient for a named parameter."""
+
+
+def check_range(owner, key: str, lo: float, hi: float = math.inf) -> None:
+    """The config check of one field: ``owner.key`` must lie in [lo, hi]."""
+    value = getattr(owner, key)
+    if not lo <= value <= hi:
+        raise ConfigError(f"{key} must lie in [{lo:g}, {hi:g}], got {value}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError, check_range
 from .tensor import Array, Tensor, record_op
 from .unet import LabelMap
 
@@ -30,14 +30,15 @@ class LossConfig:
     ignore_index: int = DEFAULT_IGNORE
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ContractError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.dice_smooth <= 0.0:
-            raise ContractError(f"dice_smooth must be positive, got {self.dice_smooth}")
+        check_range(self, "alpha", 0, 1)
+        # labels are 8-bit PGM: a sentinel outside [0, 255] could never match one
+        check_range(self, "ignore_index", 0, 255)
+        if not self.dice_smooth > 0.0:
+            raise ConfigError(f"dice_smooth must be positive, got {self.dice_smooth}")
         if self.class_weights is not None:
             self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
             if self.class_weights.ndim != 1 or np.any(self.class_weights <= 0):
-                raise ContractError("class_weights must be a 1-D vector of positive floats")
+                raise ConfigError("class_weights must be a 1-D vector of positive floats")
 
 
 def _check_loss_inputs(logits: Tensor, y: LabelMap, cfg: LossConfig) -> tuple[Array, Array]:

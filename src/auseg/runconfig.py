@@ -1,8 +1,9 @@
 """Flat ``key = value`` run configuration.
 
 Every configurable of the model, loss, schedule, stopper, and data pipeline
-maps to exactly one documented key. Unknown keys, keys given twice and
-non-finite numbers are rejected. The fully resolved config (canonical key
+maps to exactly one documented key, declared once on the dataclass that owns
+it: its type, its default and its range check. Unknown keys, keys given twice
+and non-finite numbers are rejected. The fully resolved config (canonical key
 order) is echoed into the run directory and embedded in checkpoints, so a
 checkpoint alone reconstructs its model.
 """
@@ -20,108 +21,74 @@ from .training import CosineSchedule, TrainSettings
 from .unet import UnetConfig
 
 
-@dataclass
 class RunConfig:
-    seed: int = 0
-    epochs: int = 30
-    batch_size: int = 16
+    """Every key of ``KEYS`` as one attribute. Only the keys no sub-config owns
+    are declared here; the dataclass fields are filled in from ``KEYS`` below."""
+
     data_root: str = ""
     model_name: str = "ours"
-    num_classes: int = 19
-    ignore_index: int = 255
-    depth: int = 4
-    base_channels: int = 16
-    attention_enabled: bool = True
-    reduction_ratio: int = 4
-    spatial_kernel: int = 7
-    dropout_rate: float = 0.1
-    attention_composition: str = "parallel"
-    alpha: float = 0.5
-    class_weights: str = "uniform"
-    dice_smooth: float = 1e-6
-    eta_max: float = 5e-4
-    eta_min: float = 1e-6
-    weight_decay: float = 0.01
-    patience: int = 10
-    min_delta: float = 1e-4
-    crop_h: int = 0
-    crop_w: int = 0
-    flip_p: float = 0.5
-    jitter_delta: float = 0.1
+    class_weights: str = "uniform"  # "uniform", "inverse" or comma-separated floats
+
+    def _part(self, owner, **rest):
+        """The ``owner`` dataclass built from the keys it owns, which checks them."""
+        return owner(**{key: getattr(self, key) for key, by in KEYS if by is owner}, **rest)
 
     def validate(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        for key, lo, hi in (("flip_p", 0, 1), ("alpha", 0, 1), ("jitter_delta", 0, 0.5),
-                            ("weight_decay", 0, np.inf), ("patience", 0, np.inf),
-                            ("min_delta", 0, np.inf), ("crop_h", 0, np.inf),
-                            ("crop_w", 0, np.inf)):
-            value = getattr(self, key)
-            if not lo <= value <= hi:
-                raise ConfigError(f"{key} must lie in [{lo:g}, {hi:g}], got {value}")
-        if not self.dice_smooth > 0:
-            raise ConfigError(f"dice_smooth must be positive, got {self.dice_smooth}")
-        if not self.eta_max > 0:
-            raise ConfigError(f"eta_max must be positive, got {self.eta_max}")
-        if not 0 <= self.eta_min <= self.eta_max:
-            raise ConfigError(f"eta_min must lie in [0, eta_max = {self.eta_max:g}], "
-                              f"got {self.eta_min}")
+        """Each owner checks its own keys; only the checks that span two keys are here."""
+        self.unet_config().validate()
+        # with no labels to count, "inverse" weights come out uniform
+        self.train_settings(self.loss_config(train_labels=()))
         if (self.crop_h > 0) != (self.crop_w > 0):
             raise ConfigError("crop_h and crop_w must be set together (0 disables)")
-        self.unet_config().validate()
-        self.parse_class_weights()
 
     def unet_config(self) -> UnetConfig:
-        return UnetConfig(num_classes=self.num_classes, depth=self.depth,
-                          base_channels=self.base_channels,
-                          attention_enabled=self.attention_enabled,
-                          reduction_ratio=self.reduction_ratio,
-                          spatial_kernel=self.spatial_kernel,
-                          dropout_rate=self.dropout_rate,
-                          attention_composition=self.attention_composition)
-
-    def parse_class_weights(self) -> np.ndarray | None:
-        """"uniform" -> None, "inverse" -> computed later, else comma floats."""
-        spec = self.class_weights.strip()
-        if spec in ("uniform", "inverse"):
-            return None
-        try:
-            weights = np.array([float(tok) for tok in spec.split(",")], dtype=np.float64)
-        except ValueError as exc:
-            raise ConfigError(f"class_weights must be 'uniform', 'inverse', or comma-separated "
-                              f"floats, got {spec!r}") from exc
-        if weights.shape != (self.num_classes,):
-            raise ConfigError(f"class_weights lists {weights.size} values for "
-                              f"{self.num_classes} classes")
-        if np.any(weights <= 0):
-            raise ConfigError("class_weights must be positive")
-        return weights
+        return self._part(UnetConfig)
 
     def loss_config(self, train_labels=None) -> LossConfig:
-        weights = self.parse_class_weights()
-        if self.class_weights.strip() == "inverse":
+        """"inverse" class weights are counted from ``train_labels``."""
+        spec = self.class_weights.strip()
+        if spec == "inverse":
             if train_labels is None:
                 raise ConfigError("inverse class weights need the training split")
             weights = inverse_frequency_weights(train_labels, self.num_classes,
                                                 self.ignore_index)
-        return LossConfig(alpha=self.alpha, class_weights=weights,
-                          dice_smooth=self.dice_smooth, ignore_index=self.ignore_index)
+        elif spec == "uniform":
+            weights = None
+        else:
+            try:
+                weights = np.array([float(tok) for tok in spec.split(",")])
+            except ValueError as exc:
+                raise ConfigError(f"class_weights must be 'uniform', 'inverse', or "
+                                  f"comma-separated floats, got {spec!r}") from exc
+            if weights.shape != (self.num_classes,):
+                raise ConfigError(f"class_weights lists {weights.size} values for "
+                                  f"{self.num_classes} classes")
+        return self._part(LossConfig, class_weights=weights)
 
     def train_settings(self, loss_cfg: LossConfig) -> TrainSettings:
-        return TrainSettings(
-            epochs=self.epochs, batch_size=self.batch_size, seed=self.seed, loss=loss_cfg,
-            schedule=CosineSchedule(eta_max=self.eta_max, eta_min=self.eta_min,
-                                    total_epochs=self.epochs),
-            weight_decay=self.weight_decay, patience=self.patience, min_delta=self.min_delta,
-            flip_p=self.flip_p, jitter_delta=self.jitter_delta,
-            crop_h=self.crop_h, crop_w=self.crop_w)
+        return self._part(TrainSettings, loss=loss_cfg,
+                          schedule=self._part(CosineSchedule, total_epochs=self.epochs))
 
     def resolved_text(self) -> str:
-        lines = [f"{f.name} = {_format_value(getattr(self, f.name))}"
-                 for f in fields(RunConfig)]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key} = {_format_value(getattr(self, key))}\n" for key, _ in KEYS)
+
+
+# Every key with the dataclass that owns it, in canonical order: the order of
+# resolved.cfg and of checkpoint echoes
+KEYS = tuple((key, owner) for owner, keys in (
+    (TrainSettings, "seed epochs batch_size"), (RunConfig, "data_root model_name"),
+    (UnetConfig, "num_classes"), (LossConfig, "ignore_index"),
+    (UnetConfig, "depth base_channels attention_enabled reduction_ratio spatial_kernel "
+                 "dropout_rate attention_composition"),
+    (LossConfig, "alpha"), (RunConfig, "class_weights"), (LossConfig, "dice_smooth"),
+    (CosineSchedule, "eta_max eta_min"),
+    (TrainSettings, "weight_decay patience min_delta crop_h crop_w flip_p jitter_delta"),
+) for key in keys.split())
+# one dataclass field per key, in KEYS order, with its owner's type and default
+RunConfig.__annotations__ = {key: owner.__annotations__[key] for key, owner in KEYS}
+for _key, _owner in KEYS:
+    setattr(RunConfig, _key, getattr(_owner, _key))
+dataclass(RunConfig)
 
 
 def _format_value(value) -> str:
@@ -195,4 +162,8 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text())
+    try:
+        text = str(path.read_bytes(), "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 at byte {exc.start}") from exc
+    return parse_config_text(text)

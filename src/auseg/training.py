@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Sample, batch_iter, color_jitter, horizontal_flip, random_crop
-from .errors import ConfigError, ContractError, NumericError, TrainingError
+from .errors import ConfigError, ContractError, NumericError, TrainingError, check_range
 from .losses_metrics import (ConfusionMatrix, LossConfig, combined_loss, confusion_accumulate,
                              miou, pixel_accuracy)
 from .tensor import Tape, Tensor, backward
@@ -31,11 +31,11 @@ EPS = 1e-8
 class AdamWState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    weight_decay: float
     t: int = 0
-    weight_decay: float = 0.01
 
     @classmethod
-    def init(cls, params: dict[str, Tensor], weight_decay: float = 0.01) -> "AdamWState":
+    def init(cls, params: dict[str, Tensor], weight_decay: float) -> "AdamWState":
         return cls(m={name: np.zeros_like(t.data) for name, t in params.items()},
                    v={name: np.zeros_like(t.data) for name, t in params.items()},
                    weight_decay=weight_decay)
@@ -83,15 +83,17 @@ def adamw_step(params: dict[str, Tensor], grads: Sequence[np.ndarray],
 
 @dataclass
 class CosineSchedule:
+    total_epochs: int
     eta_max: float = 5e-4
     eta_min: float = 1e-6
-    total_epochs: int = 30
 
     def __post_init__(self):
-        if self.eta_min > self.eta_max:
-            raise ConfigError(f"eta_min {self.eta_min} exceeds eta_max {self.eta_max}")
-        if self.total_epochs < 1:
-            raise ConfigError(f"total_epochs must be >= 1, got {self.total_epochs}")
+        if not self.eta_max > 0:
+            raise ConfigError(f"eta_max must be positive, got {self.eta_max}")
+        if not 0 <= self.eta_min <= self.eta_max:
+            raise ConfigError(f"eta_min must lie in [0, eta_max = {self.eta_max:g}], "
+                              f"got {self.eta_min}")
+        check_range(self, "total_epochs", 1)
 
 
 def cosine_lr(sched: CosineSchedule, epoch: int) -> float:
@@ -106,8 +108,8 @@ def cosine_lr(sched: CosineSchedule, epoch: int) -> float:
 
 @dataclass
 class EarlyStopper:
-    patience: int = 10
-    min_delta: float = 1e-4
+    patience: int
+    min_delta: float
     best: float = math.inf
     since_improvement: int = 0
 
@@ -159,11 +161,11 @@ class TrainLog:
 class TrainSettings:
     """Everything the train loop needs beyond the model and the data."""
 
+    loss: LossConfig
+    schedule: CosineSchedule
     epochs: int = 30
     batch_size: int = 16
     seed: int = 0
-    loss: LossConfig = field(default_factory=LossConfig)
-    schedule: CosineSchedule = field(default_factory=CosineSchedule)
     weight_decay: float = 0.01
     patience: int = 10
     min_delta: float = 1e-4
@@ -171,6 +173,14 @@ class TrainSettings:
     jitter_delta: float = 0.1
     crop_h: int = 0
     crop_w: int = 0
+
+    def __post_init__(self):
+        for key in ("seed", "weight_decay", "patience", "min_delta", "crop_h", "crop_w"):
+            check_range(self, key, 0)
+        check_range(self, "epochs", 1)
+        check_range(self, "batch_size", 1)
+        check_range(self, "flip_p", 0, 1)
+        check_range(self, "jitter_delta", 0, 0.5)
 
 
 @dataclass
@@ -246,8 +256,6 @@ def train(model: UnetModel, train_samples: Sequence[Sample], val_samples: Sequen
     """
     if not train_samples or not val_samples:
         raise ConfigError("need at least one training and one validation sample")
-    if cfg.epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
     data_rng = _rng_for(cfg.seed, 1)
     dropout_rng = _rng_for(cfg.seed, 2)
     state = AdamWState.init(model.params, weight_decay=cfg.weight_decay)

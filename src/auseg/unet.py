@@ -162,6 +162,14 @@ def _gated_skip(p: dict[str, Tensor], cfg: UnetConfig, level: int, skip: Tensor)
                                   p[f"{att}.conv.bias"], cfg.attention_composition)
 
 
+def check_extents(cfg: UnetConfig, h: int, w: int) -> None:
+    """The model takes an h x w input only if 2^depth divides both extents."""
+    multiple = 2 ** cfg.depth
+    if h % multiple or w % multiple:
+        raise ShapeError(f"input extents {h}x{w} must be divisible by {multiple} "
+                         f"(2^depth at depth {cfg.depth})")
+
+
 def forward(model: UnetModel, x: Tensor, training: bool = False,
             rng: np.random.Generator | None = None) -> Tensor:
     """Run the model, returning logits with the input's spatial extents."""
@@ -171,10 +179,7 @@ def forward(model: UnetModel, x: Tensor, training: bool = False,
     n, c, h, w = x.shape
     if c != cfg.in_channels:
         raise ShapeError(f"input has {c} channels, model expects {cfg.in_channels}")
-    multiple = 2 ** cfg.depth
-    if h % multiple or w % multiple:
-        raise ShapeError(f"input extents {h}x{w} must be divisible by {multiple} "
-                         f"(2^depth at depth {cfg.depth})")
+    check_extents(cfg, h, w)
 
     # Every op rebinds x, so each activation dies at its last use unless a backward
     # rule holds it: a block's input once its conv1 has run, the deeper map once it

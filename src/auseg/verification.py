@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn_ops as F
 from .attention import hybrid_attention_block
-from .losses_metrics import LossConfig, combined_loss
+from .losses_metrics import DEFAULT_IGNORE, LossConfig, combined_loss
 from .nn_ops import Conv2dParams
 from .tensor import Tensor, grad_check, record_op
 from .unet import UnetConfig, build_model, forward
@@ -121,19 +121,12 @@ def _unit_unet(rng):
     return f, [x] + list(model.params.values())
 
 
-def _random_labels(rng, n, k, h, w, ignore_index=255, ignore_frac=0.0):
-    y = rng.integers(0, k, size=(n, h, w))
-    if ignore_frac > 0:
-        mask = rng.random((n, h, w)) < ignore_frac
-        y = np.where(mask, ignore_index, y)
-    return y.astype(np.int64)
-
-
 def _loss_unit(alpha: float, k: int):
     """Builder for ``combined_loss`` with class weights and ignored pixels."""
     def build(rng):
         z = _t(rng, 1, k, 4, 4)
-        y = _random_labels(rng, 1, k, 4, 4, ignore_frac=0.15)
+        y = rng.integers(0, k, size=(1, 4, 4))
+        y = np.where(rng.random((1, 4, 4)) < 0.15, DEFAULT_IGNORE, y)  # 15% ignored
         cfg = LossConfig(alpha=alpha, class_weights=rng.uniform(0.5, 2.0, size=k))
         return lambda z: combined_loss(z, y, cfg), [z]
     return build

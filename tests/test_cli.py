@@ -10,7 +10,7 @@ from auseg import cli
 from auseg.checkpoint import load_checkpoint
 from auseg.cli import main
 from auseg.data import DatasetSpec, load_sample, write_ppm
-from auseg.runconfig import parse_config_text
+from auseg.runconfig import RunConfig, parse_config_text
 from auseg.verification import TOL_SINGLE, UNITS, UnitResult, format_gradcheck_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -100,7 +100,8 @@ class TestTrain:
                                       "eta_max = 0", "eta_min = -0.002", "eta_min = 0.01",
                                       "crop_h = -4", "reduction_ratio = 0",
                                       "dice_smooth = inf", "eta_max = inf",
-                                      "weight_decay = inf"])
+                                      "weight_decay = inf", "ignore_index = -5",
+                                      "ignore_index = 256"])
     def test_out_of_range_value_exit_2_before_any_artifact(self, trained, tmp_path, capsys,
                                                            line):
         bad = tmp_path / "bad.cfg"
@@ -130,6 +131,37 @@ class TestTrain:
             bad.write_text(bad.read_text() + line + "\n")
             assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
             assert not (tmp_path / "o").exists()
+
+    def test_readme_config_table_matches_resolved_defaults(self):
+        # every key in canonical order with the default resolved.cfg echoes; the
+        # "crop_h / crop_w" row stands for two keys
+        table = (FIXTURES.parents[1] / "README.md").read_text().split(
+            "| key | default | notes |\n")[1].split("\n\n")[0]
+        lines = []
+        for row in table.splitlines()[1:]:
+            keys, default = (cell.strip() for cell in row.split("|")[1:3])
+            default = "" if default == "(empty)" else default
+            lines += [f"{key} = {default}" for key in keys.split(" / ")]
+        assert lines == RunConfig().resolved_text().splitlines()
+
+    def test_non_utf8_config_exit_2_names_byte(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"seed = 1\n\xff\xfe\n")
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "not UTF-8 at byte 9" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("change, code, message", [
+        (("depth = 1", "depth = 5"), 3, "input extents 16x16 must be divisible by 32"),
+        (("patience", "crop_h = 32\ncrop_w = 32\npatience"), 2,
+         "crop 32x32 larger than image 16x16")], ids=["depth", "crop"])
+    def test_data_that_does_not_fit_the_model_exits_before_any_artifact(
+            self, trained, tmp_path, capsys, change, code, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG.format(root=trained["data"]).replace(*change))
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_data_exit_3(self, trained, tmp_path):
         cfg = write_config(tmp_path, tmp_path / "nowhere")

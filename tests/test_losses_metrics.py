@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import (loop_confusion, loop_cross_entropy, loop_dice, loop_miou,
                      loop_pixel_accuracy)
 
-from auseg.errors import ContractError, DataError, ShapeError
+from auseg.errors import ConfigError, ContractError, DataError, ShapeError
 from auseg.losses_metrics import (ConfusionMatrix, LossConfig, combined_loss,
                                   confusion_accumulate, eval_report_csv, format_eval_report,
                                   inverse_frequency_weights, miou, per_class_iou,
@@ -209,7 +209,7 @@ class TestCombined:
         assert report.passed
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             LossConfig(alpha=1.5)
 
 

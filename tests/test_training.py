@@ -69,14 +69,14 @@ class TestAdamW:
         params = make_params(5)
         g = [np.zeros_like(p.data) for p in params.values()]
         g[1][0] = np.nan
-        state = AdamWState.init(params)
+        state = AdamWState.init(params, weight_decay=0.01)
         with pytest.raises(TrainingError, match="p1"):
             adamw_step(params, g, state, lr=0.1)
 
     def test_bad_gradient_changes_no_state(self):
         # the NaN sits in the second parameter: the first must not have been updated
         params = make_params(5)
-        state = AdamWState.init(params)
+        state = AdamWState.init(params, weight_decay=0.01)
         adamw_step(params, [np.ones_like(p.data) for p in params.values()], state, lr=0.1)
         before = ({n: p.data.copy() for n, p in params.items()},
                   {n: a.copy() for n, a in state.m.items()},
@@ -97,7 +97,7 @@ class TestAdamW:
         g = [np.ones_like(p.data) for p in params.values()]
         g[1][3] = bad
         with pytest.raises(TrainingError, match="'p1'"):
-            adamw_step(params, g, AdamWState.init(params), lr=0.1)
+            adamw_step(params, g, AdamWState.init(params, weight_decay=0.01), lr=0.1)
 
     def test_huge_finite_grad_accepted(self):
         # its square overflows the sum of squares, but every entry is finite
@@ -107,7 +107,7 @@ class TestAdamW:
         with np.errstate(over="ignore"):
             assert np.vdot(g[0], g[0]) == np.inf
             # the second moment overflows too, which leaves a finite update
-            adamw_step(params, g, AdamWState.init(params), lr=0.1)
+            adamw_step(params, g, AdamWState.init(params, weight_decay=0.01), lr=0.1)
         assert all(np.all(np.isfinite(p.data)) for p in params.values())
 
     @pytest.mark.parametrize("count", [1, 3])
@@ -115,7 +115,7 @@ class TestAdamW:
         # zip would stop at the shorter side: update some parameters, skip the rest
         params = make_params(8)
         before = [p.data.copy() for p in params.values()]
-        state = AdamWState.init(params)
+        state = AdamWState.init(params, weight_decay=0.01)
         with pytest.raises(ContractError, match=f"{count} gradients for 2 parameters"):
             adamw_step(params, [np.ones((3, 4)), np.ones(5), np.ones(2)][:count], state, lr=0.1)
         assert state.t == 0
@@ -163,7 +163,7 @@ class TestAdamW:
 
     def test_moment_shapes_mirror_params(self):
         params = make_params(8)
-        state = AdamWState.init(params)
+        state = AdamWState.init(params, weight_decay=0.01)
         for name, p in params.items():
             assert state.m[name].shape == p.shape
             assert state.v[name].shape == p.shape
@@ -223,7 +223,7 @@ class TestEarlyStopper:
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
-            early_stop_check(EarlyStopper(), float("nan"))
+            early_stop_check(EarlyStopper(patience=10, min_delta=1e-4), float("nan"))
 
 
 def tiny_setup(seed=7, attention=True, epochs=3, dropout=0.1):
