@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import COMPOSITIONS, hybrid_attention_block
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, check_range
 from .nn_ops import Conv2dParams, concat_channels, conv2d, maxpool2d, transposed_conv2d
 from .tensor import Tensor
 
@@ -44,9 +44,8 @@ class UnetConfig:
     def validate(self) -> None:
         if self.depth < 1:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
-        if self.in_channels < 1 or self.num_classes < 2:
-            raise ConfigError(f"need >= 1 input channel and >= 2 classes, got "
-                              f"{self.in_channels}/{self.num_classes}")
+        check_range(self, "in_channels", 1)
+        check_range(self, "num_classes", 2)
         if self.base_channels < 1:
             raise ConfigError(f"base_channels must be positive, got {self.base_channels}")
         if not 0.0 <= self.dropout_rate < 1.0:

@@ -101,13 +101,16 @@ class TestTrain:
                                       "crop_h = -4", "reduction_ratio = 0",
                                       "dice_smooth = inf", "eta_max = inf",
                                       "weight_decay = inf", "ignore_index = -5",
-                                      "ignore_index = 256"])
+                                      "ignore_index = 256", "num_classes = 1"])
     def test_out_of_range_value_exit_2_before_any_artifact(self, trained, tmp_path, capsys,
                                                            line):
+        # the line replaces the key's base value: a key given twice exits 2 on its own
+        key = line.split(" = ")[0]
+        base = CONFIG.format(root=trained["data"]).splitlines()
         bad = tmp_path / "bad.cfg"
-        bad.write_text(CONFIG.format(root=trained["data"]) + line + "\n")
+        bad.write_text("\n".join([b for b in base if not b.startswith(key + " = ")] + [line]))
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("extra, key, lines", [("epochs = 2\n", "epochs", "2 and 12"),

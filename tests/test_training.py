@@ -1,5 +1,8 @@
+import ctypes
+import importlib
 import math
 import os
+import platform
 import subprocess
 import sys
 import weakref
@@ -452,6 +455,78 @@ def test_train_step_bytes_independent_of_blas_threads():
         outputs.append(done.stdout.split())
     assert len(outputs[0]) == 6
     assert outputs[0] == outputs[1]
+
+
+# Prints minor page faults per call of the given ops, each after 2 warm-up
+# calls and counted over 3, in a fresh process.
+_FAULTS_PER_CALL = """
+import resource
+import numpy as np
+
+def faults_per_call(fn):
+    for _ in range(2):
+        fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3
+"""
+# a desk-config training step (batch 8) and a batch-1 predict of the default model at 64x64
+_FAULT_STEP = _FAULTS_PER_CALL + """
+from conftest import desk_train_settings, desk_unet_config, rng
+from auseg import training, unet
+from auseg.data import synth_generate
+from auseg.tensor import Tensor
+from auseg.training import AdamWState, init_rng
+from auseg.unet import build_model
+
+settings = desk_train_settings()
+model = build_model(desk_unet_config(), init_rng(settings.seed))
+batch = synth_generate(8, 32, 32, 3, rng(100))
+images = Tensor(np.stack([s.image for s in batch]))
+labels = np.stack([s.label for s in batch])
+state = AdamWState.init(model.params, weight_decay=settings.weight_decay)
+dropout_rng = rng(2)
+mid = build_model(unet.UnetConfig(), init_rng(1))
+x = Tensor(synth_generate(1, 64, 64, 19, rng(300))[0].image[None])
+print(faults_per_call(lambda: training._train_step(model, images, labels, settings, dropout_rng,
+                                                   state, 1e-3, "step")),
+      faults_per_call(lambda: unet.predict_labels(mid, x)))
+"""
+# an 8 MiB array filled and freed right after import
+_FAULT_ARRAY = _FAULTS_PER_CALL + """
+import auseg
+print(faults_per_call(lambda: np.ones(1 << 20).sum()))
+"""
+
+
+def _faults_in_fresh_process(script: str) -> list:
+    paths = [str(Path(auseg.__file__).parents[1]), str(Path(__file__).parent)]
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return [float(f) for f in done.stdout.split()]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap pad is set in glibc only")
+def test_steady_steps_do_not_refault_freed_heap():
+    # a step frees and reallocates arrays of the same shapes; if the C library gave
+    # that heap back, each step would fault it in again (about 2,000 pages each)
+    step, predict = _faults_in_fresh_process(_FAULT_STEP)
+    assert step <= 50 and predict <= 50, (step, predict)
+    # an array above glibc's mmap threshold at import, which the heap top cannot yet
+    # hold, would be mmapped and refaulted on every call (about 500 pages) if the
+    # pad had left the threshold there
+    array, = _faults_in_fresh_process(_FAULT_ARRAY)
+    assert array <= 50, array
+
+
+def test_package_imports_without_mallopt(monkeypatch):
+    # a C library other than glibc may have no mallopt: the heap pad is then skipped
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    importlib.reload(auseg)
+    assert auseg.predict_labels is unet.predict_labels
 
 
 def test_inference_traced_peaks():
