@@ -6,7 +6,7 @@ import ctypes
 
 from .attention import channel_attention, hybrid_attention_block, spatial_attention
 from .errors import (AusegError, ConfigError, ContractError, CorruptionError, DataError,
-                     NumericError, ShapeError, TrainingError)
+                     NumericError, ShapeError)
 from .losses_metrics import (ConfusionMatrix, LossConfig, combined_loss, confusion_accumulate,
                              miou, pixel_accuracy)
 from .tensor import Tape, Tensor, backward, grad_check

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: train, eval, predict, gradcheck, synth, sweep-lr. Exit codes
-are a stable contract: 0 ok, 1 check failure, 2 config error, 3 data error,
-4 numeric failure, 5 checkpoint corruption.
+are a stable contract: 0 ok, 1 check failure, else the code the error's class
+declares in ``errors``: 2 config error or a path that cannot be read or
+written, 3 data error (also shape and contract errors), 4 numeric failure, 5
+checkpoint corruption.
 """
 from __future__ import annotations
 
@@ -15,8 +17,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (DatasetSpec, check_crop, load_split, read_ppm, save_sample, synth_generate,
                    write_pgm)
-from .errors import (ConfigError, ContractError, CorruptionError, DataError, NumericError,
-                     ShapeError, TrainingError)
+from .errors import AusegError, ConfigError, DataError
 from .losses_metrics import eval_report_csv, format_eval_report
 from .runconfig import RunConfig, load_config, parse_config_text
 from .svgplot import write_loss_svg
@@ -28,23 +29,19 @@ from .verification import format_gradcheck_table, run_gradcheck_suite
 
 EXIT_OK = 0
 EXIT_CHECK = 1
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-EXIT_CORRUPT = 5
 
 
-def _load_run_data(cfg: RunConfig):
+def _load_run(cfg: RunConfig):
+    """A run's training and validation samples and train settings. Before any
+    training, every crop must fit its training image, and the model must take
+    every extent it will see: the crop (or whole training image) and each
+    validation image."""
     if not cfg.data_root:
         raise ConfigError("config key data_root must point at the dataset")
-    return [load_split(DatasetSpec(root=Path(cfg.data_root), split=split,
-                                   num_classes=cfg.num_classes, ignore_index=cfg.ignore_index))
-            for split in ("train", "val")]
-
-
-def _check_data_fits_model(cfg: RunConfig, train_samples, val_samples) -> None:
-    """Every crop fits its training image, and the model takes every extent it
-    will see: the crop (or the whole training image) and each validation image."""
+    train_samples, val_samples = (
+        load_split(DatasetSpec(root=Path(cfg.data_root), split=split,
+                               num_classes=cfg.num_classes, ignore_index=cfg.ignore_index))
+        for split in ("train", "val"))
     unet_cfg = cfg.unet_config()
     for s in train_samples:
         _, h, w = s.image.shape
@@ -53,6 +50,8 @@ def _check_data_fits_model(cfg: RunConfig, train_samples, val_samples) -> None:
         check_extents(unet_cfg, cfg.crop_h or h, cfg.crop_w or w)
     for s in val_samples:
         check_extents(unet_cfg, *s.image.shape[1:])
+    loss_cfg = cfg.loss_config(train_labels=[s.label for s in train_samples])
+    return train_samples, val_samples, cfg.train_settings(loss_cfg)
 
 
 def cmd_train(args) -> int:
@@ -60,10 +59,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.validate()
-    train_samples, val_samples = _load_run_data(cfg)
-    _check_data_fits_model(cfg, train_samples, val_samples)
-    loss_cfg = cfg.loss_config(train_labels=[s.label for s in train_samples])
-    settings = cfg.train_settings(loss_cfg)
+    train_samples, val_samples, settings = _load_run(cfg)
     model = build_model(cfg.unet_config(), init_rng(cfg.seed))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -108,15 +104,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg, model = _model_from_checkpoint(args.ckpt)
+    _, model = _model_from_checkpoint(args.ckpt)
     image_path = Path(args.image)
     if not image_path.is_file():
         raise DataError(f"image not found: {image_path}")
     rgb = read_ppm(image_path)
-    h, w = rgb.shape[:2]
-    multiple = 2 ** cfg.depth
-    if h % multiple or w % multiple:
-        raise ConfigError(f"image extents {h}x{w} must be divisible by {multiple} (2^depth)")
     x = Tensor(rgb.astype(np.float64).transpose(2, 0, 1)[None] / 255.0)
     labels = predict_labels(model, x)[0]
     if labels.max() > 255:
@@ -156,9 +148,7 @@ def cmd_sweep_lr(args) -> int:
         raise ConfigError(f"--lrs must be comma-separated floats, got {args.lrs!r}") from exc
     if not lrs or not all(0 < lr < np.inf for lr in lrs):
         raise ConfigError(f"--lrs must list positive finite learning rates, got {args.lrs!r}")
-    train_samples, val_samples = _load_run_data(cfg)
-    loss_cfg = cfg.loss_config(train_labels=[s.label for s in train_samples])
-    settings = cfg.train_settings(loss_cfg)
+    train_samples, val_samples, settings = _load_run(cfg)
     rows = lr_sweep(cfg.unet_config(), train_samples, val_samples, settings, lrs)
     report = format_sweep_report(rows)
     print(report, end="")
@@ -221,21 +211,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError,) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (NumericError, TrainingError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except CorruptionError as exc:
-        print(f"corrupt checkpoint: {exc}", file=sys.stderr)
-        return EXIT_CORRUPT
-    except (ShapeError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except AusegError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
+        # a path that cannot be read or written; the OS message names it
+        print(f"{ConfigError.prefix}: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 def entry() -> None:

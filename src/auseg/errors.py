@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules, and ``check_range``, the range
 check each config dataclass runs on its own fields.
 
-Each class maps to one CLI exit code: see ``cli.main`` and the exit-code
-table in the README.
+Each class declares the exit code and stderr prefix ``cli.main`` reports it
+with: see the exit-code table in the README.
 """
 import math
 
@@ -10,33 +10,50 @@ import math
 class AusegError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code: int
+    prefix: str
+
 
 class ShapeError(AusegError):
     """Tensor shapes or extents violate an operation's contract."""
+
+    exit_code = 3
+    prefix = "error"
 
 
 class ContractError(AusegError):
     """A call precondition was violated (non-scalar backward root, empty metrics, ...)."""
 
+    exit_code = 3
+    prefix = "error"
+
 
 class ConfigError(AusegError):
     """Invalid configuration value, unknown key, or inconsistent model settings."""
+
+    exit_code = 2
+    prefix = "config error"
 
 
 class DataError(AusegError):
     """Malformed dataset file, label out of range, or mismatched image/label pair."""
 
+    exit_code = 3
+    prefix = "data error"
+
 
 class NumericError(AusegError):
-    """Non-finite value surfaced where the contract requires finite results."""
+    """Non-finite value where the contract requires finite ones (a loss, a gradient)."""
+
+    exit_code = 4
+    prefix = "numeric failure"
 
 
 class CorruptionError(AusegError):
     """Checkpoint file failed CRC or structural validation."""
 
-
-class TrainingError(AusegError):
-    """Optimizer-level failure, e.g. NaN gradient for a named parameter."""
+    exit_code = 5
+    prefix = "corrupt checkpoint"
 
 
 def check_range(owner, key: str, lo: float, hi: float = math.inf) -> None:

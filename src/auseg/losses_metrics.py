@@ -41,6 +41,15 @@ class LossConfig:
                 raise ConfigError("class_weights must be a 1-D vector of positive floats")
 
 
+def _check_class_range(kind: str, values: Array, k: int, counted: Array | bool = True) -> None:
+    """Every counted entry of ``values`` is a class index in [0, k); the first one
+    that is not is named with its value and index."""
+    bad = counted & ((values < 0) | (values >= k))
+    if np.any(bad):
+        loc = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise DataError(f"{kind} value {int(values[loc])} out of range [0, {k}) at index {loc}")
+
+
 def _check_loss_inputs(logits: Tensor, y: LabelMap, cfg: LossConfig) -> tuple[Array, Array]:
     if logits.data.ndim != 4:
         raise ShapeError(f"logits must be NKHW, got shape {logits.shape}")
@@ -53,10 +62,7 @@ def _check_loss_inputs(logits: Tensor, y: LabelMap, cfg: LossConfig) -> tuple[Ar
     if cfg.class_weights is not None and cfg.class_weights.shape != (k,):
         raise ShapeError(f"class_weights length {cfg.class_weights.shape} != {k} classes")
     valid = y != cfg.ignore_index
-    bad = valid & ((y < 0) | (y >= k))
-    if np.any(bad):
-        loc = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise DataError(f"label value {int(y[loc])} out of range [0, {k}) at index {loc}")
+    _check_class_range("label", y, k, valid)
     if not np.any(valid):
         raise ContractError("all pixels carry the ignore label; loss is undefined")
     return y, valid
@@ -176,15 +182,9 @@ def confusion_accumulate(cm: ConfusionMatrix, pred: LabelMap, y: LabelMap,
     if pred.shape != y.shape:
         raise ShapeError(f"prediction shape {pred.shape} != label shape {y.shape}")
     k = cm.num_classes
-    bad_pred = (pred < 0) | (pred >= k)
-    if np.any(bad_pred):
-        loc = tuple(int(i) for i in np.argwhere(bad_pred)[0])
-        raise DataError(f"prediction value {int(pred[loc])} out of range [0, {k}) at index {loc}")
+    _check_class_range("prediction", pred, k)
     valid = y != ignore_index
-    bad_truth = valid & ((y < 0) | (y >= k))
-    if np.any(bad_truth):
-        loc = tuple(int(i) for i in np.argwhere(bad_truth)[0])
-        raise DataError(f"label value {int(y[loc])} out of range [0, {k}) at index {loc}")
+    _check_class_range("label", y, k, valid)
     combined = k * y[valid].astype(np.int64) + pred[valid].astype(np.int64)
     cm.counts += np.bincount(combined, minlength=k * k).reshape(k, k)
     return cm

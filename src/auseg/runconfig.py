@@ -35,7 +35,7 @@ class RunConfig:
 
     def validate(self) -> None:
         """Each owner checks its own keys; only the checks that span two keys are here."""
-        self.unet_config().validate()
+        self.unet_config()
         # with no labels to count, "inverse" weights come out uniform
         self.train_settings(self.loss_config(train_labels=()))
         if (self.crop_h > 0) != (self.crop_w > 0):

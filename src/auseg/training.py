@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Sample, batch_iter, color_jitter, horizontal_flip, random_crop
-from .errors import ConfigError, ContractError, NumericError, TrainingError, check_range
+from .errors import ConfigError, ContractError, NumericError, check_range
 from .losses_metrics import (ConfusionMatrix, LossConfig, combined_loss, confusion_accumulate,
                              miou, pixel_accuracy)
 from .tensor import Tape, Tensor, backward
@@ -55,7 +55,7 @@ def adamw_step(params: dict[str, Tensor], grads: Sequence[np.ndarray],
     # confirmed element by element
     for name, g in zip(params, grads):
         if not math.isfinite(np.vdot(g, g)) and not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
+            raise NumericError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t

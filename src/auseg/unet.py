@@ -41,24 +41,19 @@ class UnetConfig:
     dropout_rate: float = 0.1
     attention_composition: str = "parallel"
 
-    def validate(self) -> None:
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
-        check_range(self, "in_channels", 1)
-        check_range(self, "num_classes", 2)
-        if self.base_channels < 1:
-            raise ConfigError(f"base_channels must be positive, got {self.base_channels}")
+    def __post_init__(self):
+        for key, lo in (("depth", 1), ("in_channels", 1), ("num_classes", 2),
+                        ("base_channels", 1), ("reduction_ratio", 1)):
+            check_range(self, key, lo)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
-        if self.reduction_ratio < 1:
-            raise ConfigError(f"reduction_ratio must be >= 1, got {self.reduction_ratio}")
         if self.attention_composition not in COMPOSITIONS:
             raise ConfigError(f"attention_composition must be one of {COMPOSITIONS}")
         if self.spatial_kernel % 2 == 0 or self.spatial_kernel < 1:
             raise ConfigError(f"spatial_kernel must be odd, got {self.spatial_kernel}")
         if self.attention_enabled:
             for level in range(self.depth):
-                width = self.base_channels * (2 ** level)
+                width = self.stage_width(level)
                 if width % self.reduction_ratio != 0 or width < self.reduction_ratio:
                     raise ConfigError(
                         f"reduction_ratio {self.reduction_ratio} must divide stage width "
@@ -98,7 +93,6 @@ class UnetModel:
 
 def build_model(cfg: UnetConfig, rng: np.random.Generator) -> UnetModel:
     """Assemble a model with freshly initialized parameters (seed-deterministic)."""
-    cfg.validate()
     params: dict[str, Tensor] = {}
 
     def add(name: str, t: Tensor) -> None:

@@ -84,11 +84,11 @@ class TestChannelAttention:
 
     def test_ratio_must_divide(self):
         with pytest.raises(ConfigError, match="must divide stage width 6"):
-            UnetConfig(depth=1, base_channels=6, reduction_ratio=4).validate()
+            UnetConfig(depth=1, base_channels=6, reduction_ratio=4)
 
     def test_ratio_must_be_positive(self):
         with pytest.raises(ConfigError, match="reduction_ratio"):
-            UnetConfig(reduction_ratio=0).validate()
+            UnetConfig(reduction_ratio=0)
 
     def test_huge_logits_saturate_without_overflow(self):
         # hidden unit = mean of channel 0 = 1; logits -800 and +800

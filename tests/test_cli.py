@@ -10,6 +10,8 @@ from auseg import cli
 from auseg.checkpoint import load_checkpoint
 from auseg.cli import main
 from auseg.data import DatasetSpec, load_sample, write_ppm
+from auseg.errors import (ConfigError, ContractError, CorruptionError, DataError, NumericError,
+                          ShapeError)
 from auseg.runconfig import RunConfig, parse_config_text
 from auseg.verification import TOL_SINGLE, UNITS, UnitResult, format_gradcheck_table
 
@@ -290,11 +292,11 @@ class TestPredict:
                      "--image", str(tmp_path / "nope.ppm"),
                      "--out", str(tmp_path / "o.pgm")]) == 3
 
-    def test_indivisible_extent_exit_2_names_multiple(self, trained, tmp_path, capsys):
+    def test_indivisible_extent_exit_3_names_multiple(self, trained, tmp_path, capsys):
         odd = tmp_path / "odd.ppm"
         write_ppm(odd, np.zeros((17, 16, 3), dtype=np.uint8))
         assert main(["predict", "--ckpt", str(trained["out"] / "best.ckpt"),
-                     "--image", str(odd), "--out", str(tmp_path / "o.pgm")]) == 2
+                     "--image", str(odd), "--out", str(tmp_path / "o.pgm")]) == 3
         assert "divisible by 2" in capsys.readouterr().err
 
 
@@ -342,12 +344,52 @@ class TestSweep:
     def test_bad_lrs_exit_2(self, trained):
         assert main(["sweep-lr", "--config", str(trained["cfg"]), "--lrs", "abc"]) == 2
 
-    @pytest.mark.parametrize("lrs", ["0.003,-1", "0", "0.002,nan", "0.002,inf"])
-    def test_non_positive_lr_exit_2_before_training(self, trained, tmp_path, monkeypatch, lrs):
-        def no_training(*args, **kwargs):
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def fail(*args, **kwargs):
             raise AssertionError("the sweep started training")
 
-        monkeypatch.setattr("auseg.cli.lr_sweep", no_training)
+        monkeypatch.setattr("auseg.cli.lr_sweep", fail)
+
+    @pytest.mark.parametrize("lrs", ["0.003,-1", "0", "0.002,nan", "0.002,inf"])
+    def test_non_positive_lr_exit_2_before_training(self, trained, tmp_path, no_training, lrs):
         assert main(["sweep-lr", "--config", str(trained["cfg"]), "--lrs", lrs,
                      "--out", str(tmp_path / "s")]) == 2
         assert not (tmp_path / "s").exists()
+
+    def test_data_that_does_not_fit_the_model_exit_3_before_training(
+            self, tmp_path, no_training, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data / "train"), "--count", "2",
+                     "--size", "16", "16", "--classes", "3"]) == 0
+        assert main(["synth", "--out", str(data / "val"), "--count", "2",
+                     "--size", "18", "18", "--classes", "3"]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG.format(root=data).replace("depth = 1", "depth = 2"))
+        assert main(["sweep-lr", "--config", str(cfg), "--lrs", "0.002"]) == 3
+        assert "input extents 18x18 must be divisible by 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError, 2, "config error"), (DataError, 3, "data error"), (ShapeError, 3, "error"),
+    (ContractError, 3, "error"), (NumericError, 4, "numeric failure"),
+    (CorruptionError, 5, "corrupt checkpoint")])
+def test_error_class_sets_exit_code_and_prefix(monkeypatch, capsys, error, code, prefix):
+    def fail(**kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "run_gradcheck_suite", fail)
+    assert main(["gradcheck"]) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["predict", "--image", "{data}/val/synth0000_img.ppm", "--out", "nodir/p.pgm"],
+    ["eval", "--data", "{data}", "--split", "val", "--out", "nodir/x.csv"]],
+    ids=["predict", "eval"])
+def test_unwritable_out_exit_2_names_path(trained, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(data=trained["data"]) for arg in command]
+    assert main(argv + ["--ckpt", str(trained["out"] / "best.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and command[-1] in err

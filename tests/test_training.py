@@ -19,7 +19,7 @@ from conftest import DESK_SEED, desk_data, desk_train_settings, desk_unet_config
 from auseg.data import synth_generate
 import auseg
 from auseg import training, unet
-from auseg.errors import ConfigError, ContractError, NumericError, TrainingError
+from auseg.errors import ConfigError, ContractError, NumericError
 from auseg.losses_metrics import LossConfig, combined_loss
 from auseg.tensor import Tape, Tensor
 from auseg.training import (AdamWState, CosineSchedule, EarlyStopper, TrainSettings,
@@ -73,7 +73,7 @@ class TestAdamW:
         g = [np.zeros_like(p.data) for p in params.values()]
         g[1][0] = np.nan
         state = AdamWState.init(params, weight_decay=0.01)
-        with pytest.raises(TrainingError, match="p1"):
+        with pytest.raises(NumericError, match="p1"):
             adamw_step(params, g, state, lr=0.1)
 
     def test_bad_gradient_changes_no_state(self):
@@ -86,7 +86,7 @@ class TestAdamW:
                   {n: a.copy() for n, a in state.v.items()}, state.t)
         g = [np.ones_like(p.data) for p in params.values()]
         g[1][0] = np.nan
-        with pytest.raises(TrainingError, match="'p1'"):
+        with pytest.raises(NumericError, match="'p1'"):
             adamw_step(params, g, state, lr=0.1)
         after = ({n: p.data for n, p in params.items()}, state.m, state.v, state.t)
         for want, got in zip(before[:3], after[:3]):
@@ -99,7 +99,7 @@ class TestAdamW:
         params = make_params(5, shapes=((3, 4), (5,), (2,)))
         g = [np.ones_like(p.data) for p in params.values()]
         g[1][3] = bad
-        with pytest.raises(TrainingError, match="'p1'"):
+        with pytest.raises(NumericError, match="'p1'"):
             adamw_step(params, g, AdamWState.init(params, weight_decay=0.01), lr=0.1)
 
     def test_huge_finite_grad_accepted(self):
