@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from auseg.data import synth_generate
+from auseg.errors import ConfigError
 from auseg.losses_metrics import LossConfig
 from auseg.training import (CosineSchedule, TrainSettings, format_sweep_report, lr_sweep,
-                            sweep_report_csv)
+                            parse_lrs, sweep_report_csv)
 from auseg.unet import UnetConfig
 
 
@@ -27,7 +28,11 @@ def run(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-    lrs = [float(tok) for tok in args.lrs.split(",") if tok.strip()]
+    try:
+        lrs = parse_lrs(args.lrs)
+    except ConfigError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
     train_s = synth_generate(64, 32, 32, 3, np.random.default_rng(100))
     val_s = synth_generate(16, 32, 32, 3, np.random.default_rng(200))

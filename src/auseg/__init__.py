@@ -7,8 +7,7 @@ import ctypes
 from .attention import channel_attention, hybrid_attention_block, spatial_attention
 from .errors import (AusegError, ConfigError, ContractError, CorruptionError, DataError,
                      NumericError, ShapeError)
-from .losses_metrics import (ConfusionMatrix, LossConfig, combined_loss, confusion_accumulate,
-                             miou, pixel_accuracy)
+from .losses_metrics import LossConfig, combined_loss, confusion_accumulate, miou, pixel_accuracy
 from .tensor import Tape, Tensor, backward, grad_check
 from .unet import UnetConfig, UnetModel, build_model, forward, predict_labels
 

@@ -22,8 +22,8 @@ from .losses_metrics import eval_report_csv, format_eval_report
 from .runconfig import RunConfig, load_config, parse_config_text
 from .svgplot import write_loss_svg
 from .tensor import Tensor
-from .training import (evaluate, format_sweep_report, init_rng, lr_sweep, sweep_report_csv,
-                       train)
+from .training import (evaluate, format_sweep_report, init_rng, lr_sweep, parse_lrs,
+                       sweep_report_csv, train)
 from .unet import build_model, check_extents, predict_labels
 from .verification import format_gradcheck_table, run_gradcheck_suite
 
@@ -142,19 +142,15 @@ def cmd_synth(args) -> int:
 
 def cmd_sweep_lr(args) -> int:
     cfg = load_config(args.config)
-    try:
-        lrs = [float(tok) for tok in args.lrs.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--lrs must be comma-separated floats, got {args.lrs!r}") from exc
-    if not lrs or not all(0 < lr < np.inf for lr in lrs):
-        raise ConfigError(f"--lrs must list positive finite learning rates, got {args.lrs!r}")
+    lrs = parse_lrs(args.lrs)
     train_samples, val_samples, settings = _load_run(cfg)
+    out_dir = Path(args.out) if args.out else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
     rows = lr_sweep(cfg.unet_config(), train_samples, val_samples, settings, lrs)
     report = format_sweep_report(rows)
     print(report, end="")
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir:
         (out_dir / "sweep.txt").write_text(report)
         (out_dir / "sweep.csv").write_text(sweep_report_csv(rows))
     return EXIT_OK

@@ -153,64 +153,45 @@ def inverse_frequency_weights(labels: list[LabelMap], num_classes: int,
 # metrics
 
 
-@dataclass
-class ConfusionMatrix:
-    """K x K integer counts; rows index ground truth, columns prediction."""
-
-    counts: np.ndarray
-
-    @classmethod
-    def empty(cls, num_classes: int) -> "ConfusionMatrix":
-        if num_classes < 2:
-            raise ContractError(f"need >= 2 classes, got {num_classes}")
-        return cls(counts=np.zeros((num_classes, num_classes), dtype=np.int64))
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion_accumulate(cm: ConfusionMatrix, pred: LabelMap, y: LabelMap,
-                         ignore_index: int = DEFAULT_IGNORE) -> ConfusionMatrix:
-    """Add pixel counts for (truth, prediction) pairs, skipping ignored truth."""
+def confusion_accumulate(cm: np.ndarray, pred: LabelMap, y: LabelMap,
+                         ignore_index: int = DEFAULT_IGNORE) -> None:
+    """Add pixel counts for (truth, prediction) pairs into the int64 ``[K, K]``
+    confusion matrix ``cm`` in place, rows for truth and columns for prediction,
+    skipping ignored truth."""
     pred = np.asarray(pred)
     y = np.asarray(y)
     if pred.shape != y.shape:
         raise ShapeError(f"prediction shape {pred.shape} != label shape {y.shape}")
-    k = cm.num_classes
+    k = len(cm)
     _check_class_range("prediction", pred, k)
     valid = y != ignore_index
     _check_class_range("label", y, k, valid)
     combined = k * y[valid].astype(np.int64) + pred[valid].astype(np.int64)
-    cm.counts += np.bincount(combined, minlength=k * k).reshape(k, k)
-    return cm
+    cm += np.bincount(combined, minlength=k * k).reshape(k, k)
 
 
-def per_class_iou(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
+def per_class_iou(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(observed mask, IoU per class); IoU is NaN for unobserved classes."""
-    if cm.total == 0:
+    if cm.sum() == 0:
         raise ContractError("confusion matrix is empty")
-    tp = np.diag(cm.counts).astype(np.float64)
-    denom = cm.counts.sum(axis=1) + cm.counts.sum(axis=0) - np.diag(cm.counts)
+    tp = np.diag(cm).astype(np.float64)
+    denom = cm.sum(axis=1) + cm.sum(axis=0) - np.diag(cm)
     observed = denom > 0
-    iou = np.full(cm.num_classes, np.nan)
+    iou = np.full(len(cm), np.nan)
     iou[observed] = tp[observed] / denom[observed]
     return observed, iou
 
 
-def miou(cm: ConfusionMatrix) -> float:
+def miou(cm: np.ndarray) -> float:
     observed, iou = per_class_iou(cm)
     return float(iou[observed].mean())
 
 
-def pixel_accuracy(cm: ConfusionMatrix) -> float:
-    if cm.total == 0:
+def pixel_accuracy(cm: np.ndarray) -> float:
+    total = cm.sum()
+    if total == 0:
         raise ContractError("confusion matrix is empty")
-    return float(np.diag(cm.counts).sum() / cm.total)
+    return float(np.diag(cm).sum() / total)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +202,8 @@ REPORT_HEADER = ("# mIoU averaged over observed classes; "
                  "ignore-labeled pixels excluded from all metrics")
 
 
-def format_eval_report(model_name: str, cm: ConfusionMatrix,
-                       extra_rows: list[tuple[str, ConfusionMatrix]] | None = None) -> str:
+def format_eval_report(model_name: str, cm: np.ndarray,
+                       extra_rows: list[tuple[str, np.ndarray]] | None = None) -> str:
     """Fixed-width table (percent, 1 decimal) plus a per-class IoU listing."""
     rows = [(model_name, cm)] + list(extra_rows or [])
     lines = [REPORT_HEADER, f"{'Model':<20}{'mIoU':>8}{'PA':>8}"]
@@ -232,15 +213,15 @@ def format_eval_report(model_name: str, cm: ConfusionMatrix,
     lines.append("Per-class IoU:")
     for name, matrix in rows:
         observed, iou = per_class_iou(matrix)
-        listing = "  ".join(f"{k}:{iou[k]:.3f}" for k in range(matrix.num_classes) if observed[k])
+        listing = "  ".join(f"{k}:{iou[k]:.3f}" for k in range(len(matrix)) if observed[k])
         lines.append(f"  {name}: {listing}")
     return "\n".join(lines) + "\n"
 
 
-def eval_report_csv(model_name: str, cm: ConfusionMatrix) -> str:
+def eval_report_csv(model_name: str, cm: np.ndarray) -> str:
     """Machine-readable twin: one wide row, raw fractions at 9 significant digits."""
     observed, iou = per_class_iou(cm)
-    header = ["model", "miou", "pa"] + [f"iou_{k}" for k in range(cm.num_classes)]
+    header = ["model", "miou", "pa"] + [f"iou_{k}" for k in range(len(cm))]
     cells = [model_name, f"{miou(cm):.9g}", f"{pixel_accuracy(cm):.9g}"]
-    cells += [f"{iou[k]:.9g}" if observed[k] else "" for k in range(cm.num_classes)]
+    cells += [f"{iou[k]:.9g}" if observed[k] else "" for k in range(len(cm))]
     return ",".join(header) + "\n" + ",".join(cells) + "\n"

@@ -16,8 +16,7 @@ import numpy as np
 
 from .data import Sample, batch_iter, color_jitter, horizontal_flip, random_crop
 from .errors import ConfigError, ContractError, NumericError, check_range
-from .losses_metrics import (ConfusionMatrix, LossConfig, combined_loss, confusion_accumulate,
-                             miou, pixel_accuracy)
+from .losses_metrics import LossConfig, combined_loss, confusion_accumulate, miou, pixel_accuracy
 from .tensor import Tape, Tensor, backward
 from .unet import UnetConfig, UnetModel, build_model, forward
 
@@ -210,9 +209,11 @@ def _augmentations(cfg: TrainSettings):
 
 
 def evaluate(model: UnetModel, samples: Sequence[Sample], loss_cfg: LossConfig,
-             batch_size: int) -> tuple[float, ConfusionMatrix]:
-    """Loss (sample-weighted mean) and confusion matrix over a split, no dropout."""
-    cm = ConfusionMatrix.empty(model.cfg.num_classes)
+             batch_size: int) -> tuple[float, np.ndarray]:
+    """Loss (sample-weighted mean) and the int64 ``[K, K]`` confusion counts over a
+    split, rows for truth and columns for prediction; no dropout."""
+    k = model.cfg.num_classes
+    cm = np.zeros((k, k), dtype=np.int64)
     total_loss = 0.0
     total_n = 0
     for images, labels in batch_iter(samples, batch_size, shuffle=False):
@@ -300,12 +301,24 @@ class SweepRow:
     val_pa: float
 
 
+def parse_lrs(text: str) -> list[float]:
+    """The learning rates of a comma-separated list such as ``--lrs``; there must be
+    at least one, and each must be positive and finite."""
+    try:
+        lrs = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--lrs must be comma-separated floats, got {text!r}") from exc
+    if not lrs or not all(0 < lr < math.inf for lr in lrs):
+        raise ConfigError(f"--lrs must list positive finite learning rates, got {text!r}")
+    return lrs
+
+
 def lr_sweep(unet_cfg: UnetConfig, train_samples: Sequence[Sample],
              val_samples: Sequence[Sample], cfg: TrainSettings,
              lrs: Sequence[float]) -> list[SweepRow]:
-    """Full train + best-checkpoint eval per learning rate, identical seeds/data.
-
-    Rows keep the input grid order.
+    """One full training run per learning rate, identical seeds/data. Each row holds
+    the validation mIoU and PA of the run's best epoch, whose parameters are its
+    best checkpoint. Rows keep the input grid order.
     """
     if len(lrs) < 1:
         raise ConfigError("learning-rate sweep needs at least one rate")
@@ -314,10 +327,8 @@ def lr_sweep(unet_cfg: UnetConfig, train_samples: Sequence[Sample],
         run_cfg = replace(cfg, schedule=replace(cfg.schedule, eta_max=lr,
                                                 eta_min=min(cfg.schedule.eta_min, lr)))
         model = build_model(unet_cfg, init_rng(cfg.seed))
-        result = train(model, train_samples, val_samples, run_cfg)
-        model.load_state_arrays(result.best_state)
-        _, cm = evaluate(model, val_samples, cfg.loss, cfg.batch_size)
-        rows.append(SweepRow(lr=lr, val_miou=miou(cm), val_pa=pixel_accuracy(cm)))
+        best = train(model, train_samples, val_samples, run_cfg).log.best_row()
+        rows.append(SweepRow(lr=lr, val_miou=best.val_miou, val_pa=best.val_pa))
     return rows
 
 

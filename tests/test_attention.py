@@ -216,8 +216,7 @@ class TestHybridBlock:
         def loss(*ts):
             return sum_sq(hybrid_attention_block(*ts))
 
-        report = grad_check(loss, [f, *gate], tol=1e-5, rng=rng(15))
-        assert report.passed, report.max_rel_err
+        assert grad_check(loss, [f, *gate], rng=rng(15)) < 1e-5
 
     def test_gradcheck_sequential(self):
         r = rng(25)
@@ -227,8 +226,7 @@ class TestHybridBlock:
         def loss(*ts):
             return sum_sq(hybrid_attention_block(*ts, composition="sequential"))
 
-        report = grad_check(loss, [f, *gate], tol=1e-5, rng=rng(26))
-        assert report.passed, report.max_rel_err
+        assert grad_check(loss, [f, *gate], rng=rng(26)) < 1e-5
 
     @pytest.mark.parametrize("composition", ["parallel", "sequential"])
     def test_max_route_goes_to_first_maximal_channel(self, composition):

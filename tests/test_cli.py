@@ -357,6 +357,14 @@ class TestSweep:
                      "--out", str(tmp_path / "s")]) == 2
         assert not (tmp_path / "s").exists()
 
+    def test_out_naming_a_file_exit_2_before_training(self, trained, tmp_path, no_training,
+                                                       capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["sweep-lr", "--config", str(trained["cfg"]), "--lrs", "0.002",
+                     "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_data_that_does_not_fit_the_model_exit_3_before_training(
             self, tmp_path, no_training, capsys):
         data = tmp_path / "data"

@@ -105,8 +105,7 @@ class TestBackward:
             # x reaches the root directly and through the convolution
             return sum_sq(concat_channels(x, conv2d(x, Conv2dParams(k, b, padding=1))))
 
-        report = grad_check(f, [x, k, b], h=1e-5, tol=1e-5, coords_per_input=10, rng=rng(7))
-        assert report.passed, report.max_rel_err
+        assert grad_check(f, [x, k, b], h=1e-5, coords_per_input=10, rng=rng(7)) < 1e-5
 
     def test_fanout_accumulates(self):
         x = Tensor(np.full((1, 1, 1, 1), 3.0), requires_grad=True)
@@ -276,17 +275,13 @@ class TestInvariantProperties:
 class TestGradCheckHarness:
     def test_exact_linear_case(self):
         x = Tensor(rng(13).normal(size=(5,)), requires_grad=True)
-        report = grad_check(lambda t: dot(t, 1.0), [x])
-        assert report.passed
-        assert report.max_rel_err < 1e-9
+        assert grad_check(lambda t: dot(t, 1.0), [x]) < 1e-9
 
     def test_mean_cubic(self):
         x = Tensor(rng(14).normal(size=(3, 3)), requires_grad=True)
-        report = grad_check(lambda t: dot(_mul(t, _mul(t, t)), 1.0 / 9.0), [x], tol=1e-5)
-        assert report.passed
+        assert grad_check(lambda t: dot(_mul(t, _mul(t, t)), 1.0 / 9.0), [x]) < 1e-5
 
     def test_report_carries_failures(self):
         x = Tensor(rng(15).normal(size=(4,)), requires_grad=True)
-        report = grad_check(sum_sq, [x], tol=1e-18)
-        assert not report.passed
-        assert report.max_rel_err > report.tol
+        # rounding in the central differences leaves an error a tight tolerance sees
+        assert grad_check(sum_sq, [x]) > 1e-18
