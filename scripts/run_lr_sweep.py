@@ -28,11 +28,15 @@ def run(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
+    out = Path(args.out) if args.out else None
     try:
         lrs = parse_lrs(args.lrs)
-    except ConfigError as exc:
-        print(f"{exc.prefix}: {exc}", file=sys.stderr)
-        return exc.exit_code
+        if out:
+            out.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, OSError) as exc:
+        # an --out that cannot be made is a config error; the OS message names the path
+        print(f"{ConfigError.prefix}: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
     train_s = synth_generate(64, 32, 32, 3, np.random.default_rng(100))
     val_s = synth_generate(16, 32, 32, 3, np.random.default_rng(200))
@@ -47,9 +51,7 @@ def run(argv=None) -> int:
     rows = lr_sweep(cfg, train_s, val_s, settings, lrs)
     report = format_sweep_report(rows)
     print(report, end="")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / "sweep.txt").write_text(report)
         (out / "sweep.csv").write_text(sweep_report_csv(rows))
     return 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .nn_ops import _conv, _conv_kernel_grad, _conv_t
+from .nn_ops import _conv, _conv_input_grad, _conv_kernel_grad, same_padding
 from .tensor import Array, Tensor, record_op
 
 COMPOSITIONS = ("parallel", "sequential")
@@ -57,12 +57,8 @@ def spatial_attention(f: Array, kernel: Array, bias: Array) -> Array:
     if kernel.ndim != 4 or kernel.shape[:2] != (1, 2) or bias.shape != (1,):
         raise ShapeError(f"spatial attention conv must map 2 -> 1 channels with one bias, "
                          f"got kernel {kernel.shape}, bias {bias.shape}")
-    k = kernel.shape[2]
-    if k % 2 == 0 or k != kernel.shape[3]:
-        raise ShapeError(f'spatial attention conv needs a square odd "same" kernel, '
-                         f"got {k}x{kernel.shape[3]}")
     n, _, h, w = f.shape
-    logits = _conv(_pools(f), kernel, 1, (k - 1) // 2, h, w)
+    logits = _conv(_pools(f), kernel, 1, same_padding("spatial attention conv", kernel), h, w)
     logits += bias[:, None]
     return _sigmoid(logits).reshape(n, 1, h, w)
 
@@ -96,7 +92,7 @@ def hybrid_attention_block(f: Tensor, w1: Tensor, w2: Tensor, kernel: Tensor, bi
         dz = (g * gated).sum(axis=1, keepdims=True) * w_s * (1.0 - w_s)
         pad = (k.shape[2] - 1) // 2
         gk = _conv_kernel_grad(dz, _pools(src), k.shape, 1, pad)
-        d_pools = _conv_t(dz, k, 1, pad, h, w)
+        d_pools = _conv_input_grad(dz, k, pad)
         g_src = np.repeat(d_pools[:, 1:] / c, c, axis=1)
         top = src.argmax(axis=1)[:, None]    # the first maximal channel takes the max route
         np.put_along_axis(g_src, top, np.take_along_axis(g_src, top, axis=1) + d_pools[:, :1],

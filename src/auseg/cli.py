@@ -78,6 +78,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _out_file(path: str) -> Path:
+    """An output file's path, checked before any work: an existing directory, or a
+    path whose parent directory is missing, is a config error naming it."""
+    out = Path(path)
+    if out.is_dir():
+        raise ConfigError(f"--out {path} is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"--out {path}: directory {out.parent} does not exist")
+    return out
+
+
 def _model_from_checkpoint(ckpt_path):
     config_text, params = load_checkpoint(ckpt_path)
     cfg = parse_config_text(config_text)
@@ -87,6 +98,7 @@ def _model_from_checkpoint(ckpt_path):
 
 
 def cmd_eval(args) -> int:
+    csv_path = _out_file(args.out) if args.out else None
     cfg, model = _model_from_checkpoint(args.ckpt)
     spec = DatasetSpec(root=Path(args.data), split=args.split,
                        num_classes=cfg.num_classes, ignore_index=cfg.ignore_index)
@@ -98,12 +110,13 @@ def cmd_eval(args) -> int:
     report = format_eval_report(cfg.model_name, cm)
     print(report, end="")
     print(f"split {args.split}: loss {val_loss:.9g}")
-    csv_path = Path(args.out) if args.out else Path(args.ckpt).parent / f"eval_{args.split}.csv"
+    csv_path = csv_path or Path(args.ckpt).parent / f"eval_{args.split}.csv"
     csv_path.write_text(eval_report_csv(cfg.model_name, cm))
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
+    out = _out_file(args.out)
     _, model = _model_from_checkpoint(args.ckpt)
     image_path = Path(args.image)
     if not image_path.is_file():
@@ -113,7 +126,7 @@ def cmd_predict(args) -> int:
     labels = predict_labels(model, x)[0]
     if labels.max() > 255:
         raise DataError("predicted class index exceeds PGM range")
-    write_pgm(args.out, labels.astype(np.uint8))
+    write_pgm(out, labels.astype(np.uint8))
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -4,21 +4,20 @@ All ops take NCHW tensors and run vectorized numpy forward passes that build
 no backward state: each backward rule on the active tape derives its routing
 from arrays the node holds. Every kernel is checked against a loop oracle.
 
-Both convolutions, and the attention gate's convolution, share one core of
-array helpers: one BLAS GEMM per sample between a kernel matrix and the
-im2col columns of a window of an NCHW array. ``_taps`` is the only place
-that zero-extends: sample by sample, it reads a window that lies inside the
-array in place and copies any other into one zero-bordered buffer per call.
-``_conv``, conv2d's forward pass, multiplies the kernel as stored,
-[O, C*kh*kw], by the columns of x, and ``_conv_kernel_grad`` the output
-gradient by their transpose. ``_conv`` holds one band of columns (at most
-1 MiB) beyond its output. ``_conv_t``, the input gradient, correlates the
-output gradient with the flipped kernel, channels swapped (Dumoulin & Visin
-2016): at stride s, one stride-1 correlation per output phase (four 1x1
-GEMMs at k = s = 2, as in sub-pixel convolution). So no convolution, forward
-or backward, holds more than one padded sample. ``transposed_conv2d`` is the
-adjoint of ``conv2d`` and has no kernels of its own: its forward pass is
-conv2d's input gradient and its backward pass the other two.
+The convolutions take only the shapes the model runs: ``conv2d`` is a
+stride-1 "same" conv with a square odd kernel, and ``transposed_conv2d``
+upsamples by the size s of its square kernel, unpadded. They and the attention
+gate's conv share one core of array helpers: one BLAS GEMM per sample between
+a kernel matrix and the im2col columns of a window of an NCHW array. ``_taps``
+is the only place that zero-extends: sample by sample, it reads a window that
+lies inside the array in place and copies any other into one zero-bordered
+buffer per call. ``_conv``, conv2d's forward pass, multiplies the kernel
+[O, C*kh*kw] by the columns of x, ``_conv_kernel_grad`` the output gradient by
+their transpose, and ``_conv_input_grad`` is ``_conv`` of the output gradient
+with the kernel flipped, channels swapped. So no convolution, forward or
+backward, holds more than one padded sample. ``transposed_conv2d``'s forward
+pass is s*s 1x1 GEMMs per sample, one per output phase as in sub-pixel
+convolution, and its input gradient a stride-s ``_conv``.
 """
 from __future__ import annotations
 
@@ -34,14 +33,11 @@ from .tensor import Array, Tensor, record_op
 
 @dataclass
 class Conv2dParams:
-    """Kernel + bias for conv2d ([out, in, kh, kw]) or transposed_conv2d ([in, out, kh, kw]),
-    stride, padding (a non-negative int: zeros on each side), and conv2d's relu and dropout
-    (``keep`` mask, ``rate``)."""
+    """Kernel + bias for conv2d ([out, in, k, k]) or transposed_conv2d ([in, out, k, k]),
+    and conv2d's relu and dropout (``keep`` mask, ``rate``)."""
 
     kernel: Tensor
     bias: Tensor
-    stride: int = 1
-    padding: int = 0
     relu: bool = False
     keep: Array | None = None
     rate: float = 0.0
@@ -53,10 +49,6 @@ class Conv2dParams:
             raise ShapeError(f"conv kernel must be rank 4, got {self.kernel.shape}")
         if self.bias.data.ndim != 1:
             raise ShapeError(f"conv bias must be rank 1, got {self.bias.shape}")
-        if self.stride < 1:
-            raise ShapeError(f"stride must be positive, got {self.stride}")
-        if not isinstance(self.padding, int) or self.padding < 0:
-            raise ShapeError(f"padding must be a non-negative int, got {self.padding!r}")
 
 
 def _require_nchw(x: Tensor, op: str) -> None:
@@ -72,15 +64,26 @@ def _check_conv(op: str, x: Tensor, in_ch: int, bias: Tensor, out_ch: int) -> No
         raise ShapeError(f"bias shape {bias.shape} does not match {out_ch} output channels")
 
 
+def same_padding(op: str, kernel: Array) -> int:
+    """The zeros on each side that keep a stride-1 conv's extent: (k - 1) / 2 for a
+    square odd k x k ``kernel``, the only kind ``op`` takes."""
+    kh, kw = kernel.shape[2:]
+    if kh % 2 == 0 or kh != kw:
+        raise ShapeError(f'{op} needs a square odd "same" kernel, got {kh}x{kw}')
+    return (kh - 1) // 2
+
+
 # The convolution core runs one GEMM per sample. A sample's im2col columns
-# [C*kh*kw, Ho*Wo] are in the (c, u, v) order of a stored kernel [O, C, kh, kw],
-# so ``kernel.reshape(O, -1)`` is the GEMM operand as is (a view, never copied).
-# ``_conv`` copies the columns of one band of output rows at a time, at most
-# _BAND elements (1 MiB), into one buffer: a band splits the GEMM's output
-# pixels, not its inner sums, so every output element has the same bits as
-# with the sample's whole column matrix. The buffer is allocated per call, not
-# kept by the module, so concurrent callers share nothing; once freed, it joins
-# the heap that the package keeps for the next call (see ``auseg.__init__``).
+# [C*kh*kw, Ho*Wo] are in the (c, u, v) order of a kernel [O, C, kh, kw], so
+# ``kernel.reshape(O, -1)`` is the GEMM operand. ``_conv`` copies a sample's
+# columns into one buffer: whole if they hold at most 4*_BAND elements (4 MiB),
+# else one band of output rows at a time, at most _BAND elements (1 MiB). A band
+# splits the GEMM's output pixels, not its inner sums, so an output element keeps
+# the bits of the whole-sample product unless the band takes another BLAS path: a
+# 2-row tail band of a 16x16 sample did, so samples that small stay whole. The
+# buffer is allocated per call, not kept by the module, so concurrent callers
+# share nothing; once freed, it joins the heap that the package keeps for the
+# next call (see ``auseg.__init__``).
 _BAND = 1 << 17
 
 
@@ -115,40 +118,13 @@ def _taps(a: Array, top: int, left: int, kh: int, kw: int, s: int, ho: int,
             yield taps
 
 
-def _phase(r: int, k: int, s: int, pad: int, size: int) -> tuple[int, int, int, int]:
-    """First output, output count, tap count and first input of phase r on one axis.
-
-    Output y = s*q + r - pad takes the taps u = r + s*m from input q - m."""
-    q0 = -((r - pad) // s)
-    y0, taps = s * q0 + r - pad, -((r - k) // s)
-    return y0, -((y0 - size) // s), taps, q0 - taps + 1
-
-
-def _conv_t(g: Array, kernel: Array, s: int, pad: int, h: int, w: int) -> Array:
-    """conv2d's input gradient for ``kernel`` [A, B, kh, kw]: [N, A, Ho, Wo] -> [N, B, h, w].
-
-    Output phase (r, t), every s-th row and column, correlates ``g`` with the
-    flipped taps ``kernel[:, :, r::s, t::s]``."""
-    n, b, (kh, kw) = g.shape[0], kernel.shape[1], kernel.shape[2:]
-    out = np.zeros((n, b, h, w))
-    for r in range(min(s, kh)):
-        y0, nq, nu, top = _phase(r, kh, s, pad, h)
-        for t in range(min(s, kw)):
-            x0, nx, nv, left = _phase(t, kw, s, pad, w)
-            if nq < 1 or nx < 1:
-                continue
-            k2 = kernel[:, :, r::s, t::s][:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(b, -1)
-            for i, taps in enumerate(_taps(g, top, left, nu, nv, 1, nq, nx)):
-                out[i, :, y0::s, x0::s] = (k2 @ taps.reshape(-1, nq * nx)).reshape(b, nq, nx)
-    return out
-
-
 def _conv(x: Array, kernel: Array, s: int, pad: int, ho: int, wo: int) -> Array:
     """conv2d's forward pass without bias: [N, C, H, W] -> [N, O, Ho*Wo]."""
     (n, c), (o, _, kh, kw) = x.shape[:2], kernel.shape
     k2 = kernel.reshape(o, -1)
     depth = k2.shape[1]
-    rows = min(ho, max(1, _BAND // (depth * wo)))    # output rows per band
+    # output rows per band
+    rows = ho if depth * ho * wo <= 4 * _BAND else max(1, _BAND // (depth * wo))
     # the output first: the buffers freed on return then leave no hole below it in
     # the heap that later, larger arrays cannot reuse; with the band first, desk-train
     # peaks about 0.4 MiB higher
@@ -165,6 +141,14 @@ def _conv(x: Array, kernel: Array, s: int, pad: int, ho: int, wo: int) -> Array:
     return out
 
 
+def _conv_input_grad(g: Array, kernel: Array, pad: int) -> Array:
+    """A stride-1 conv's input gradient, output gradient [N, O, H, W] -> [N, C, H, W]:
+    ``g`` correlated with ``kernel`` [O, C, k, k] flipped, channels swapped."""
+    n, _, h, w = g.shape
+    flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    return _conv(g, flipped, 1, pad, h, w).reshape(n, kernel.shape[1], h, w)
+
+
 def _conv_kernel_grad(g: Array, x: Array, shape: tuple[int, ...], s: int, pad: int) -> Array:
     """conv2d's kernel gradient: output gradient [N, O, Ho, Wo], input [N, C, H, W] -> ``shape``.
 
@@ -178,22 +162,20 @@ def _conv_kernel_grad(g: Array, x: Array, shape: tuple[int, ...], s: int, pad: i
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """Cross-correlation (no kernel flip) plus bias, NCHW -> NOH'W', then in place, as ``p``
-    asks: relu (NaN kept), out *= keep, out *= scale = 1/(1 - rate). The backward pass takes
-    g * keep * scale * (out > 0) from that output, as in-place activated batch norm does."""
-    kernel, bias, s, pad = p.kernel, p.bias, p.stride, p.padding
-    out_ch, in_ch, kh, kw = kernel.shape
+    """Stride-1 "same" cross-correlation (no kernel flip) plus bias, NCHW -> NOHW, then in
+    place, as ``p`` asks: relu (NaN kept), out *= keep, out *= scale = 1/(1 - rate). The
+    backward pass takes g * keep * scale * (out > 0) from that output, as in-place
+    activated batch norm does."""
+    kernel, bias = p.kernel, p.bias
+    out_ch, in_ch = kernel.shape[:2]
     _check_conv("conv2d", x, in_ch, bias, out_ch)
+    pad = same_padding("conv2d", kernel.data)
     n, _, h, w = x.shape
-    if h + 2 * pad < kh or w + 2 * pad < kw:
-        raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw} after padding {pad}")
-    ho = (h + 2 * pad - kh) // s + 1
-    wo = (w + 2 * pad - kw) // s + 1
 
     keep, scale = p.keep, 1.0 / (1.0 - p.rate)
-    if keep is not None and keep.shape != (n, out_ch, ho, wo):
-        raise ShapeError(f"dropout mask shape {keep.shape} != conv2d output {(n, out_ch, ho, wo)}")
-    out = _conv(x.data, kernel.data, s, pad, ho, wo).reshape(n, out_ch, ho, wo)
+    if keep is not None and keep.shape != (n, out_ch, h, w):
+        raise ShapeError(f"dropout mask shape {keep.shape} != conv2d output {(n, out_ch, h, w)}")
+    out = _conv(x.data, kernel.data, 1, pad, h, w).reshape(n, out_ch, h, w)
     out += bias.data[:, None, None]
     if p.relu:
         np.maximum(out, 0.0, out=out)
@@ -211,35 +193,40 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         if kernel.requires_grad:
-            gk = _conv_kernel_grad(g, x.data, kernel.shape, s, pad)
+            gk = _conv_kernel_grad(g, x.data, kernel.shape, 1, pad)
         if x.requires_grad:
-            gx = _conv_t(g, kernel.data, s, pad, h, w)
+            gx = _conv_input_grad(g, kernel.data, pad)
         return gx, gk, gb
 
     return record_op("conv2d", (x, kernel, bias), out, bwd)
 
 
 def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """Stride-s learned upsampling; the adjoint of conv2d with the same kernel.
+    """Learned upsampling by s, the size of the square kernel [in_ch, out_ch, s, s]:
+    [N, in_ch, H, W] -> [N, out_ch, s*H, s*W], no padding.
 
-    Kernel layout is [in_ch, out_ch, kh, kw]; output extent (H-1)*s + kh - 2*pad.
-    The forward pass is conv2d's input gradient, the input gradient is conv2d's
-    forward pass, and the kernel gradient is conv2d's with the operands swapped.
+    Output phase (r, t), every s-th row and column from (r, t), is one 1x1 GEMM per
+    sample with ``kernel[:, :, r, t]``. This is the adjoint of a stride-s conv with the
+    same kernel, which is the input gradient; the kernel gradient is that conv's with
+    the operands swapped.
     """
-    kernel, bias, s, pad = p.kernel, p.bias, p.stride, p.padding
-    in_ch, out_ch, kh, kw = kernel.shape
+    kernel, bias = p.kernel, p.bias
+    in_ch, out_ch, s, kw = kernel.shape
     _check_conv("transposed_conv2d", x, in_ch, bias, out_ch)
-    h, w = x.shape[2:]
-    ho, wo = (h - 1) * s + kh - 2 * pad, (w - 1) * s + kw - 2 * pad
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"degenerate transposed_conv2d output {ho}x{wo}")
+    if s != kw:
+        raise ShapeError(f"transposed_conv2d needs a square kernel, got {s}x{kw}")
+    n, _, h, w = x.shape
 
-    out = _conv_t(x.data, kernel.data, s, pad, ho, wo)
+    out = np.empty((n, out_ch, s * h, s * w))
+    for r, t in np.ndindex(s, s):
+        k2 = np.ascontiguousarray(kernel.data[:, :, r, t].T)
+        for i in range(n):
+            out[i, :, r::s, t::s] = (k2 @ x.data[i].reshape(in_ch, -1)).reshape(out_ch, h, w)
     out += bias.data[:, None, None]
 
     def bwd(g: Array):
-        gx = _conv(g, kernel.data, s, pad, h, w).reshape(x.shape) if x.requires_grad else None
-        gk = _conv_kernel_grad(x.data, g, kernel.shape, s, pad) if kernel.requires_grad else None
+        gx = _conv(g, kernel.data, s, 0, h, w).reshape(x.shape) if x.requires_grad else None
+        gk = _conv_kernel_grad(x.data, g, kernel.shape, s, 0) if kernel.requires_grad else None
         return gx, gk, g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
 
     return record_op("transposed_conv2d", (x, kernel, bias), out, bwd)

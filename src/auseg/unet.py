@@ -131,9 +131,8 @@ def build_model(cfg: UnetConfig, rng: np.random.Generator) -> UnetModel:
     return UnetModel(cfg=cfg, params=params)
 
 
-def _conv(p: dict[str, Tensor], name: str, stride: int = 1, padding: int = 1,
-          **activation) -> Conv2dParams:
-    return Conv2dParams(p[f"{name}.kernel"], p[f"{name}.bias"], stride, padding, **activation)
+def _conv(p: dict[str, Tensor], name: str, **activation) -> Conv2dParams:
+    return Conv2dParams(p[f"{name}.kernel"], p[f"{name}.bias"], **activation)
 
 
 def _dropout_conv(p: dict[str, Tensor], name: str, shape: tuple[int, ...], cfg: UnetConfig,
@@ -188,11 +187,11 @@ def forward(model: UnetModel, x: Tensor, training: bool = False,
     x = conv2d(x, _conv(p, "bottleneck.conv1", relu=True))
     x = conv2d(x, _dropout_conv(p, "bottleneck", x.shape, cfg, training, rng))
     for level in range(cfg.depth - 1, -1, -1):
-        x = transposed_conv2d(x, _conv(p, f"up{level}", stride=2, padding=0))
+        x = transposed_conv2d(x, _conv(p, f"up{level}"))
         x = concat_channels(x, _gated_skip(p, cfg, level, skips.pop()))
         x = conv2d(x, _conv(p, f"dec{level}.conv1", relu=True))
         x = conv2d(x, _dropout_conv(p, f"dec{level}", x.shape, cfg, training, rng))
-    return conv2d(x, _conv(p, "head", padding=0))
+    return conv2d(x, _conv(p, "head"))
 
 
 def predict_labels(model: UnetModel, x: Tensor) -> LabelMap:

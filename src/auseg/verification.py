@@ -72,16 +72,14 @@ def _unit_conv2d(rng):
     x = _t(rng, 2, 3, 6, 6)
     k = _t(rng, 4, 3, 3, 3, lo=-1.0, hi=1.0)
     b = _t(rng, 4, lo=-0.5, hi=0.5)
-    return (lambda x, k, b: _mean_sq(F.conv2d(x, Conv2dParams(k, b, stride=1, padding=1))),
-            [x, k, b])
+    return lambda x, k, b: _mean_sq(F.conv2d(x, Conv2dParams(k, b))), [x, k, b]
 
 
 def _unit_transposed_conv2d(rng):
     x = _t(rng, 2, 4, 3, 3)
     k = _t(rng, 4, 2, 2, 2, lo=-1.0, hi=1.0)
     b = _t(rng, 2, lo=-0.5, hi=0.5)
-    return (lambda x, k, b: _mean_sq(F.transposed_conv2d(x, Conv2dParams(k, b, stride=2))),
-            [x, k, b])
+    return lambda x, k, b: _mean_sq(F.transposed_conv2d(x, Conv2dParams(k, b))), [x, k, b]
 
 
 def _unit_maxpool(rng):

@@ -401,3 +401,22 @@ def test_unwritable_out_exit_2_names_path(trained, tmp_path, monkeypatch, capsys
     assert main(argv + ["--ckpt", str(trained["out"] / "best.ckpt")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and command[-1] in err
+
+
+@pytest.mark.parametrize("out", ["adir", "nodir/x.out"], ids=["existing_dir", "missing_parent"])
+@pytest.mark.parametrize("command", [
+    ["predict", "--image", "{data}/val/synth0000_img.ppm"],
+    ["eval", "--data", "{data}", "--split", "val"]], ids=["predict", "eval"])
+def test_bad_out_exit_2_before_loading_checkpoint(trained, tmp_path, monkeypatch, capsys,
+                                                  command, out):
+    def fail(path):
+        raise AssertionError("the checkpoint was loaded")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    monkeypatch.setattr(cli, "_model_from_checkpoint", fail)
+    argv = [arg.format(data=trained["data"]) for arg in command]
+    assert main(argv + ["--out", out, "--ckpt", str(trained["out"] / "best.ckpt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and out in captured.err

@@ -18,26 +18,24 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def params(kernel, bias=None, stride=1, padding=0, grad=False):
+def params(kernel, bias=None, grad=False):
     kernel = np.asarray(kernel, dtype=np.float64)
     if bias is None:
         bias = np.zeros(kernel.shape[0])
     return Conv2dParams(Tensor(kernel, requires_grad=grad),
-                        Tensor(np.asarray(bias, dtype=np.float64), requires_grad=grad),
-                        stride=stride, padding=padding)
+                        Tensor(np.asarray(bias, dtype=np.float64), requires_grad=grad))
 
 
 class TestConv2d:
     def test_all_ones(self):
+        # each output counts the taps of its 3x3 window that lie inside the input
         x = Tensor(np.ones((1, 1, 3, 3)))
-        p = params(np.ones((1, 1, 2, 2)))
-        out = conv2d(x, p)
-        assert out.shape == (1, 1, 2, 2)
-        assert np.all(out.data == 4.0)
+        out = conv2d(x, params(np.ones((1, 1, 3, 3))))
+        assert out.data[0, 0].tolist() == [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]]
 
     def test_zero_kernel(self):
         x = Tensor(rng(1).normal(size=(2, 3, 5, 5)))
-        p = params(np.zeros((4, 3, 3, 3)), padding=1)
+        p = params(np.zeros((4, 3, 3, 3)))
         assert np.all(conv2d(x, p).data == 0.0)
 
     def test_same_padding_vs_loop_oracle(self):
@@ -45,34 +43,41 @@ class TestConv2d:
         x = r.uniform(-2, 2, size=(1, 3, 5, 5))
         k = r.uniform(-2, 2, size=(4, 3, 3, 3))
         b = r.uniform(-1, 1, size=4)
-        out = conv2d(Tensor(x), params(k, b, padding=1))
+        out = conv2d(Tensor(x), params(k, b))
         assert np.max(np.abs(out.data - loop_conv2d(x, k, b, 1, 1))) < 1e-12
 
     def test_stride_two_vs_oracle(self):
+        # conv2d itself is stride 1; its core also runs at stride s for the up-conv's
+        # input gradient, and here at stride 2 with padding 1
         r = rng(3)
         x = r.uniform(-2, 2, size=(2, 2, 6, 6))
         k = r.uniform(-2, 2, size=(3, 2, 3, 3))
         b = r.uniform(-1, 1, size=3)
-        out = conv2d(Tensor(x), params(k, b, stride=2, padding=1))
-        assert np.max(np.abs(out.data - loop_conv2d(x, k, b, 2, 1))) < 1e-12
+        out = nn_ops._conv(x, k, 2, 1, 3, 3).reshape(2, 3, 3, 3) + b[:, None, None]
+        assert np.max(np.abs(out - loop_conv2d(x, k, b, 2, 1))) < 1e-12
+
+    def test_input_smaller_than_kernel_vs_loop_oracle(self):
+        # a 5x5 kernel over a 2x3 input: every window is zero-extended on all sides
+        r = rng(3)
+        x = r.uniform(-2, 2, size=(2, 2, 2, 3))
+        k = r.uniform(-2, 2, size=(3, 2, 5, 5))
+        b = r.uniform(-1, 1, size=3)
+        out = conv2d(Tensor(x), params(k, b))
+        assert np.max(np.abs(out.data - loop_conv2d(x, k, b, 1, 2))) < 1e-12
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             conv2d(Tensor(np.zeros((1, 2, 4, 4))), params(np.zeros((1, 3, 3, 3))))
 
-    def test_degenerate_output(self):
-        with pytest.raises(ShapeError):
-            conv2d(Tensor(np.zeros((1, 1, 2, 2))), params(np.zeros((1, 1, 3, 3))))
-
-    @pytest.mark.parametrize("padding", ["same", -1, 1.0, None])
-    def test_padding_must_be_non_negative_int(self, padding):
-        with pytest.raises(ShapeError, match="padding must be a non-negative int"):
-            params(np.zeros((1, 1, 3, 3)), padding=padding)
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (1, 1, 3, 5)], ids=["2x2", "3x5"])
+    def test_kernel_must_be_square_odd(self, shape):
+        with pytest.raises(ShapeError, match='conv2d needs a square odd "same" kernel'):
+            conv2d(Tensor(np.zeros((1, 1, 4, 4))), params(np.zeros(shape)))
 
     def test_same_preserves_spatial_extent(self):
         for h, w, k in [(4, 6, 3), (8, 8, 5), (5, 7, 7)]:
             x = Tensor(rng(4).normal(size=(1, 2, h, w)))
-            p = params(rng(5).normal(size=(3, 2, k, k)), padding=(k - 1) // 2)
+            p = params(rng(5).normal(size=(3, 2, k, k)))
             assert conv2d(x, p).shape == (1, 3, h, w)
 
     def test_gradcheck(self):
@@ -82,9 +87,7 @@ class TestConv2d:
         b = Tensor(r.normal(size=3), requires_grad=True)
 
         def f(x, k, b):
-            p = Conv2dParams(k, b, stride=1, padding=1)
-            out = conv2d(x, p)
-            return sum_sq(out)
+            return sum_sq(conv2d(x, Conv2dParams(k, b)))
 
         assert grad_check(f, [x, k, b], rng=rng(7)) < 1e-5
 
@@ -94,20 +97,17 @@ class TestTransposedConv2d:
         v = 1.75
         k = rng(8).normal(size=(1, 1, 2, 2))
         x = Tensor(np.full((1, 1, 1, 1), v))
-        p = Conv2dParams(Tensor(k), Tensor(np.zeros(1)), stride=2, padding=0)
-        out = transposed_conv2d(x, p)
+        out = transposed_conv2d(x, Conv2dParams(Tensor(k), Tensor(np.zeros(1))))
         assert out.shape == (1, 1, 2, 2)
         assert np.max(np.abs(out.data - v * k[0, 0])) < 1e-15
 
     def test_zero_input(self):
-        p = Conv2dParams(Tensor(rng(9).normal(size=(2, 3, 2, 2))), Tensor(np.zeros(3)),
-                         stride=2, padding=0)
+        p = Conv2dParams(Tensor(rng(9).normal(size=(2, 3, 2, 2))), Tensor(np.zeros(3)))
         out = transposed_conv2d(Tensor(np.zeros((1, 2, 3, 3))), p)
         assert np.all(out.data == 0.0)
 
     def test_doubles_spatial_extent(self):
-        p = Conv2dParams(Tensor(rng(10).normal(size=(4, 2, 2, 2))), Tensor(np.zeros(2)),
-                         stride=2, padding=0)
+        p = Conv2dParams(Tensor(rng(10).normal(size=(4, 2, 2, 2))), Tensor(np.zeros(2)))
         assert transposed_conv2d(Tensor(np.zeros((1, 4, 5, 6))), p).shape == (1, 2, 10, 12)
 
     def test_vs_loop_oracle(self):
@@ -115,25 +115,28 @@ class TestTransposedConv2d:
         x = r.uniform(-2, 2, size=(2, 3, 3, 4))
         k = r.uniform(-2, 2, size=(3, 2, 2, 2))
         b = r.uniform(-1, 1, size=2)
-        p = Conv2dParams(Tensor(k), Tensor(b), stride=2, padding=0)
-        out = transposed_conv2d(Tensor(x), p)
+        out = transposed_conv2d(Tensor(x), Conv2dParams(Tensor(k), Tensor(b)))
         assert np.max(np.abs(out.data - loop_transposed_conv2d(x, k, b, 2))) < 1e-12
 
     def test_adjoint_of_conv2d(self):
-        # forward of the transposed op == input-gradient of conv2d, same kernel
+        # the forward pass is the adjoint of the stride-2 conv with the same kernel, and
+        # the input gradient is that conv: <up(x), g> == <x, conv(g)>
         r = rng(12)
-        k = r.normal(size=(3, 2, 2, 2))  # conv: 2 -> 3 channels
-        x = Tensor(r.normal(size=(1, 2, 6, 6)), requires_grad=True)
-        g = r.normal(size=(1, 3, 3, 3))  # conv output shape at stride 2
-
-        conv_p = Conv2dParams(Tensor(k), Tensor(np.zeros(3)), stride=2, padding=0)
+        k = r.normal(size=(3, 2, 2, 2))    # up: 3 -> 2 channels, conv: 2 -> 3
+        x = Tensor(r.normal(size=(2, 3, 3, 4)), requires_grad=True)
+        g = r.normal(size=(2, 2, 6, 8))
         with Tape() as tape:
-            y = conv2d(x, conv_p)
-            grad_via_conv = backward(tape, dot(y, g), {"x": x})["x"]
+            y = transposed_conv2d(x, Conv2dParams(Tensor(k), Tensor(np.zeros(2))))
+            gx = backward(tape, dot(y, g), {"x": x})["x"]
+        conv_g = loop_conv2d(g, k, np.zeros(3), 2, 0)
+        assert np.max(np.abs(gx - conv_g)) < 1e-12
+        lhs, rhs = float(np.sum(y.data * g)), float(np.sum(x.data * conv_g))
+        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
-        tp = Conv2dParams(Tensor(k), Tensor(np.zeros(2)), stride=2, padding=0)
-        out = transposed_conv2d(Tensor(g), tp)
-        assert np.max(np.abs(out.data - grad_via_conv)) < 1e-12
+    def test_kernel_must_be_square(self):
+        p = Conv2dParams(Tensor(np.zeros((2, 3, 2, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match="transposed_conv2d needs a square kernel"):
+            transposed_conv2d(Tensor(np.zeros((1, 2, 3, 3))), p)
 
     def test_gradcheck(self):
         r = rng(13)
@@ -142,14 +145,17 @@ class TestTransposedConv2d:
         b = Tensor(r.normal(size=2), requires_grad=True)
 
         def f(x, k, b):
-            out = transposed_conv2d(x, Conv2dParams(k, b, stride=2, padding=0))
-            return sum_sq(out)
+            return sum_sq(transposed_conv2d(x, Conv2dParams(k, b)))
 
         assert grad_check(f, [x, k, b], rng=rng(14)) < 1e-5
 
 
-# Shapes the shared convolution core must get right beyond 3x3 at padding 1 and
-# stride 1: (n, c, o, h, w, k, stride, pad).
+def _extent(size, k, s, pad):
+    return (size + 2 * pad - k) // s + 1
+
+
+# Shapes the convolution core must get right: (n, c, o, h, w, k, stride, pad).
+# conv2d runs the stride-1 "same" ones; the up-conv's backward runs it at stride s.
 CONV_CASES = {
     "stride2_pad1": (2, 3, 4, 7, 6, 3, 2, 1),
     "head_1x1": (2, 8, 3, 5, 5, 1, 1, 0),
@@ -158,78 +164,93 @@ CONV_CASES = {
     # (h + 2*pad - k) % s != 0 in both axes: the last input rows and columns get no gradient
     "k2_s3_rows_without_gradient": (2, 2, 3, 9, 7, 2, 3, 0),
 }
-
-# (n, c, o, h, w, k, stride, pad) for transposed_conv2d, kernel [c, o, k, k].
-TRANSPOSED_CASES = {
-    "k2_s2_pad1": (2, 3, 2, 3, 4, 2, 2, 1),
-    "k3_s2_overlapping_taps": (1, 2, 3, 3, 2, 3, 2, 0),
-    "k3_s1": (2, 2, 2, 4, 3, 3, 1, 0),
-    # s > k: every other output row and column has no taps
-    "k1_s2_empty_phases": (2, 2, 3, 3, 4, 1, 2, 0),
-    # pad > k - 1: every phase window is a crop of the input, none is zero-extended
-    "k3_s2_pad2_cropped_windows": (2, 2, 3, 3, 4, 3, 2, 2),
-}
+SAME_CASES = {name: case for name, case in CONV_CASES.items()
+              if case[6] == 1 and 2 * case[7] == case[5] - 1}
 
 
 @pytest.mark.parametrize("case", CONV_CASES.values(), ids=CONV_CASES.keys())
 def test_conv2d_core_cases_vs_oracle(case):
+    # the core's forward pass against the oracle, and its kernel gradient as that pass's
+    # adjoint in the kernel: <conv(x, K), g> == <K, kernel_grad(g, x)>
     n, c, o, h, w, k, s, pad = case
     r = rng(40)
     x = r.uniform(-2, 2, size=(n, c, h, w))
     kern = r.uniform(-2, 2, size=(o, c, k, k))
-    b = r.uniform(-1, 1, size=o)
-    out = conv2d(Tensor(x), params(kern, b, stride=s, padding=pad))
-    assert np.max(np.abs(out.data - loop_conv2d(x, kern, b, s, pad))) < 1e-12
+    ho, wo = _extent(h, k, s, pad), _extent(w, k, s, pad)
+    y = nn_ops._conv(x, kern, s, pad, ho, wo).reshape(n, o, ho, wo)
+    assert np.max(np.abs(y - loop_conv2d(x, kern, np.zeros(o), s, pad))) < 1e-12
+    g = r.normal(size=y.shape)
+    gk = nn_ops._conv_kernel_grad(g, x, kern.shape, s, pad)
+    lhs, rhs = float(np.sum(y * g)), float(np.sum(kern * gk))
+    assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
-    xt = Tensor(r.normal(size=x.shape), requires_grad=True)
-    kt = Tensor(r.normal(size=kern.shape), requires_grad=True)
+
+@pytest.mark.parametrize("case", SAME_CASES.values(), ids=SAME_CASES.keys())
+def test_conv2d_same_cases_gradcheck(case):
+    n, c, o, h, w, k, _, _ = case
+    r = rng(41)
+    xt = Tensor(r.normal(size=(n, c, h, w)), requires_grad=True)
+    kt = Tensor(r.normal(size=(o, c, k, k)), requires_grad=True)
     bt = Tensor(r.normal(size=o), requires_grad=True)
 
     def f(x, kk, bb):
-        y = conv2d(x, Conv2dParams(kk, bb, stride=s, padding=pad))
-        return sum_sq(y)
+        return sum_sq(conv2d(x, Conv2dParams(kk, bb)))
 
-    assert grad_check(f, [xt, kt, bt], rng=rng(41)) < 1e-5
+    assert grad_check(f, [xt, kt, bt], rng=rng(42)) < 1e-5
+
+
+# (n, c, o, h, w, s) for transposed_conv2d, kernel [c, o, s, s].
+TRANSPOSED_CASES = {
+    "s2": (2, 3, 2, 3, 4, 2),
+    "s3": (2, 2, 3, 3, 2, 3),
+}
 
 
 @pytest.mark.parametrize("case", TRANSPOSED_CASES.values(), ids=TRANSPOSED_CASES.keys())
 def test_transposed_conv2d_core_cases_vs_oracle(case):
-    n, c, o, h, w, k, s, pad = case
+    # forward against the oracle, the input gradient against the oracle's stride-s conv,
+    # and every gradient against finite differences
+    n, c, o, h, w, s = case
     r = rng(42)
     x = r.uniform(-2, 2, size=(n, c, h, w))
-    kern = r.uniform(-2, 2, size=(c, o, k, k))
+    kern = r.uniform(-2, 2, size=(c, o, s, s))
     b = r.uniform(-1, 1, size=o)
-    out = transposed_conv2d(Tensor(x), Conv2dParams(Tensor(kern), Tensor(b), stride=s,
-                                                    padding=pad))
-    assert np.max(np.abs(out.data - loop_transposed_conv2d(x, kern, b, s, pad))) < 1e-12
+    xt = Tensor(x, requires_grad=True)
+    g = r.normal(size=(n, o, s * h, s * w))
+    with Tape() as tape:
+        out = transposed_conv2d(xt, Conv2dParams(Tensor(kern), Tensor(b)))
+        gx = backward(tape, dot(out, g), {"x": xt})["x"]
+    assert np.max(np.abs(out.data - loop_transposed_conv2d(x, kern, b, s))) < 1e-12
+    assert np.max(np.abs(gx - loop_conv2d(g, kern, np.zeros(c), s, 0))) < 1e-12
 
     xt = Tensor(r.normal(size=x.shape), requires_grad=True)
     kt = Tensor(r.normal(size=kern.shape), requires_grad=True)
     bt = Tensor(r.normal(size=o), requires_grad=True)
 
     def f(x, kk, bb):
-        y = transposed_conv2d(x, Conv2dParams(kk, bb, stride=s, padding=pad))
-        return sum_sq(y)
+        return sum_sq(transposed_conv2d(x, Conv2dParams(kk, bb)))
 
     assert grad_check(f, [xt, kt, bt], rng=rng(43)) < 1e-5
+
+
+def _core_adjoint(x, kern, s, pad, g):
+    """<conv(x), g> and <x, conv^T(g)>: the core's forward pass and the oracle's transpose."""
+    y = nn_ops._conv(x, kern, s, pad, *g.shape[2:]).reshape(g.shape)
+    xt = loop_transposed_conv2d(g, kern, np.zeros(kern.shape[1]), s, pad)
+    assert xt.shape == x.shape
+    return float(np.sum(y * g)), float(np.sum(x * xt))
 
 
 def test_conv_adjoint_identity_padded_stride2():
     # <conv(x), g> == <x, conv^T(g)> with one kernel, stride 2, padding 1
     r = rng(44)
     kern = r.normal(size=(3, 2, 3, 3))  # conv: 2 -> 3 channels
-    x = r.normal(size=(2, 2, 7, 9))
-    g = r.normal(size=(2, 3, 4, 5))
-    y = conv2d(Tensor(x), params(kern, np.zeros(3), stride=2, padding=1)).data
-    xt = transposed_conv2d(Tensor(g), Conv2dParams(Tensor(kern), Tensor(np.zeros(2)),
-                                                   stride=2, padding=1)).data
-    assert y.shape == g.shape and xt.shape == x.shape
-    lhs, rhs = float(np.sum(y * g)), float(np.sum(x * xt))
+    lhs, rhs = _core_adjoint(r.normal(size=(2, 2, 7, 9)), kern, 2, 1, r.normal(size=(2, 3, 4, 5)))
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
 def _adjoint_case(k, s, pad):
-    # an input of at least 2 rows that conv2d's windows tile exactly, made non-square
+    # an input of at least 2 rows that the core's windows tile exactly, made non-square
     h = s * max(1, -((k - 2 - 2 * pad) // s)) + k - 2 * pad
     return k, s, pad, h, h + s
 
@@ -240,27 +261,31 @@ ADJOINT_CASES = {f"k{k}_s{s}_pad{pad}": _adjoint_case(k, s, pad)
 
 @pytest.mark.parametrize("case", ADJOINT_CASES.values(), ids=ADJOINT_CASES.keys())
 def test_conv_adjoint_identity_grid(case):
-    # <conv(x), g> == <x, conv^T(g)>, so transposed_conv2d's output covers x exactly
+    # <conv(x), g> == <x, conv^T(g)> for the core at every stride and padding, with the
+    # oracle's transposed conv, whose output covers x exactly
     k, s, pad, h, w = case
     r = rng(46)
     kern = r.normal(size=(3, 2, k, k))
     x = r.normal(size=(2, 2, h, w))
-    y = conv2d(Tensor(x), params(kern, np.zeros(3), stride=s, padding=pad)).data
-    g = r.normal(size=y.shape)
-    xt = transposed_conv2d(Tensor(g), Conv2dParams(Tensor(kern), Tensor(np.zeros(2)),
-                                                   stride=s, padding=pad)).data
-    assert xt.shape == x.shape
-    lhs, rhs = float(np.sum(y * g)), float(np.sum(x * xt))
+    g = r.normal(size=(2, 3, _extent(h, k, s, pad), _extent(w, k, s, pad)))
+    lhs, rhs = _core_adjoint(x, kern, s, pad, g)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
-# (op, c, o, h, w, k, stride, padding): the convolutions run one GEMM per sample
+def _transposed_same(x, p):
+    """The stride-1 "same" transposed conv of a [C, O, k, k] kernel, as conv2d's input
+    gradient computes it: conv2d with the kernel flipped, channels swapped."""
+    flipped = p.kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    return conv2d(x, Conv2dParams(Tensor(flipped), p.bias))
+
+
+# (op, c, o, h, w, k): the convolutions run one GEMM per sample
 BATCH_CASES = {
-    "conv_stride2_pad1": (conv2d, 3, 4, 7, 6, 3, 2, 1),
-    "conv_7x7_same": (conv2d, 2, 1, 6, 6, 7, 1, 3),
-    "transposed_k3_s2_pad1": (transposed_conv2d, 3, 2, 3, 4, 3, 2, 1),
-    "transposed_k7_s1_pad3": (transposed_conv2d, 2, 1, 6, 6, 7, 1, 3),
-    "transposed_k2_s2_pad0": (transposed_conv2d, 3, 2, 3, 4, 2, 2, 0),
+    "conv_3x3_same": (conv2d, 3, 4, 7, 6, 3),
+    "conv_7x7_same": (conv2d, 2, 1, 6, 6, 7),
+    "transposed_k2_s2_pad0": (transposed_conv2d, 3, 2, 3, 4, 2),
+    "transposed_k3_s3_pad0": (transposed_conv2d, 3, 2, 3, 4, 3),
+    "transposed_k7_s1_pad3": (_transposed_same, 2, 1, 6, 6, 7),
 }
 
 
@@ -268,7 +293,7 @@ BATCH_CASES = {
 def test_conv_sample_of_batch_equals_sample_alone(case):
     # sample i of a batch-3 call has the bytes of the same sample run at batch 1,
     # so a batch-1 predict sees the same convolutions as a batched evaluate
-    op, c, o, h, w, k, s, pad = case
+    op, c, o, h, w, k = case
     r = rng(45)
     kern = r.normal(size=(o, c, k, k) if op is conv2d else (c, o, k, k))
     b = r.normal(size=o)
@@ -277,7 +302,7 @@ def test_conv_sample_of_batch_equals_sample_alone(case):
     def run(xs, gs=None):
         xt = Tensor(xs, requires_grad=True)
         with Tape() as tape:
-            y = op(xt, Conv2dParams(Tensor(kern), Tensor(b), stride=s, padding=pad))
+            y = op(xt, Conv2dParams(Tensor(kern), Tensor(b)))
             if gs is None:
                 return y.data, None
             return y.data, backward(tape, dot(y, gs), {"x": xt})["x"]
@@ -320,38 +345,45 @@ def _core_calls(monkeypatch, cfg, size):
     return sorted(calls)
 
 
-@pytest.mark.parametrize("cfg, size", [(UnetConfig(), 64), (desk_unet_config(), 32)],
-                         ids=["default_64", "desk_32"])
+# a mid-model 3x3 conv at 128x256: its columns (about 4.7 M elements) are cut into bands
+CUT_BAND_CALL = ((16, 128, 256), (16, 16, 3, 3), 1, 1, 128, 256)
+
+
+@pytest.mark.parametrize("cfg, size", [(UnetConfig(), 64), (desk_unet_config(), 32), (None, 128)],
+                         ids=["default_64", "desk_32", "cut_band_128x256"])
 def test_conv_bands_equal_one_gemm_per_sample(cfg, size, monkeypatch):
     # a band splits the GEMM's output pixels, never an inner sum, so BLAS must give every
     # element the bits of the whole-sample product; this pins that for every shape the
-    # models run (the 3x3 convs, the head, the 7x7 gate, the up-conv's stride-2 input gradient)
-    calls = _core_calls(monkeypatch, cfg, size)
-    assert {(s, kernel[2]) for _, kernel, s, *_ in calls} >= {(1, 3), (1, 1), (1, 7), (2, 2)}
+    # models run (the 3x3 convs, the head, the 7x7 gate, the input gradients of conv2d and
+    # the gate, the up-conv's stride-2 input gradient) and for one shape cut into bands
+    if cfg is None:
+        calls, batches = [CUT_BAND_CALL], (1,)
+        assert 16 * 9 * 128 * 256 > 4 * nn_ops._BAND
+    else:
+        calls, batches = _core_calls(monkeypatch, cfg, size), (1, 4)
+        kernels = {(s, kernel[2]) for _, kernel, s, *_ in calls}
+        assert kernels >= {(1, 3), (1, 1), (1, 7), (2, 2)}
     r = rng(53)
-    banded = 0
     for (c, h, w), kernel_shape, s, pad, ho, wo in calls:
         kernel = r.normal(size=kernel_shape)
-        banded += kernel[0].size * ho * wo > nn_ops._BAND
-        for n in (1, 4):
+        for n in batches:
             x = r.normal(size=(n, c, h, w))
             got = nn_ops._conv(x, kernel, s, pad, ho, wo)
             assert got.tobytes() == _one_gemm_per_sample(x, kernel, s, pad, ho, wo).tobytes()
-    assert banded > 0
 
 
 def test_conv2d_backward_holds_one_padded_sample():
     # dec0.conv1 of the default model at 64x64, batch 4: beyond the input gradient (4 MiB),
     # the relu-masked output gradient and the kernel gradient's products, each backward
-    # helper holds one zero-bordered sample; whole-batch padded copies of the input and
-    # of the output gradient rose about 17.3 MiB
+    # helper holds one zero-bordered sample and at most one band of columns; whole-batch
+    # padded copies of the input and of the output gradient rose about 17.3 MiB
     r = rng(47)
     x = Tensor(r.normal(size=(4, 32, 64, 64)), requires_grad=True)
     k = Tensor(r.normal(size=(16, 32, 3, 3)), requires_grad=True)
     b = Tensor(np.zeros(16), requires_grad=True)
     g = r.normal(size=(4, 16, 64, 64))
     with Tape() as tape:
-        root = dot(conv2d(x, Conv2dParams(k, b, padding=1, relu=True)), g)
+        root = dot(conv2d(x, Conv2dParams(k, b, relu=True)), g)
         assert traced_rise_mib(lambda: backward(tape, root, {"x": x, "k": k, "b": b})) <= 15.5
 
 
@@ -419,8 +451,7 @@ class TestMaxpool:
         for size in (8, 16, 32):
             x = Tensor(rng(16).normal(size=(1, 2, size, size)))
             pooled = maxpool2d(x)
-            p = Conv2dParams(Tensor(rng(17).normal(size=(2, 2, 2, 2))), Tensor(np.zeros(2)),
-                             stride=2, padding=0)
+            p = Conv2dParams(Tensor(rng(17).normal(size=(2, 2, 2, 2))), Tensor(np.zeros(2)))
             restored = transposed_conv2d(pooled, p)
             assert restored.shape[2:] == x.shape[2:]
 
@@ -476,10 +507,9 @@ def test_fused_layer_bytes_match_composition(rate):
         k, b = Tensor(k_data, requires_grad=True), Tensor(b_data, requires_grad=True)
         with Tape() as tape:
             if fused:
-                out = conv2d(x, Conv2dParams(k, b, padding=1, relu=True, keep=keep,
-                                             rate=rate))
+                out = conv2d(x, Conv2dParams(k, b, relu=True, keep=keep, rate=rate))
             else:
-                out = composed_conv_layer(x, Conv2dParams(k, b, padding=1), keep, rate)
+                out = composed_conv_layer(x, Conv2dParams(k, b), keep, rate)
             grads = backward(tape, dot(out, g), {"x": x, "k": k, "b": b})
         return [a.tobytes() for a in (out.data, *grads.values())]
 
@@ -596,5 +626,5 @@ def test_oracle_equivalence_random_battery():
         x = r.uniform(-2, 2, size=(n, c, h, w))
         k = r.uniform(-2, 2, size=(o, c, 3, 3))
         b = r.uniform(-2, 2, size=o)
-        out = conv2d(Tensor(x), params(k, b, padding=1))
+        out = conv2d(Tensor(x), params(k, b))
         assert np.max(np.abs(out.data - loop_conv2d(x, k, b, 1, 1))) < 1e-12

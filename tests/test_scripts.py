@@ -1,5 +1,6 @@
 """The experiment scripts under scripts/ run end to end at one epoch, and
-``run_lr_sweep.py`` rejects a bad ``--lrs`` with exit 2 before it makes any data."""
+``run_lr_sweep.py`` rejects a bad ``--lrs`` or ``--out`` with exit 2 before it makes any
+data."""
 import importlib.util
 from pathlib import Path
 
@@ -39,3 +40,17 @@ def test_lr_sweep_bad_lrs_exit_2_before_data(monkeypatch, capsys, lrs):
     monkeypatch.setattr(script, "synth_generate", fail)
     assert script.run(["--lrs", lrs]) == 2
     assert capsys.readouterr().err.startswith("config error: --lrs must ")
+
+
+def test_lr_sweep_out_naming_a_file_exit_2_before_data(monkeypatch, capsys, tmp_path):
+    script = load_script("run_lr_sweep")
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the sweep generated data")
+
+    monkeypatch.setattr(script, "synth_generate", fail)
+    taken = tmp_path / "afile"
+    taken.write_text("")
+    assert script.run(["--lrs", "0.003", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(taken) in err

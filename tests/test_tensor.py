@@ -103,7 +103,7 @@ class TestBackward:
 
         def f(x, k, b):
             # x reaches the root directly and through the convolution
-            return sum_sq(concat_channels(x, conv2d(x, Conv2dParams(k, b, padding=1))))
+            return sum_sq(concat_channels(x, conv2d(x, Conv2dParams(k, b))))
 
         assert grad_check(f, [x, k, b], h=1e-5, coords_per_input=10, rng=rng(7)) < 1e-5
 
@@ -200,8 +200,8 @@ class TestTapeLifetime:
         with Tape() as tape:
             # the second conv's rule holds y1 for its kernel gradient, the first
             # conv's rule holds y1 for its relu mask
-            y1 = conv2d(x, Conv2dParams(k1, Tensor(np.zeros(3)), padding=1, relu=True))
-            y2 = conv2d(y1, Conv2dParams(k2, Tensor(np.zeros(2)), padding=1, relu=True))
+            y1 = conv2d(x, Conv2dParams(k1, Tensor(np.zeros(3)), relu=True))
+            y2 = conv2d(y1, Conv2dParams(k2, Tensor(np.zeros(2)), relu=True))
             root = sum_sq(y2)
         refs = [weakref.ref(y1.data), weakref.ref(y2.data)]
         del y1, y2
@@ -264,7 +264,7 @@ class TestInvariantProperties:
             k = Tensor(r.normal(size=(4, 4, 3, 3)), requires_grad=True)
             gate = gate_tensors(4, 2, 3, r)
             with Tape() as tape:
-                y = conv2d(x, Conv2dParams(k, Tensor(np.zeros(4)), padding=1, relu=True))
+                y = conv2d(x, Conv2dParams(k, Tensor(np.zeros(4)), relu=True))
                 out = sum_sq(hybrid_attention_block(y, *gate))
                 grads = backward(tape, out, {"x": x, "k": k, "w1": gate[0]})
             return out.data.tobytes(), *(g.tobytes() for g in grads.values())
