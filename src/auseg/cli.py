@@ -78,14 +78,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _out_file(path: str) -> Path:
+def _out_file(path: str | Path) -> Path:
     """An output file's path, checked before any work: an existing directory, or a
     path whose parent directory is missing, is a config error naming it."""
     out = Path(path)
     if out.is_dir():
-        raise ConfigError(f"--out {path} is a directory")
+        raise ConfigError(f"output file {path} is a directory")
     if not out.parent.is_dir():
-        raise ConfigError(f"--out {path}: directory {out.parent} does not exist")
+        raise ConfigError(f"output file {path}: directory {out.parent} does not exist")
     return out
 
 
@@ -98,8 +98,11 @@ def _model_from_checkpoint(ckpt_path):
 
 
 def cmd_eval(args) -> int:
+    # the CSV twin's path is checked before any evaluation: --out before the checkpoint
+    # loads, the default beside the checkpoint once it has loaded (a missing one exits 5)
     csv_path = _out_file(args.out) if args.out else None
     cfg, model = _model_from_checkpoint(args.ckpt)
+    csv_path = csv_path or _out_file(Path(args.ckpt).parent / f"eval_{args.split}.csv")
     spec = DatasetSpec(root=Path(args.data), split=args.split,
                        num_classes=cfg.num_classes, ignore_index=cfg.ignore_index)
     samples = load_split(spec)
@@ -110,7 +113,6 @@ def cmd_eval(args) -> int:
     report = format_eval_report(cfg.model_name, cm)
     print(report, end="")
     print(f"split {args.split}: loss {val_loss:.9g}")
-    csv_path = csv_path or Path(args.ckpt).parent / f"eval_{args.split}.csv"
     csv_path.write_text(eval_report_csv(cfg.model_name, cm))
     return EXIT_OK
 

@@ -202,19 +202,13 @@ REPORT_HEADER = ("# mIoU averaged over observed classes; "
                  "ignore-labeled pixels excluded from all metrics")
 
 
-def format_eval_report(model_name: str, cm: np.ndarray,
-                       extra_rows: list[tuple[str, np.ndarray]] | None = None) -> str:
+def format_eval_report(model_name: str, cm: np.ndarray) -> str:
     """Fixed-width table (percent, 1 decimal) plus a per-class IoU listing."""
-    rows = [(model_name, cm)] + list(extra_rows or [])
-    lines = [REPORT_HEADER, f"{'Model':<20}{'mIoU':>8}{'PA':>8}"]
-    for name, matrix in rows:
-        lines.append(f"{name:<20}{100 * miou(matrix):>8.1f}{100 * pixel_accuracy(matrix):>8.1f}")
-    lines.append("")
-    lines.append("Per-class IoU:")
-    for name, matrix in rows:
-        observed, iou = per_class_iou(matrix)
-        listing = "  ".join(f"{k}:{iou[k]:.3f}" for k in range(len(matrix)) if observed[k])
-        lines.append(f"  {name}: {listing}")
+    observed, iou = per_class_iou(cm)
+    listing = "  ".join(f"{k}:{iou[k]:.3f}" for k in range(len(cm)) if observed[k])
+    lines = [REPORT_HEADER, f"{'Model':<20}{'mIoU':>8}{'PA':>8}",
+             f"{model_name:<20}{100 * miou(cm):>8.1f}{100 * pixel_accuracy(cm):>8.1f}",
+             "", "Per-class IoU:", f"  {model_name}: {listing}"]
     return "\n".join(lines) + "\n"
 
 

@@ -22,7 +22,6 @@ convolution, and its input gradient a stride-s ``_conv``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterator
 
 import numpy as np
@@ -232,23 +231,22 @@ def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     return record_op("transposed_conv2d", (x, kernel, bias), out, bwd)
 
 
-def maxpool2d(x: Tensor, stride: int = 2) -> Tensor:
-    """Max pooling over non-overlapping stride x stride windows: a running max over strided
-    slices, no saved state. Each window's gradient goes to its first row-major entry equal
-    to the max."""
+def maxpool2d(x: Tensor) -> Tensor:
+    """Max pooling over non-overlapping 2x2 windows: a running max over strided slices, no
+    saved state. Each window's gradient goes to its first row-major entry equal to the
+    max."""
     _require_nchw(x, "maxpool2d")
     h, w = x.shape[2:]
-    s = stride
-    if s < 1 or h % s or w % s:
-        raise ShapeError(f"maxpool2d stride {s} must be positive and divide {h}x{w}")
-    rows = reduce(np.maximum, (x.data[:, :, u::s] for u in range(s)))
-    out = reduce(np.maximum, (rows[..., v::s] for v in range(s)))
+    if h % 2 or w % 2:
+        raise ShapeError(f"maxpool2d needs even extents, got {h}x{w}")
+    rows = np.maximum(x.data[:, :, 0::2], x.data[:, :, 1::2])
+    out = np.maximum(rows[..., 0::2], rows[..., 1::2])
 
     def bwd(g: Array):
         gx, taken = np.zeros(x.shape), np.zeros(out.shape, dtype=bool)
-        for u, v in np.ndindex(s, s):
-            hit = (x.data[:, :, u::s, v::s] == out) & ~taken
-            np.copyto(gx[:, :, u::s, v::s], g, where=hit)  # g * hit would put -0.0 at g < 0
+        for u, v in np.ndindex(2, 2):
+            hit = (x.data[:, :, u::2, v::2] == out) & ~taken
+            np.copyto(gx[:, :, u::2, v::2], g, where=hit)  # g * hit would put -0.0 at g < 0
             taken |= hit
         return (gx,)
 

@@ -68,7 +68,7 @@ def test_c2_oracle_equivalence():
         got = transposed_conv2d(Tensor(x), Conv2dParams(Tensor(kt), Tensor(bt))).data
         worst = max(worst, float(np.max(np.abs(got - loop_transposed_conv2d(x, kt, bt, 2)))))
 
-        got = maxpool2d(Tensor(x), 2).data
+        got = maxpool2d(Tensor(x)).data
         worst = max(worst, float(np.max(np.abs(got - loop_maxpool2d(x, 2, 2)))))
 
         # channel gate: spatial mean -> bottleneck with relu -> sigmoid
@@ -162,14 +162,13 @@ def test_c5_ablation_direction(desk_run, desk_run_plain):
         model.load_state_arrays(run.result.best_state)
         _, cm = evaluate(model, run.val_samples, settings_loss, 8)
         matrices.append(cm)
-    table = format_eval_report("attention-unet", matrices[0],
-                               extra_rows=[("plain-unet", matrices[1])])
     att_ok = converged(desk_run)
     plain_ok = converged(desk_run_plain)
     report("C5 ablation direction: "
            f"{'PASS' if att_ok and plain_ok else 'FAIL'} (both converged; "
            f"attention mIoU {miou(matrices[0]):.4f}, plain mIoU {miou(matrices[1]):.4f})")
-    print(table)
+    print(format_eval_report("attention-unet", matrices[0]))
+    print(format_eval_report("plain-unet", matrices[1]))
     assert att_ok and plain_ok
 
 

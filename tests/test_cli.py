@@ -239,6 +239,18 @@ class TestEval:
         assert lines[2].split()[0] == "ours"
         assert "Per-class IoU:" in out
 
+    def test_default_csv_path_a_directory_exit_2_before_evaluating(self, trained, tmp_path,
+                                                                   capsys):
+        ckpt = tmp_path / "best.ckpt"
+        ckpt.write_bytes((trained["out"] / "best.ckpt").read_bytes())
+        (tmp_path / "eval_val.csv").mkdir()
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(trained["data"]),
+                     "--split", "val"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert str(tmp_path / "eval_val.csv") in captured.err and "--out" not in captured.err
+
     def test_truncated_checkpoint_exit_5(self, trained, tmp_path):
         blob = (trained["out"] / "best.ckpt").read_bytes()
         bad = tmp_path / "bad.ckpt"
@@ -351,7 +363,7 @@ class TestSweep:
 
         monkeypatch.setattr("auseg.cli.lr_sweep", fail)
 
-    @pytest.mark.parametrize("lrs", ["0.003,-1", "0", "0.002,nan", "0.002,inf"])
+    @pytest.mark.parametrize("lrs", ["0.003,-1", "0", "0.002,nan", "0.002,inf", ","])
     def test_non_positive_lr_exit_2_before_training(self, trained, tmp_path, no_training, lrs):
         assert main(["sweep-lr", "--config", str(trained["cfg"]), "--lrs", lrs,
                      "--out", str(tmp_path / "s")]) == 2
