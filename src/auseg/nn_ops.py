@@ -7,17 +7,19 @@ from arrays the node holds. Every kernel is checked against a loop oracle.
 The convolutions take only the shapes the model runs: ``conv2d`` is a
 stride-1 "same" conv with a square odd kernel, and ``transposed_conv2d``
 upsamples by the size s of its square kernel, unpadded. They and the attention
-gate's conv share one core of array helpers: one BLAS GEMM per sample between
-a kernel matrix and the im2col columns of a window of an NCHW array. ``_taps``
-is the only place that zero-extends: sample by sample, it reads a window that
-lies inside the array in place and copies any other into one zero-bordered
-buffer per call. ``_conv``, conv2d's forward pass, multiplies the kernel
-[O, C*kh*kw] by the columns of x, ``_conv_kernel_grad`` the output gradient by
-their transpose, and ``_conv_input_grad`` is ``_conv`` of the output gradient
-with the kernel flipped, channels swapped. So no convolution, forward or
-backward, holds more than one padded sample. ``transposed_conv2d``'s forward
-pass is s*s 1x1 GEMMs per sample, one per output phase as in sub-pixel
-convolution, and its input gradient a stride-s ``_conv``.
+gate's conv share one core of array helpers: BLAS GEMMs between a kernel matrix
+and the im2col columns of an NCHW array. ``_columns`` is the one column source
+and the only place that zero-extends: per sample, and per band of output rows
+of a large sample, it copies the columns into one reused buffer, reading a
+window that lies inside the array in place and copying any other into one
+zero-bordered buffer. ``_conv``, conv2d's forward pass, multiplies the kernel
+[O, C*kh*kw] by each band's columns, ``_conv_kernel_grad`` adds each band's
+output gradient times their transpose, and ``_conv_input_grad`` is ``_conv``
+of the output gradient with the kernel flipped, channels swapped. So no
+convolution, forward or backward, holds more than one padded sample and one
+band of columns. ``transposed_conv2d``'s forward pass is s*s 1x1 GEMMs per
+sample, one per output phase as in sub-pixel convolution, and its input
+gradient a stride-s ``_conv``.
 """
 from __future__ import annotations
 
@@ -72,71 +74,62 @@ def same_padding(op: str, kernel: Array) -> int:
     return (kh - 1) // 2
 
 
-# The convolution core runs one GEMM per sample. A sample's im2col columns
-# [C*kh*kw, Ho*Wo] are in the (c, u, v) order of a kernel [O, C, kh, kw], so
-# ``kernel.reshape(O, -1)`` is the GEMM operand. ``_conv`` copies a sample's
-# columns into one buffer: whole if they hold at most 4*_BAND elements (4 MiB),
-# else one band of output rows at a time, at most _BAND elements (1 MiB). A band
-# splits the GEMM's output pixels, not its inner sums, so an output element keeps
-# the bits of the whole-sample product unless the band takes another BLAS path: a
-# 2-row tail band of a 16x16 sample did, so samples that small stay whole. The
-# buffer is allocated per call, not kept by the module, so concurrent callers
-# share nothing; once freed, it joins the heap that the package keeps for the
-# next call (see ``auseg.__init__``).
+# The convolution core runs one GEMM per sample, or per band of a large sample. A
+# sample's im2col columns [C*kh*kw, Ho*Wo] are in the (c, u, v) order of a kernel
+# [O, C, kh, kw], so ``kernel.reshape(O, -1)`` is the GEMM operand. ``_columns`` is the
+# one column source: it copies a sample's columns into one buffer, whole if they hold at
+# most 4*_BAND elements (4 MiB), else one band of output rows at a time, at most _BAND
+# elements (1 MiB). In the forward product a band splits the GEMM's output pixels, not
+# its inner sums, so an output element keeps the bits of the whole-sample product unless
+# the band takes another BLAS path: a 2-row tail band of a 16x16 sample did, so samples
+# that small stay whole. In the kernel gradient a band splits the inner sums, so a cut
+# sample's bits differ from one whole-sample product by rounding. The buffer is
+# allocated per call, not kept by the module, so concurrent callers share nothing; once
+# freed, it joins the heap that the package keeps for the next call (see
+# ``auseg.__init__``).
 _BAND = 1 << 17
 
 
-def _taps(a: Array, top: int, left: int, kh: int, kw: int, s: int, ho: int,
-          wo: int) -> Iterator[Array]:
-    """Per sample of NCHW ``a``, a read-only view [C, kh, kw, Ho, Wo] of the taps of the
-    window at (top, left), zero-extended: ``taps.reshape(-1, Ho*Wo)`` copies the sample's
-    im2col columns [C*kh*kw, Ho*Wo].
+def _columns(a: Array, kh: int, kw: int, s: int, pad: int, ho: int,
+             wo: int) -> Iterator[tuple[int, int, int, Array]]:
+    """``(i, y0, y1, cols)`` per sample i of NCHW ``a`` and band of output rows [y0, y1):
+    ``cols`` [C*kh*kw, (y1 - y0)*Wo] holds the band's im2col columns of ``a`` zero-padded
+    by ``pad`` on each side, at stride ``s``.
 
-    A window inside ``a`` is read in place; any other is copied, one sample at a time,
-    into the interior of one zero-bordered buffer, so each view is valid only until the
-    next sample is drawn."""
+    Every band is copied into one buffer, so ``cols`` is valid only until the next band is
+    drawn. A window inside ``a`` is read in place; any other is copied, one sample at a
+    time, into the interior of one zero-bordered buffer."""
     n, c, h, w = a.shape
-    nh, nw = (ho - 1) * s + kh, (wo - 1) * s + kw
-    inside = top >= 0 and left >= 0 and top + nh <= h and left + nw <= w
-    if inside:
-        win = a[:, :, top:top + nh, left:left + nw]
-    else:
-        win = np.zeros((c, nh, nw))
-        y0, x0 = max(top, 0), max(left, 0)
-        y1, x1 = max(y0, min(top + nh, h)), max(x0, min(left + nw, w))
-        interior = win[:, y0 - top:y1 - top, x0 - left:x1 - left]
+    depth = c * kh * kw
+    rows = ho if depth * ho * wo <= 4 * _BAND else max(1, _BAND // (depth * wo))
+    band = np.empty(depth * rows * wo)
+    nh, nw = (ho - 1) * s + kh, (wo - 1) * s + kw    # the padded window's extent
+    win = a if pad == 0 and nh <= h and nw <= w else np.zeros((1, c, nh, nw))
+    hi, wi = min(nh - pad, h), min(nw - pad, w)    # the extent of ``a`` the window covers
     sh, sw = win.strides[-2:]
-    taps = np.lib.stride_tricks.as_strided(win, win.shape[:-2] + (kh, kw, ho, wo),
-                                           win.strides[:-2] + (sh, sw, s * sh, s * sw),
+    taps = np.lib.stride_tricks.as_strided(win, win.shape[:2] + (kh, kw, ho, wo),
+                                           win.strides[:2] + (sh, sw, s * sh, s * sw),
                                            writeable=False)
     for i in range(n):
-        if inside:
-            yield taps[i]
-        else:
-            interior[...] = a[i, :, y0:y1, x0:x1]
-            yield taps
+        if win is not a:
+            win[0, :, pad:pad + hi, pad:pad + wi] = a[i, :, :hi, :wi]
+        for y0 in range(0, ho, rows):
+            y1 = min(y0 + rows, ho)
+            cols = band[:depth * (y1 - y0) * wo]
+            cols.reshape(c, kh, kw, y1 - y0, wo)[...] = taps[i if win is a else 0, ..., y0:y1, :]
+            yield i, y0, y1, cols.reshape(depth, -1)
 
 
 def _conv(x: Array, kernel: Array, s: int, pad: int, ho: int, wo: int) -> Array:
     """conv2d's forward pass without bias: [N, C, H, W] -> [N, O, Ho*Wo]."""
-    (n, c), (o, _, kh, kw) = x.shape[:2], kernel.shape
+    o, _, kh, kw = kernel.shape
     k2 = kernel.reshape(o, -1)
-    depth = k2.shape[1]
-    # output rows per band
-    rows = ho if depth * ho * wo <= 4 * _BAND else max(1, _BAND // (depth * wo))
-    # the output first: the buffers freed on return then leave no hole below it in
-    # the heap that later, larger arrays cannot reuse; with the band first, desk-train
-    # peaks about 0.4 MiB higher
-    out = np.empty((n, o, ho * wo))
-    band = np.empty(depth * rows * wo)
-    bands = []    # (first row, end row, the band's columns as a [C, kh, kw, rows, Wo] view)
-    for y0 in range(0, ho, rows):
-        y1 = min(y0 + rows, ho)
-        bands.append((y0, y1, band[:depth * (y1 - y0) * wo].reshape(c, kh, kw, y1 - y0, wo)))
-    for i, taps in enumerate(_taps(x, -pad, -pad, kh, kw, s, ho, wo)):
-        for y0, y1, cols in bands:
-            cols[...] = taps[..., y0:y1, :]
-            np.matmul(k2, cols.reshape(depth, -1), out=out[i, :, y0 * wo:y1 * wo])
+    # the output first: the buffers freed on return then leave no hole below it in the
+    # heap that later, larger arrays cannot reuse; with the band first, desk-train peaks
+    # about 0.4 MiB higher
+    out = np.empty((x.shape[0], o, ho * wo))
+    for i, y0, y1, cols in _columns(x, kh, kw, s, pad, ho, wo):
+        np.matmul(k2, cols, out=out[i, :, y0 * wo:y1 * wo])
     return out
 
 
@@ -155,8 +148,8 @@ def _conv_kernel_grad(g: Array, x: Array, shape: tuple[int, ...], s: int, pad: i
     (o, ho, wo), (kh, kw) = g.shape[1:], shape[2:]
     gk = np.zeros(shape)
     gk2 = gk.reshape(o, -1)    # a view: the result owns its memory, so backward need not copy it
-    for gi, taps in zip(g, _taps(x, -pad, -pad, kh, kw, s, ho, wo)):
-        gk2 += gi.reshape(o, -1) @ taps.reshape(-1, ho * wo).T
+    for i, y0, y1, cols in _columns(x, kh, kw, s, pad, ho, wo):
+        gk2 += g[i, :, y0:y1].reshape(o, -1) @ cols.T
     return gk
 
 

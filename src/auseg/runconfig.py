@@ -66,8 +66,10 @@ class RunConfig:
         return self._part(LossConfig, class_weights=weights)
 
     def train_settings(self, loss_cfg: LossConfig) -> TrainSettings:
-        return self._part(TrainSettings, loss=loss_cfg,
-                          schedule=self._part(CosineSchedule, total_epochs=self.epochs))
+        # the settings check ``epochs`` under its own name before the schedule takes it
+        settings = self._part(TrainSettings, loss=loss_cfg, schedule=None)
+        settings.schedule = self._part(CosineSchedule, total_epochs=self.epochs)
+        return settings
 
     def resolved_text(self) -> str:
         return "".join(f"{key} = {_format_value(getattr(self, key))}\n" for key, _ in KEYS)

@@ -115,6 +115,15 @@ class TestTrain:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_zero_epochs_exit_2_names_epochs(self, trained, tmp_path, capsys):
+        # the schedule takes epochs as total_epochs; the message names the config's key
+        base = CONFIG.format(root=trained["data"]).replace("epochs = 3", "epochs = 0")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(base)
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: epochs must lie in [1, inf], got 0\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("extra, key, lines", [("epochs = 2\n", "epochs", "2 and 12"),
                                                    ("threads = 1\nthreads = 1\n", "threads",
                                                     "12 and 13")])

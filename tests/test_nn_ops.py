@@ -316,26 +316,44 @@ def test_conv_sample_of_batch_equals_sample_alone(case):
         assert gxi.tobytes() == gx[i:i + 1].tobytes()
 
 
+def _whole_columns(x, kh, kw, s, pad, ho, wo):
+    """Each sample's whole im2col matrix [C*kh*kw, Ho*Wo] of x zero-padded by pad, as
+    [N, C*kh*kw, Ho*Wo]."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = win[:, :, ::s, ::s][:, :, :ho, :wo].transpose(0, 1, 4, 5, 2, 3)
+    return cols.reshape(x.shape[0], -1, ho * wo)
+
+
 def _one_gemm_per_sample(x, kernel, s, pad, ho, wo):
     """The forward core without bands: each sample's whole im2col matrix in one GEMM."""
     (n, c), (o, _, kh, kw) = x.shape[:2], kernel.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    cols = win[:, :, ::s, ::s][:, :, :ho, :wo].transpose(0, 1, 4, 5, 2, 3).reshape(n, -1, ho * wo)
+    cols = _whole_columns(x, kh, kw, s, pad, ho, wo)
     return np.stack([kernel.reshape(o, -1) @ cols[i] for i in range(n)])
 
 
-def _core_calls(monkeypatch, cfg, size):
-    """(sample shape, kernel shape, stride, pad, Ho, Wo) of every ``_conv`` call made by
-    one forward and backward pass of ``cfg`` at size x size."""
-    core, calls = nn_ops._conv, set()
+def _kernel_grad_per_sample(g, x, shape, s, pad):
+    """The kernel gradient without bands: the sum over samples of g_i @ cols_i.T, each
+    with the sample's whole im2col matrix."""
+    o, ho, wo = g.shape[1:]
+    cols = _whole_columns(x, *shape[2:], s, pad, ho, wo)
+    gk2 = np.zeros((o, cols.shape[1]))
+    for gi, ci in zip(g, cols):
+        gk2 += gi.reshape(o, -1) @ ci.T
+    return gk2.reshape(shape)
 
-    def spy(x, kernel, s, pad, ho, wo):
-        calls.add((x.shape[1:], kernel.shape, s, pad, ho, wo))
-        return core(x, kernel, s, pad, ho, wo)
 
-    monkeypatch.setattr(nn_ops, "_conv", spy)
-    monkeypatch.setattr(attention, "_conv", spy)
+def _spied_calls(monkeypatch, name, key, cfg, size):
+    """``key(*args)`` of every call of the core helper ``name`` made by one forward and
+    backward pass of ``cfg`` at size x size."""
+    core, calls = getattr(nn_ops, name), set()
+
+    def spy(*args):
+        calls.add(key(*args))
+        return core(*args)
+
+    monkeypatch.setattr(nn_ops, name, spy)
+    monkeypatch.setattr(attention, name, spy)
     model = build_model(cfg, rng(50))
     x = Tensor(rng(51).uniform(0, 1, size=(1, 3, size, size)))
     y = rng(52).integers(0, cfg.num_classes, size=(1, size, size))
@@ -343,6 +361,20 @@ def _core_calls(monkeypatch, cfg, size):
         backward(tape, combined_loss(forward(model, x), y, LossConfig()), model.params)
     monkeypatch.undo()
     return sorted(calls)
+
+
+def _core_calls(monkeypatch, cfg, size):
+    """(sample shape, kernel shape, stride, pad, Ho, Wo) of every ``_conv`` call made by
+    one forward and backward pass of ``cfg`` at size x size."""
+    return _spied_calls(monkeypatch, "_conv", lambda x, kernel, s, pad, ho, wo: (
+        x.shape[1:], kernel.shape, s, pad, ho, wo), cfg, size)
+
+
+def _kernel_grad_calls(monkeypatch, cfg, size):
+    """(sample shape, kernel shape, stride, pad, output gradient's sample shape) of every
+    ``_conv_kernel_grad`` call made by one forward and backward pass of ``cfg``."""
+    return _spied_calls(monkeypatch, "_conv_kernel_grad", lambda g, x, shape, s, pad: (
+        x.shape[1:], shape, s, pad, g.shape[1:]), cfg, size)
 
 
 # a mid-model 3x3 conv at 128x256: its columns (about 4.7 M elements) are cut into bands
@@ -372,11 +404,44 @@ def test_conv_bands_equal_one_gemm_per_sample(cfg, size, monkeypatch):
             assert got.tobytes() == _one_gemm_per_sample(x, kernel, s, pad, ho, wo).tobytes()
 
 
+@pytest.mark.parametrize("cfg, size", [(UnetConfig(), 64), (desk_unet_config(), 32), (None, 128)],
+                         ids=["default_64", "desk_32", "cut_band_128x256"])
+def test_kernel_grad_bands_equal_one_gemm_per_sample(cfg, size, monkeypatch):
+    # a band of output rows splits the kernel gradient's inner sums, so a sample whose
+    # columns are cut into bands may differ from the whole-sample product by rounding
+    # only, and a sample kept whole (at most 4*_BAND elements of columns, as at every desk
+    # and gradcheck shape) keeps its bytes; this covers every kernel gradient the models
+    # run (the 3x3 convs, the head, the 7x7 gate, the up-conv) and one shape cut into bands
+    if cfg is None:
+        x_shape, kernel_shape, s, pad, ho, wo = CUT_BAND_CALL
+        calls, batches = [(x_shape, kernel_shape, s, pad, (kernel_shape[0], ho, wo))], (1,)
+    else:
+        calls, batches = _kernel_grad_calls(monkeypatch, cfg, size), (1, 4)
+        kernels = {(s, shape[2]) for _, shape, s, *_ in calls}
+        assert kernels >= {(1, 3), (1, 1), (1, 7), (2, 2)}
+    r = rng(54)
+    cut = set()
+    for x_shape, shape, s, pad, g_shape in calls:
+        whole = np.prod(shape[1:]) * g_shape[1] * g_shape[2] <= 4 * nn_ops._BAND
+        for n in batches:
+            x, g = r.normal(size=(n,) + x_shape), r.normal(size=(n,) + g_shape)
+            got = nn_ops._conv_kernel_grad(g, x, shape, s, pad)
+            ref = _kernel_grad_per_sample(g, x, shape, s, pad)
+            if whole:
+                assert got.tobytes() == ref.tobytes()
+            else:
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+                cut.add(shape)
+    assert bool(cut) == (size != 32)    # the default model at 64x64 cuts, the desk one not
+
+
 def test_conv2d_backward_holds_one_padded_sample():
-    # dec0.conv1 of the default model at 64x64, batch 4: beyond the input gradient (4 MiB),
-    # the relu-masked output gradient and the kernel gradient's products, each backward
-    # helper holds one zero-bordered sample and at most one band of columns; whole-batch
-    # padded copies of the input and of the output gradient rose about 17.3 MiB
+    # dec0.conv1 of the default model at 64x64, batch 4: beyond the input gradient (4 MiB)
+    # and the relu-masked output gradient (2 MiB), each backward helper holds one
+    # zero-bordered sample and one band of columns, about 1 MiB each, so the rise is about
+    # 9.6 MiB; a kernel gradient that copied each sample's whole columns (1.2 M elements)
+    # rose 14.1 MiB, and whole-batch padded copies of the input and of the output gradient
+    # about 17.3 MiB
     r = rng(47)
     x = Tensor(r.normal(size=(4, 32, 64, 64)), requires_grad=True)
     k = Tensor(r.normal(size=(16, 32, 3, 3)), requires_grad=True)
@@ -384,7 +449,7 @@ def test_conv2d_backward_holds_one_padded_sample():
     g = r.normal(size=(4, 16, 64, 64))
     with Tape() as tape:
         root = dot(conv2d(x, Conv2dParams(k, b, relu=True)), g)
-        assert traced_rise_mib(lambda: backward(tape, root, {"x": x, "k": k, "b": b})) <= 15.5
+        assert traced_rise_mib(lambda: backward(tape, root, {"x": x, "k": k, "b": b})) <= 11
 
 
 # (id, input maker): batch > 1 and several channels throughout

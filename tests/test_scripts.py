@@ -1,6 +1,6 @@
 """``scripts/run_synthetic_experiment.py`` runs every study through ``auseg`` end to end
 at one epoch, its sweep rejects a bad ``--lrs`` before it reads any data, and an
-``--out`` it cannot make exits 2 before any training."""
+``--out`` it cannot make or an ``--epochs 0`` exits 2 before any training."""
 import contextlib
 import importlib.util
 import io
@@ -73,3 +73,12 @@ def test_out_naming_a_file_exit_2_before_training(monkeypatch, tmp_path, capsys)
     assert load_script().run(["--out", str(taken)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(taken) in err
+
+
+def test_zero_epochs_exit_2_names_epochs(monkeypatch, tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the script started training")
+
+    monkeypatch.setattr("auseg.cli.train", fail)
+    assert load_script().run(["--out", str(tmp_path / "exp"), "--epochs", "0"]) == 2
+    assert capsys.readouterr().err == "config error: epochs must lie in [1, inf], got 0\n"
