@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 
 from auseg.cli import main as cli
+from auseg.errors import ConfigError
+from auseg.runconfig import parse_config_text
 
 LRS = "0.005,0.003,0.002,0.001,0.0005"  # the full-scale study's grid
 CONFIG = """\
@@ -38,17 +40,23 @@ flip_p = 0.5
 """
 
 
-def studies(out: Path, seed: int, epochs: int):
+def configs(out: Path, seed: int, epochs: int) -> dict[str, str]:
+    """Each model's config text, by model name."""
+    return {name: CONFIG.format(seed=seed, epochs=epochs, data=out / "data", name=name,
+                                attention=attention)
+            for name, attention in (("attention-unet", "true"), ("plain-unet", "false"))}
+
+
+def studies(out: Path, texts: dict[str, str]):
     """Each ``auseg`` command line in turn; a model's config is written once the
     data directory, and so ``out``, exists."""
     data = out / "data"
     for split, count, data_seed in (("train", 64, 100), ("val", 16, 200)):
         yield ["synth", "--out", str(data / split), "--count", str(count),
                "--size", "32", "32", "--classes", "3", "--seed", str(data_seed)]
-    for name, attention in (("attention-unet", "true"), ("plain-unet", "false")):
+    for name, text in texts.items():
         cfg = out / f"{name}.cfg"
-        cfg.write_text(CONFIG.format(seed=seed, epochs=epochs, data=data, name=name,
-                                     attention=attention))
+        cfg.write_text(text)
         yield ["train", "--config", str(cfg), "--out", str(out / name)]
         yield ["eval", "--ckpt", str(out / name / "best.ckpt"), "--data", str(data),
                "--split", "val"]
@@ -62,7 +70,15 @@ def run(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--epochs", type=int, default=30)
     args = parser.parse_args(argv)
-    for command in studies(Path(args.out), args.seed, args.epochs):
+    out = Path(args.out)
+    texts = configs(out, args.seed, args.epochs)
+    try:
+        for text in texts.values():    # a bad config exits before anything is written
+            parse_config_text(text)
+    except ConfigError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    for command in studies(out, texts):
         code = cli(command)
         if code:
             return code

@@ -8,18 +8,21 @@ The convolutions take only the shapes the model runs: ``conv2d`` is a
 stride-1 "same" conv with a square odd kernel, and ``transposed_conv2d``
 upsamples by the size s of its square kernel, unpadded. They and the attention
 gate's conv share one core of array helpers: BLAS GEMMs between a kernel matrix
-and the im2col columns of an NCHW array. ``_columns`` is the one column source
-and the only place that zero-extends: per sample, and per band of output rows
-of a large sample, it copies the columns into one reused buffer, reading a
-window that lies inside the array in place and copying any other into one
-zero-bordered buffer. ``_conv``, conv2d's forward pass, multiplies the kernel
-[O, C*kh*kw] by each band's columns, ``_conv_kernel_grad`` adds each band's
-output gradient times their transpose, and ``_conv_input_grad`` is ``_conv``
-of the output gradient with the kernel flipped, channels swapped. So no
-convolution, forward or backward, holds more than one padded sample and one
-band of columns. ``transposed_conv2d``'s forward pass is s*s 1x1 GEMMs per
-sample, one per output phase as in sub-pixel convolution, and its input
-gradient a stride-s ``_conv``.
+and the columns of an NCHW array, from one of two column sources, the only
+places that zero-extend. A stride-1 call with more than 4 MiB of im2col columns
+per sample takes them from ``_row_expanded``: per band of output rows, one
+buffer holds each input row kw times, and each kernel row's GEMM reads a
+strided view of it. Every other call takes them from ``_columns``: per sample,
+and per band of a large stride-s sample, it copies the im2col columns into one
+reused buffer, reading a window that lies inside the array in place and copying
+any other into one zero-bordered buffer. ``_conv``, conv2d's forward pass,
+multiplies the kernel, or each kernel row, by each band's columns,
+``_conv_kernel_grad`` adds each band's output gradient times their transpose,
+and ``_conv_input_grad`` is ``_conv`` of the output gradient with the kernel
+flipped, channels swapped. So no convolution, forward or backward, holds a
+padded copy of the batch or more than 4 MiB of one sample's columns.
+``transposed_conv2d``'s forward pass is s*s 1x1 GEMMs per sample, one per output
+phase as in sub-pixel convolution, and its input gradient a stride-s ``_conv``.
 """
 from __future__ import annotations
 
@@ -74,25 +77,26 @@ def same_padding(op: str, kernel: Array) -> int:
     return (kh - 1) // 2
 
 
-# The convolution core runs one GEMM per sample, or per band of a large sample. A
-# sample's im2col columns [C*kh*kw, Ho*Wo] are in the (c, u, v) order of a kernel
-# [O, C, kh, kw], so ``kernel.reshape(O, -1)`` is the GEMM operand. ``_columns`` is the
-# one column source: it copies a sample's columns into one buffer, whole if they hold at
-# most 4*_BAND elements (4 MiB), else one band of output rows at a time, at most _BAND
-# elements (1 MiB). In the forward product a band splits the GEMM's output pixels, not
-# its inner sums, so an output element keeps the bits of the whole-sample product unless
-# the band takes another BLAS path: a 2-row tail band of a 16x16 sample did, so samples
-# that small stay whole. In the kernel gradient a band splits the inner sums, so a cut
-# sample's bits differ from one whole-sample product by rounding. The buffer is
-# allocated per call, not kept by the module, so concurrent callers share nothing; once
-# freed, it joins the heap that the package keeps for the next call (see
-# ``auseg.__init__``).
+# The convolution core runs GEMMs per sample, or per band of output rows of a large
+# sample. A sample's im2col columns [C*kh*kw, Ho*Wo] are in the (c, u, v) order of a
+# kernel [O, C, kh, kw], so ``kernel.reshape(O, -1)`` is the GEMM operand. Up to 4*_BAND
+# elements (4 MiB) of columns, ``_columns`` copies a sample's whole, and the bits are those
+# of one GEMM per sample. A stride-1 call with more is row-expanded: a band of output rows
+# plus kh - 1 halo rows in at most 4*_BAND elements, one GEMM per kernel row. Its forward
+# product sums kh GEMMs, so it differs from one GEMM per sample by rounding; its kernel
+# gradient keeps each inner sum whole while a sample is one band (the 3x3 convs at 64x64
+# keep the bits of one GEMM per sample) and differs by rounding once it is cut. The
+# up-conv's stride-2 gradients, above 4 MiB, are copied in bands of at most _BAND elements
+# (1 MiB) of columns, which split the kernel gradient's sums only. Bands depend on the
+# shapes alone, so no bits depend on the BLAS thread count. The buffers are allocated per
+# call, not kept by the module, so concurrent callers share nothing; once freed, they join
+# the heap that the package keeps for the next call (see ``auseg.__init__``).
 _BAND = 1 << 17
+Bands = Iterator[tuple[int, int, int, list[Array]]]    # (i, y0, y1, columns) per band
 
 
-def _columns(a: Array, kh: int, kw: int, s: int, pad: int, ho: int,
-             wo: int) -> Iterator[tuple[int, int, int, Array]]:
-    """``(i, y0, y1, cols)`` per sample i of NCHW ``a`` and band of output rows [y0, y1):
+def _columns(a: Array, kh: int, kw: int, s: int, pad: int, ho: int, wo: int) -> Bands:
+    """``(i, y0, y1, [cols])`` per sample i of NCHW ``a`` and band of output rows [y0, y1):
     ``cols`` [C*kh*kw, (y1 - y0)*Wo] holds the band's im2col columns of ``a`` zero-padded
     by ``pad`` on each side, at stride ``s``.
 
@@ -117,19 +121,62 @@ def _columns(a: Array, kh: int, kw: int, s: int, pad: int, ho: int,
             y1 = min(y0 + rows, ho)
             cols = band[:depth * (y1 - y0) * wo]
             cols.reshape(c, kh, kw, y1 - y0, wo)[...] = taps[i if win is a else 0, ..., y0:y1, :]
-            yield i, y0, y1, cols.reshape(depth, -1)
+            yield i, y0, y1, [cols.reshape(depth, -1)]
+
+
+def _row_expanded(a: Array, kh: int, kw: int, pad: int, ho: int, wo: int) -> Bands:
+    """``(i, y0, y1, views)`` per sample i of NCHW ``a`` and band of output rows [y0, y1)
+    of a stride-1 conv: ``views[u]`` [C*kw, (y1 - y0)*Wo] holds kernel row u's im2col
+    columns of ``a`` zero-padded by ``pad`` on each side.
+
+    The views share one buffer e[c, v, y', x] = a_padded[c, y0 + y', x + v] of the band's
+    rows and kh - 1 halo rows, so each input row is copied kw times, not kh*kw; view u
+    starts at row u, and its rows lie (y1 - y0 + kh - 1)*Wo apart. The buffer is filled
+    straight from ``a`` with only its borders zeroed, and is valid only until the next
+    band is drawn."""
+    n, c, h, w = a.shape
+    rows = min(ho, max(1, 4 * _BAND // (c * kw * wo) - kh + 1))
+    buf = np.empty(c * kw * (rows + kh - 1) * wo)
+    for i in range(n):
+        for y0 in range(0, ho, rows):
+            y1 = min(y0 + rows, ho)
+            ext = y1 - y0 + kh - 1
+            e = buf[:c * kw * ext * wo].reshape(c, kw, ext, wo)
+            t = max(0, pad - y0)
+            b = max(t, min(ext, h + pad - y0))    # e's rows [t, b) lie inside ``a``
+            e[:, :, :t] = e[:, :, b:] = 0.0
+            for v in range(kw):
+                l = max(0, pad - v)
+                r = max(l, min(wo, w + pad - v))    # and its columns [l, r) at this v
+                e[:, v, t:b, :l] = e[:, v, t:b, r:] = 0.0
+                e[:, v, t:b, l:r] = a[i, :, y0 + t - pad:y0 + b - pad, l + v - pad:r + v - pad]
+            flat = e.reshape(c * kw, ext * wo)
+            yield i, y0, y1, [flat[:, u * wo:(u + y1 - y0) * wo] for u in range(kh)]
+
+
+def _bands(a: Array, kh: int, kw: int, s: int, pad: int, ho: int, wo: int) -> tuple[int, Bands]:
+    """The kernel rows each GEMM takes, and the bands of ``a``'s columns: one row each from
+    ``_row_expanded`` for a stride-1 call with more than 4*_BAND elements of im2col
+    columns per sample, else all kh rows at once from ``_columns``."""
+    if s == 1 and a.shape[1] * kh * kw * ho * wo > 4 * _BAND:
+        return 1, _row_expanded(a, kh, kw, pad, ho, wo)
+    return kh, _columns(a, kh, kw, s, pad, ho, wo)
 
 
 def _conv(x: Array, kernel: Array, s: int, pad: int, ho: int, wo: int) -> Array:
     """conv2d's forward pass without bias: [N, C, H, W] -> [N, O, Ho*Wo]."""
     o, _, kh, kw = kernel.shape
-    k2 = kernel.reshape(o, -1)
     # the output first: the buffers freed on return then leave no hole below it in the
     # heap that later, larger arrays cannot reuse; with the band first, desk-train peaks
     # about 0.4 MiB higher
     out = np.empty((x.shape[0], o, ho * wo))
-    for i, y0, y1, cols in _columns(x, kh, kw, s, pad, ho, wo):
-        np.matmul(k2, cols, out=out[i, :, y0 * wo:y1 * wo])
+    step, bands = _bands(x, kh, kw, s, pad, ho, wo)
+    ks = [kernel[:, :, u:u + step].reshape(o, -1) for u in range(0, kh, step)]
+    for i, y0, y1, views in bands:
+        dst = out[i, :, y0 * wo:y1 * wo]
+        np.matmul(ks[0], views[0], out=dst)
+        for k2, view in zip(ks[1:], views[1:]):
+            dst += k2 @ view
     return out
 
 
@@ -145,11 +192,17 @@ def _conv_kernel_grad(g: Array, x: Array, shape: tuple[int, ...], s: int, pad: i
     """conv2d's kernel gradient: output gradient [N, O, Ho, Wo], input [N, C, H, W] -> ``shape``.
 
     The columns are rebuilt, not kept from the forward pass: the tape holds no im2col buffer."""
-    (o, ho, wo), (kh, kw) = g.shape[1:], shape[2:]
-    gk = np.zeros(shape)
-    gk2 = gk.reshape(o, -1)    # a view: the result owns its memory, so backward need not copy it
-    for i, y0, y1, cols in _columns(x, kh, kw, s, pad, ho, wo):
-        gk2 += g[i, :, y0:y1].reshape(o, -1) @ cols.T
+    (o, ho, wo), (c, kh, kw) = g.shape[1:], shape[1:]
+    gk = np.zeros(shape)    # the result owns its memory, so backward need not copy it
+    step, bands = _bands(x, kh, kw, s, pad, ho, wo)
+    for i, y0, y1, views in bands:
+        gi = g[i, :, y0:y1].reshape(o, -1)
+        for u, view in zip(range(0, kh, step), views):
+            # a kernel row's view is the left operand: BLAS runs [C*kw, K] @ [K, O] faster
+            # than its transpose at the model's shapes; ``_columns``' product keeps its
+            # form, and so its bits
+            prod = gi @ view.T if step == kh else (view @ gi.T).T
+            gk[:, :, u:u + step] += prod.reshape(o, c, step, kw)
     return gk
 
 

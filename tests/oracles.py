@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with explicit Python loops and
 scalar math so it shares nothing with the vectorized implementations under
-test. Slow is fine; these run on tiny shapes. The one exception is
+test. Slow is fine; these run on tiny shapes, and ``loop_conv2d`` also on a few
+that the conv core takes row-expanded. The one exception is
 ``composed_conv_layer``, the byte-level reference of conv2d's fused activation.
 """
 import math
@@ -43,25 +44,32 @@ def loop_matmul(a, b):
 
 
 def loop_conv2d(x, kernel, bias, stride, pad):
+    """Each output is bias plus its in-range taps, summed exactly rounded (``math.fsum``),
+    so a kernel gradient's long sums carry no error of the oracle's own. The arrays are
+    read as nested lists: the shapes above the conv core's 4 MiB rule run in a second."""
     n, c, h, w = x.shape
     o, c2, kh, kw = kernel.shape
     assert c == c2
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
+    xs, ks = x.tolist(), kernel.tolist()
     out = np.zeros((n, o, ho, wo))
     for ni in range(n):
         for oi in range(o):
             for i in range(ho):
                 for j in range(wo):
-                    acc = bias[oi]
+                    terms = [float(bias[oi])]
                     for ci in range(c):
                         for u in range(kh):
+                            hh = i * stride + u - pad
+                            if not 0 <= hh < h:
+                                continue
+                            row, taps = xs[ni][ci][hh], ks[oi][ci][u]
                             for v in range(kw):
-                                hh = i * stride + u - pad
                                 ww = j * stride + v - pad
-                                if 0 <= hh < h and 0 <= ww < w:
-                                    acc += x[ni, ci, hh, ww] * kernel[oi, ci, u, v]
-                    out[ni, oi, i, j] = acc
+                                if 0 <= ww < w:
+                                    terms.append(row[ww] * taps[v])
+                    out[ni, oi, i, j] = math.fsum(terms)
     return out
 
 

@@ -343,6 +343,15 @@ def _kernel_grad_per_sample(g, x, shape, s, pad):
     return gk2.reshape(shape)
 
 
+def _one_pass(cfg, size, batch=1):
+    """One forward and backward pass of ``cfg`` at size x size on random inputs."""
+    model = build_model(cfg, rng(50))
+    x = Tensor(rng(51).uniform(0, 1, size=(batch, 3, size, size)))
+    y = rng(52).integers(0, cfg.num_classes, size=(batch, size, size))
+    with Tape() as tape:
+        backward(tape, combined_loss(forward(model, x), y, LossConfig()), model.params)
+
+
 def _spied_calls(monkeypatch, name, key, cfg, size):
     """``key(*args)`` of every call of the core helper ``name`` made by one forward and
     backward pass of ``cfg`` at size x size."""
@@ -354,11 +363,7 @@ def _spied_calls(monkeypatch, name, key, cfg, size):
 
     monkeypatch.setattr(nn_ops, name, spy)
     monkeypatch.setattr(attention, name, spy)
-    model = build_model(cfg, rng(50))
-    x = Tensor(rng(51).uniform(0, 1, size=(1, 3, size, size)))
-    y = rng(52).integers(0, cfg.num_classes, size=(1, size, size))
-    with Tape() as tape:
-        backward(tape, combined_loss(forward(model, x), y, LossConfig()), model.params)
+    _one_pass(cfg, size)
     monkeypatch.undo()
     return sorted(calls)
 
@@ -381,16 +386,35 @@ def _kernel_grad_calls(monkeypatch, cfg, size):
 CUT_BAND_CALL = ((16, 128, 256), (16, 16, 3, 3), 1, 1, 128, 256)
 
 
+# The tolerance of a row-expanded result, fixed before any run: it splits each output's
+# sum over the kernel's rows, so it may differ from one whole-sample GEMM, or from the
+# exactly rounded loop oracle, by rounding only, here at most 1e-14 of the largest element
+# (about 45 float64 epsilons)
+ROW_TOL = 1e-14
+
+
+def _rounding_only(got, ref):
+    return np.max(np.abs(got - ref)) <= ROW_TOL * np.max(np.abs(ref))
+
+
+def _columns_fit(c, kh, kw, ho, wo):
+    """Whether a call's im2col columns hold at most 4*_BAND elements: then ``_columns``
+    keeps a sample whole, else a stride-1 call is row-expanded."""
+    return c * kh * kw * ho * wo <= 4 * nn_ops._BAND
+
+
 @pytest.mark.parametrize("cfg, size", [(UnetConfig(), 64), (desk_unet_config(), 32), (None, 128)],
                          ids=["default_64", "desk_32", "cut_band_128x256"])
 def test_conv_bands_equal_one_gemm_per_sample(cfg, size, monkeypatch):
     # a band splits the GEMM's output pixels, never an inner sum, so BLAS must give every
-    # element the bits of the whole-sample product; this pins that for every shape the
-    # models run (the 3x3 convs, the head, the 7x7 gate, the input gradients of conv2d and
-    # the gate, the up-conv's stride-2 input gradient) and for one shape cut into bands
+    # element the bits of the whole-sample product wherever a sample's columns hold at most
+    # 4*_BAND elements; a row-expanded call splits the sum over kernel rows, so there only
+    # rounding may differ. This covers every shape the models run (the 3x3 convs, the
+    # head, the 7x7 gate, the input gradients of conv2d and the gate, the up-conv's
+    # stride-2 input gradient) and one shape cut into bands
     if cfg is None:
         calls, batches = [CUT_BAND_CALL], (1,)
-        assert 16 * 9 * 128 * 256 > 4 * nn_ops._BAND
+        assert not _columns_fit(16, 3, 3, 128, 256)
     else:
         calls, batches = _core_calls(monkeypatch, cfg, size), (1, 4)
         kernels = {(s, kernel[2]) for _, kernel, s, *_ in calls}
@@ -401,7 +425,11 @@ def test_conv_bands_equal_one_gemm_per_sample(cfg, size, monkeypatch):
         for n in batches:
             x = r.normal(size=(n, c, h, w))
             got = nn_ops._conv(x, kernel, s, pad, ho, wo)
-            assert got.tobytes() == _one_gemm_per_sample(x, kernel, s, pad, ho, wo).tobytes()
+            ref = _one_gemm_per_sample(x, kernel, s, pad, ho, wo)
+            if _columns_fit(c, *kernel_shape[2:], ho, wo):
+                assert got.tobytes() == ref.tobytes()
+            else:
+                assert _rounding_only(got, ref)
 
 
 @pytest.mark.parametrize("cfg, size", [(UnetConfig(), 64), (desk_unet_config(), 32), (None, 128)],
@@ -422,7 +450,7 @@ def test_kernel_grad_bands_equal_one_gemm_per_sample(cfg, size, monkeypatch):
     r = rng(54)
     cut = set()
     for x_shape, shape, s, pad, g_shape in calls:
-        whole = np.prod(shape[1:]) * g_shape[1] * g_shape[2] <= 4 * nn_ops._BAND
+        whole = _columns_fit(*shape[1:], *g_shape[1:])
         for n in batches:
             x, g = r.normal(size=(n,) + x_shape), r.normal(size=(n,) + g_shape)
             got = nn_ops._conv_kernel_grad(g, x, shape, s, pad)
@@ -430,18 +458,127 @@ def test_kernel_grad_bands_equal_one_gemm_per_sample(cfg, size, monkeypatch):
             if whole:
                 assert got.tobytes() == ref.tobytes()
             else:
-                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+                assert _rounding_only(got, ref)
                 cut.add(shape)
     assert bool(cut) == (size != 32)    # the default model at 64x64 cuts, the desk one not
 
 
+def _expanded_calls(monkeypatch):
+    """(sample shape, kernel size, band heights) of each ``_row_expanded`` call, as the
+    calls happen."""
+    core, calls = nn_ops._row_expanded, []
+
+    def spy(a, kh, *args):
+        bands = []
+        calls.append((a.shape[1:], kh, bands))
+        for i, y0, y1, views in core(a, kh, *args):
+            if i == 0:
+                bands.append(y1 - y0)
+            yield i, y0, y1, views
+
+    monkeypatch.setattr(nn_ops, "_row_expanded", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cfg, size", [(UnetConfig(), 64), (desk_unet_config(), 32)],
+                         ids=["default_64", "desk_32"])
+def test_row_expanded_takes_exactly_the_large_calls(cfg, size, monkeypatch):
+    # a conv core call is row-expanded iff its columns exceed 4*_BAND elements: at 64x64
+    # the default model's full-resolution 3x3 convs and dec1.conv1, their input and kernel
+    # gradients, and no call of the desk config at 32x32, so desk-train keeps its bits
+    expanded, routed = _expanded_calls(monkeypatch), []
+
+    def spy_on(name, fits):
+        core = getattr(nn_ops, name)
+
+        def spy(*args):
+            before = len(expanded)
+            out = core(*args)
+            routed.append((fits(*args), len(expanded) - before))
+            return out
+
+        monkeypatch.setattr(nn_ops, name, spy)
+        monkeypatch.setattr(attention, name, spy)
+
+    spy_on("_conv", lambda x, kernel, s, pad, ho, wo: _columns_fit(
+        x.shape[1], *kernel.shape[2:], ho, wo))
+    spy_on("_conv_kernel_grad", lambda g, x, shape, s, pad: _columns_fit(
+        x.shape[1], *shape[2:], *g.shape[2:]))
+    _one_pass(cfg, size, batch=4)
+    assert sorted({taken for fits, taken in routed if fits}) == [0]
+    assert sorted({taken for fits, taken in routed if not fits}) == ([1] if size == 64 else [])
+    assert sum(taken for _, taken in routed) == len(expanded)
+
+
+def test_row_expanded_conv2d_vs_loop_oracle(monkeypatch):
+    # a 3x3 conv2d at 700x256 has 1.6 M elements of columns, so its forward pass, input
+    # gradient and kernel gradient are row-expanded, in bands of 680 output rows and a
+    # 20-row tail, with zero padding on every border
+    expanded = _expanded_calls(monkeypatch)
+    r = rng(56)
+    x, k, b = r.normal(size=(1, 1, 700, 256)), r.normal(size=(1, 1, 3, 3)), r.normal(size=1)
+    g = r.normal(size=(1, 1, 700, 256))
+    xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    with Tape() as tape:
+        y = conv2d(xt, Conv2dParams(kt, Tensor(b)))
+        grads = backward(tape, dot(y, g), {"x": xt, "k": kt})
+    assert expanded == [((1, 700, 256), 3, [680, 20])] * 3
+    assert _rounding_only(y.data, loop_conv2d(x, k, b, 1, 1))
+    flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    assert _rounding_only(grads["x"], loop_conv2d(g, flipped, np.zeros(1), 1, 1))
+    # gk[o, c] is x[:, c] correlated with g[:, o], both padded by 1
+    gk = loop_conv2d(x.transpose(1, 0, 2, 3), g.transpose(1, 0, 2, 3), np.zeros(1), 1, 1)
+    assert _rounding_only(grads["k"], gk.transpose(1, 0, 2, 3))
+
+
+def test_row_expanded_gate_conv_vs_loop_oracle(monkeypatch):
+    # the gate's 7x7 conv, [max, avg] maps -> 1 channel padded by 3, and its kernel
+    # gradient at 300x128: 3.8 M elements of columns, in bands of 286 rows and a 14-row tail
+    expanded = _expanded_calls(monkeypatch)
+    r = rng(57)
+    pools, k, dz = r.normal(size=(1, 2, 300, 128)), r.normal(size=(1, 2, 7, 7)), \
+        r.normal(size=(1, 1, 300, 128))
+    got = nn_ops._conv(pools, k, 1, 3, 300, 128).reshape(dz.shape)
+    assert _rounding_only(got, loop_conv2d(pools, k, np.zeros(1), 1, 3))
+    got = nn_ops._conv_kernel_grad(dz, pools, k.shape, 1, 3)
+    gk = loop_conv2d(pools.transpose(1, 0, 2, 3), dz.transpose(1, 0, 2, 3), np.zeros(2), 1, 3)
+    assert _rounding_only(got, gk.transpose(1, 0, 2, 3))
+    assert expanded == [((2, 300, 128), 7, [286, 14])] * 2
+
+
+def test_row_expanded_gate_input_grad_vs_loop_oracle(monkeypatch):
+    # the gate conv's input gradient at 600x128: the 1-channel output gradient has 3.8 M
+    # elements of columns, in bands of 579 rows and a 21-row tail
+    expanded = _expanded_calls(monkeypatch)
+    r = rng(58)
+    k, dz = r.normal(size=(1, 2, 7, 7)), r.normal(size=(1, 1, 600, 128))
+    flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    got = nn_ops._conv_input_grad(dz, k, 3)
+    assert _rounding_only(got, loop_conv2d(dz, flipped, np.zeros(2), 1, 3))
+    assert expanded == [((1, 600, 128), 7, [579, 21])]
+
+
+def test_row_expanded_kernel_grad_keeps_whole_sample_bytes(monkeypatch):
+    # dec0.conv1 of the default model at 64x64, batch 4: its columns (1.2 M elements) are
+    # row-expanded, and its buffer (0.4 M elements) holds the whole sample, so each kernel
+    # row's gradient sums every pixel of a sample in one GEMM, in the order of the
+    # whole-sample product
+    expanded = _expanded_calls(monkeypatch)
+    r = rng(59)
+    x, g = r.normal(size=(4, 32, 64, 64)), r.normal(size=(4, 16, 64, 64))
+    got = nn_ops._conv_kernel_grad(g, x, (16, 32, 3, 3), 1, 1)
+    assert expanded == [((32, 64, 64), 3, [64])]
+    assert got.tobytes() == _kernel_grad_per_sample(g, x, (16, 32, 3, 3), 1, 1).tobytes()
+
+
 def test_conv2d_backward_holds_one_padded_sample():
     # dec0.conv1 of the default model at 64x64, batch 4: beyond the input gradient (4 MiB)
-    # and the relu-masked output gradient (2 MiB), each backward helper holds one
-    # zero-bordered sample and one band of columns, about 1 MiB each, so the rise is about
-    # 9.6 MiB; a kernel gradient that copied each sample's whole columns (1.2 M elements)
-    # rose 14.1 MiB, and whole-batch padded copies of the input and of the output gradient
-    # about 17.3 MiB
+    # and the relu-masked output gradient (2 MiB), the kernel gradient holds one sample's
+    # row-expanded buffer (3.1 MiB), and the input gradient one of the output gradient
+    # (1.5 MiB) and one kernel row's product (1 MiB), so the rise is about 10.6 MiB; a
+    # zero-bordered sample and a 1 MiB band of im2col columns per helper rose 9.6 MiB, a
+    # kernel gradient that copied each sample's whole columns (1.2 M elements) 14.1 MiB,
+    # and whole-batch padded copies of the input and of the output gradient about 17.3 MiB
     r = rng(47)
     x = Tensor(r.normal(size=(4, 32, 64, 64)), requires_grad=True)
     k = Tensor(r.normal(size=(16, 32, 3, 3)), requires_grad=True)

@@ -80,5 +80,7 @@ def test_zero_epochs_exit_2_names_epochs(monkeypatch, tmp_path, capsys):
         raise AssertionError("the script started training")
 
     monkeypatch.setattr("auseg.cli.train", fail)
-    assert load_script().run(["--out", str(tmp_path / "exp"), "--epochs", "0"]) == 2
+    out = tmp_path / "exp"
+    assert load_script().run(["--out", str(out), "--epochs", "0"]) == 2
     assert capsys.readouterr().err == "config error: epochs must lie in [1, inf], got 0\n"
+    assert not out.exists()    # no data split and no config was written

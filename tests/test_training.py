@@ -530,9 +530,11 @@ def test_package_imports_without_mallopt(monkeypatch):
 
 
 def test_inference_traced_peaks():
-    # each conv holds one sample's padded input and one column band, the loss one
-    # softmax-sized buffer, and no activation outlives its last use (about 11 and 3.6 MiB);
-    # whole-batch padded copies and whole-sample im2col matrices rose about 23.5 and 12.5
+    # each conv holds one sample's columns (at most 4 MiB: a row-expanded band, or one
+    # padded sample and an im2col band), the loss one softmax-sized buffer, and no
+    # activation outlives its last use (about 10.1 and 5.1 MiB; with im2col bands for the
+    # large convs too, 10.0 and 4.7); whole-batch padded copies and whole-sample im2col
+    # matrices rose about 23.5 and 12.5
     model = build_model(unet.UnetConfig(), init_rng(1))
     samples = synth_generate(4, 64, 64, 19, rng(60))
     x = Tensor(samples[0].image[None])
