@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .nn_ops import _conv, _conv_input_grad, _conv_kernel_grad, same_padding
+from .nn_ops import _conv, _conv_input_grad, _conv_kernel_grad, check_same_kernel
 from .tensor import Array, Tensor, record_op
 
 COMPOSITIONS = ("parallel", "sequential")
@@ -57,8 +57,9 @@ def spatial_attention(f: Array, kernel: Array, bias: Array) -> Array:
     if kernel.ndim != 4 or kernel.shape[:2] != (1, 2) or bias.shape != (1,):
         raise ShapeError(f"spatial attention conv must map 2 -> 1 channels with one bias, "
                          f"got kernel {kernel.shape}, bias {bias.shape}")
+    check_same_kernel("spatial attention conv", kernel)
     n, _, h, w = f.shape
-    logits = _conv(_pools(f), kernel, 1, same_padding("spatial attention conv", kernel), h, w)
+    logits = _conv(_pools(f), kernel)
     logits += bias[:, None]
     return _sigmoid(logits).reshape(n, 1, h, w)
 
@@ -90,9 +91,8 @@ def hybrid_attention_block(f: Tensor, w1: Tensor, w2: Tensor, kernel: Tensor, bi
         # spatial gate: w_s = sigmoid(conv(pools(src)) + b)
         g_gated = g * w_s
         dz = (g * gated).sum(axis=1, keepdims=True) * w_s * (1.0 - w_s)
-        pad = (k.shape[2] - 1) // 2
-        gk = _conv_kernel_grad(dz, _pools(src), k.shape, 1, pad)
-        d_pools = _conv_input_grad(dz, k, pad)
+        gk = _conv_kernel_grad(dz, _pools(src), k.shape[2])
+        d_pools = _conv_input_grad(dz, k)
         g_src = np.repeat(d_pools[:, 1:] / c, c, axis=1)
         top = src.argmax(axis=1)[:, None]    # the first maximal channel takes the max route
         np.put_along_axis(g_src, top, np.take_along_axis(g_src, top, axis=1) + d_pools[:, :1],

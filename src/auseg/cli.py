@@ -133,7 +133,15 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
+def _check_flags(args, **lows) -> None:
+    """Each flag in ``lows`` below its bound is a config error naming it, before any work."""
+    for flag, lo in lows.items():
+        if getattr(args, flag) < lo:
+            raise ConfigError(f"--{flag} must be at least {lo}, got {getattr(args, flag)}")
+
+
 def cmd_gradcheck(args) -> int:
+    _check_flags(args, seed=0)
     results = run_gradcheck_suite(seed=args.seed, tol_override=args.tolerance)
     print(format_gradcheck_table(results), end="")
     failures = [r.name for r in results if not r.passed]
@@ -145,6 +153,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _check_flags(args, seed=0, count=1)
     h, w = args.size
     rng = np.random.default_rng(args.seed)
     samples = synth_generate(args.count, h, w, args.classes, rng)

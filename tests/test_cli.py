@@ -85,6 +85,16 @@ class TestSynth:
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--count", "0"),
+                                             ("--count", "-3")])
+    def test_bad_flag_exit_2_before_any_work(self, tmp_path, capsys, flag, value):
+        args = {"--seed": "1", "--count": "2", flag: value}
+        argv = ["synth", "--out", str(tmp_path / "out"), "--size", "16", "16"]
+        assert main(argv + [item for pair in args.items() for item in pair]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     def test_artifacts_present(self, trained):
@@ -336,6 +346,12 @@ class TestGradcheckCommand:
         results.append(UnitResult("relu", 1.0, TOL_SINGLE, False))
         lines = format_gradcheck_table(results).splitlines()
         assert {len(line) - len(line.split()[-1]) for line in lines} == {lines[0].index("status")}
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error:") and "--seed" in err
+        assert out == ""    # no unit ran
 
     def test_fixed_seed_reproducible_table(self, capsys):
         assert main(["gradcheck", "--seed", "4"]) == 0

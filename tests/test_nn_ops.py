@@ -46,16 +46,6 @@ class TestConv2d:
         out = conv2d(Tensor(x), params(k, b))
         assert np.max(np.abs(out.data - loop_conv2d(x, k, b, 1, 1))) < 1e-12
 
-    def test_stride_two_vs_oracle(self):
-        # conv2d itself is stride 1; its core also runs at stride s for the up-conv's
-        # input gradient, and here at stride 2 with padding 1
-        r = rng(3)
-        x = r.uniform(-2, 2, size=(2, 2, 6, 6))
-        k = r.uniform(-2, 2, size=(3, 2, 3, 3))
-        b = r.uniform(-1, 1, size=3)
-        out = nn_ops._conv(x, k, 2, 1, 3, 3).reshape(2, 3, 3, 3) + b[:, None, None]
-        assert np.max(np.abs(out - loop_conv2d(x, k, b, 2, 1))) < 1e-12
-
     def test_input_smaller_than_kernel_vs_loop_oracle(self):
         # a 5x5 kernel over a 2x3 input: every window is zero-extended on all sides
         r = rng(3)
@@ -150,44 +140,34 @@ class TestTransposedConv2d:
         assert grad_check(f, [x, k, b], rng=rng(14)) < 1e-5
 
 
-def _extent(size, k, s, pad):
-    return (size + 2 * pad - k) // s + 1
-
-
-# Shapes the convolution core must get right: (n, c, o, h, w, k, stride, pad).
-# conv2d runs the stride-1 "same" ones; the up-conv's backward runs it at stride s.
+# Shapes the convolution core must get right: (n, c, o, h, w, k), each a stride-1
+# "same" conv.
 CONV_CASES = {
-    "stride2_pad1": (2, 3, 4, 7, 6, 3, 2, 1),
-    "head_1x1": (2, 8, 3, 5, 5, 1, 1, 0),
-    "spatial_attention_7x7_same": (2, 2, 1, 6, 6, 7, 1, 3),
-    "h_ne_w": (1, 2, 3, 4, 7, 3, 1, 1),
-    # (h + 2*pad - k) % s != 0 in both axes: the last input rows and columns get no gradient
-    "k2_s3_rows_without_gradient": (2, 2, 3, 9, 7, 2, 3, 0),
+    "head_1x1": (2, 8, 3, 5, 5, 1),
+    "spatial_attention_7x7_same": (2, 2, 1, 6, 6, 7),
+    "h_ne_w": (1, 2, 3, 4, 7, 3),
 }
-SAME_CASES = {name: case for name, case in CONV_CASES.items()
-              if case[6] == 1 and 2 * case[7] == case[5] - 1}
 
 
 @pytest.mark.parametrize("case", CONV_CASES.values(), ids=CONV_CASES.keys())
 def test_conv2d_core_cases_vs_oracle(case):
     # the core's forward pass against the oracle, and its kernel gradient as that pass's
     # adjoint in the kernel: <conv(x, K), g> == <K, kernel_grad(g, x)>
-    n, c, o, h, w, k, s, pad = case
+    n, c, o, h, w, k = case
     r = rng(40)
     x = r.uniform(-2, 2, size=(n, c, h, w))
     kern = r.uniform(-2, 2, size=(o, c, k, k))
-    ho, wo = _extent(h, k, s, pad), _extent(w, k, s, pad)
-    y = nn_ops._conv(x, kern, s, pad, ho, wo).reshape(n, o, ho, wo)
-    assert np.max(np.abs(y - loop_conv2d(x, kern, np.zeros(o), s, pad))) < 1e-12
+    y = nn_ops._conv(x, kern).reshape(n, o, h, w)
+    assert np.max(np.abs(y - loop_conv2d(x, kern, np.zeros(o), 1, (k - 1) // 2))) < 1e-12
     g = r.normal(size=y.shape)
-    gk = nn_ops._conv_kernel_grad(g, x, kern.shape, s, pad)
+    gk = nn_ops._conv_kernel_grad(g, x, k)
     lhs, rhs = float(np.sum(y * g)), float(np.sum(kern * gk))
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
-@pytest.mark.parametrize("case", SAME_CASES.values(), ids=SAME_CASES.keys())
+@pytest.mark.parametrize("case", CONV_CASES.values(), ids=CONV_CASES.keys())
 def test_conv2d_same_cases_gradcheck(case):
-    n, c, o, h, w, k, _, _ = case
+    n, c, o, h, w, k = case
     r = rng(41)
     xt = Tensor(r.normal(size=(n, c, h, w)), requires_grad=True)
     kt = Tensor(r.normal(size=(o, c, k, k)), requires_grad=True)
@@ -233,42 +213,32 @@ def test_transposed_conv2d_core_cases_vs_oracle(case):
     assert grad_check(f, [xt, kt, bt], rng=rng(43)) < 1e-5
 
 
-def _core_adjoint(x, kern, s, pad, g):
-    """<conv(x), g> and <x, conv^T(g)>: the core's forward pass and the oracle's transpose."""
-    y = nn_ops._conv(x, kern, s, pad, *g.shape[2:]).reshape(g.shape)
-    xt = loop_transposed_conv2d(g, kern, np.zeros(kern.shape[1]), s, pad)
-    assert xt.shape == x.shape
-    return float(np.sum(y * g)), float(np.sum(x * xt))
-
-
-def test_conv_adjoint_identity_padded_stride2():
-    # <conv(x), g> == <x, conv^T(g)> with one kernel, stride 2, padding 1
-    r = rng(44)
-    kern = r.normal(size=(3, 2, 3, 3))  # conv: 2 -> 3 channels
-    lhs, rhs = _core_adjoint(r.normal(size=(2, 2, 7, 9)), kern, 2, 1, r.normal(size=(2, 3, 4, 5)))
-    assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-
-
-def _adjoint_case(k, s, pad):
-    # an input of at least 2 rows that the core's windows tile exactly, made non-square
-    h = s * max(1, -((k - 2 - 2 * pad) // s)) + k - 2 * pad
-    return k, s, pad, h, h + s
-
-
-ADJOINT_CASES = {f"k{k}_s{s}_pad{pad}": _adjoint_case(k, s, pad)
-                 for k in (1, 2, 3, 5) for s in (1, 2, 3) for pad in range(k)}
+# (k, h, w) of a "same" conv: the kernel sizes at 2x3, and the borders the core must
+# get right
+ADJOINT_CASES = {
+    "k1_s1_pad0": (1, 2, 3),
+    "k3_s1_pad1": (3, 2, 3),
+    "k5_s1_pad2": (5, 2, 3),
+    "k7_s1_pad3": (7, 9, 8),
+    "k3_one_row": (3, 1, 6),
+    "k3_one_column": (3, 6, 1),
+    "k7_input_smaller_than_kernel": (7, 3, 2),
+    "k5_h_ne_w": (5, 11, 4),
+}
 
 
 @pytest.mark.parametrize("case", ADJOINT_CASES.values(), ids=ADJOINT_CASES.keys())
 def test_conv_adjoint_identity_grid(case):
-    # <conv(x), g> == <x, conv^T(g)> for the core at every stride and padding, with the
-    # oracle's transposed conv, whose output covers x exactly
-    k, s, pad, h, w = case
+    # <conv(x), g> == <x, conv^T(g)> for the core, with the oracle's transposed conv,
+    # whose output covers x exactly
+    k, h, w = case
     r = rng(46)
     kern = r.normal(size=(3, 2, k, k))
-    x = r.normal(size=(2, 2, h, w))
-    g = r.normal(size=(2, 3, _extent(h, k, s, pad), _extent(w, k, s, pad)))
-    lhs, rhs = _core_adjoint(x, kern, s, pad, g)
+    x, g = r.normal(size=(2, 2, h, w)), r.normal(size=(2, 3, h, w))
+    y = nn_ops._conv(x, kern).reshape(g.shape)
+    xt = loop_transposed_conv2d(g, kern, np.zeros(2), 1, (k - 1) // 2)
+    assert xt.shape == x.shape
+    lhs, rhs = float(np.sum(y * g)), float(np.sum(x * xt))
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
@@ -369,21 +339,26 @@ def _spied_calls(monkeypatch, name, key, cfg, size):
 
 
 def _core_calls(monkeypatch, cfg, size):
-    """(sample shape, kernel shape, stride, pad, Ho, Wo) of every ``_conv`` call made by
-    one forward and backward pass of ``cfg`` at size x size."""
-    return _spied_calls(monkeypatch, "_conv", lambda x, kernel, s, pad, ho, wo: (
-        x.shape[1:], kernel.shape, s, pad, ho, wo), cfg, size)
+    """(sample shape, kernel shape) of every ``_conv`` call made by one forward and
+    backward pass of ``cfg`` at size x size."""
+    return _spied_calls(monkeypatch, "_conv", lambda x, kernel: (x.shape[1:], kernel.shape),
+                        cfg, size)
 
 
 def _kernel_grad_calls(monkeypatch, cfg, size):
-    """(sample shape, kernel shape, stride, pad, output gradient's sample shape) of every
+    """(sample shape, kernel size, output gradient's sample shape) of every
     ``_conv_kernel_grad`` call made by one forward and backward pass of ``cfg``."""
-    return _spied_calls(monkeypatch, "_conv_kernel_grad", lambda g, x, shape, s, pad: (
-        x.shape[1:], shape, s, pad, g.shape[1:]), cfg, size)
+    return _spied_calls(monkeypatch, "_conv_kernel_grad", lambda g, x, k: (
+        x.shape[1:], k, g.shape[1:]), cfg, size)
+
+
+def _same(k):
+    """The stride and padding of a "same" k x k conv, as the per-sample references take them."""
+    return 1, (k - 1) // 2
 
 
 # a mid-model 3x3 conv at 128x256: its columns (about 4.7 M elements) are cut into bands
-CUT_BAND_CALL = ((16, 128, 256), (16, 16, 3, 3), 1, 1, 128, 256)
+CUT_BAND_CALL = ((16, 128, 256), (16, 16, 3, 3))
 
 
 # The tolerance of a row-expanded result, fixed before any run: it splits each output's
@@ -397,36 +372,36 @@ def _rounding_only(got, ref):
     return np.max(np.abs(got - ref)) <= ROW_TOL * np.max(np.abs(ref))
 
 
-def _columns_fit(c, kh, kw, ho, wo):
-    """Whether a call's im2col columns hold at most 4*_BAND elements: then ``_columns``
-    keeps a sample whole, else a stride-1 call is row-expanded."""
-    return c * kh * kw * ho * wo <= 4 * nn_ops._BAND
+def _one_gemm(c, k, h, w):
+    """Whether the core runs one GEMM per sample for a call: a 1x1 conv, whose columns
+    are the sample read in place, or a sample whose columns hold at most 4*_BAND
+    elements, which ``_columns`` copies whole; any other call is row-expanded."""
+    return k == 1 or c * k * k * h * w <= 4 * nn_ops._BAND
 
 
 @pytest.mark.parametrize("cfg, size", [(UnetConfig(), 64), (desk_unet_config(), 32), (None, 128)],
                          ids=["default_64", "desk_32", "cut_band_128x256"])
 def test_conv_bands_equal_one_gemm_per_sample(cfg, size, monkeypatch):
     # a band splits the GEMM's output pixels, never an inner sum, so BLAS must give every
-    # element the bits of the whole-sample product wherever a sample's columns hold at most
-    # 4*_BAND elements; a row-expanded call splits the sum over kernel rows, so there only
-    # rounding may differ. This covers every shape the models run (the 3x3 convs, the
-    # head, the 7x7 gate, the input gradients of conv2d and the gate, the up-conv's
-    # stride-2 input gradient) and one shape cut into bands
+    # element the bits of the whole-sample product wherever the core runs one GEMM per
+    # sample; a row-expanded call splits the sum over kernel rows, so there only rounding
+    # may differ. This covers every shape the models run (the 3x3 convs, the head, the
+    # 7x7 gate, the input gradients of conv2d and the gate, the up-conv's 1x1 conv of its
+    # output phases) and one shape cut into bands
     if cfg is None:
         calls, batches = [CUT_BAND_CALL], (1,)
-        assert not _columns_fit(16, 3, 3, 128, 256)
+        assert not _one_gemm(16, 3, 128, 256)
     else:
         calls, batches = _core_calls(monkeypatch, cfg, size), (1, 4)
-        kernels = {(s, kernel[2]) for _, kernel, s, *_ in calls}
-        assert kernels >= {(1, 3), (1, 1), (1, 7), (2, 2)}
+        assert {kernel[2] for _, kernel in calls} == {3, 1, 7}
     r = rng(53)
-    for (c, h, w), kernel_shape, s, pad, ho, wo in calls:
-        kernel = r.normal(size=kernel_shape)
+    for (c, h, w), kernel_shape in calls:
+        kernel, k = r.normal(size=kernel_shape), kernel_shape[2]
         for n in batches:
             x = r.normal(size=(n, c, h, w))
-            got = nn_ops._conv(x, kernel, s, pad, ho, wo)
-            ref = _one_gemm_per_sample(x, kernel, s, pad, ho, wo)
-            if _columns_fit(c, *kernel_shape[2:], ho, wo):
+            got = nn_ops._conv(x, kernel)
+            ref = _one_gemm_per_sample(x, kernel, *_same(k), h, w)
+            if _one_gemm(c, k, h, w):
                 assert got.tobytes() == ref.tobytes()
             else:
                 assert _rounding_only(got, ref)
@@ -437,30 +412,96 @@ def test_conv_bands_equal_one_gemm_per_sample(cfg, size, monkeypatch):
 def test_kernel_grad_bands_equal_one_gemm_per_sample(cfg, size, monkeypatch):
     # a band of output rows splits the kernel gradient's inner sums, so a sample whose
     # columns are cut into bands may differ from the whole-sample product by rounding
-    # only, and a sample kept whole (at most 4*_BAND elements of columns, as at every desk
-    # and gradcheck shape) keeps its bytes; this covers every kernel gradient the models
-    # run (the 3x3 convs, the head, the 7x7 gate, the up-conv) and one shape cut into bands
+    # only, and a sample kept whole (a 1x1 conv, or at most 4*_BAND elements of columns,
+    # as at every desk and gradcheck shape) keeps its bytes; this covers every kernel
+    # gradient the models run (the 3x3 convs, the head, the 7x7 gate, the up-conv's 1x1
+    # conv of its output phases) and one shape cut into bands
     if cfg is None:
-        x_shape, kernel_shape, s, pad, ho, wo = CUT_BAND_CALL
-        calls, batches = [(x_shape, kernel_shape, s, pad, (kernel_shape[0], ho, wo))], (1,)
+        x_shape, kernel_shape = CUT_BAND_CALL
+        calls, batches = [(x_shape, 3, (kernel_shape[0],) + x_shape[1:])], (1,)
     else:
         calls, batches = _kernel_grad_calls(monkeypatch, cfg, size), (1, 4)
-        kernels = {(s, shape[2]) for _, shape, s, *_ in calls}
-        assert kernels >= {(1, 3), (1, 1), (1, 7), (2, 2)}
+        assert {k for _, k, _ in calls} == {3, 1, 7}
     r = rng(54)
     cut = set()
-    for x_shape, shape, s, pad, g_shape in calls:
-        whole = _columns_fit(*shape[1:], *g_shape[1:])
+    for x_shape, k, g_shape in calls:
+        whole = _one_gemm(x_shape[0], k, *x_shape[1:])
         for n in batches:
             x, g = r.normal(size=(n,) + x_shape), r.normal(size=(n,) + g_shape)
-            got = nn_ops._conv_kernel_grad(g, x, shape, s, pad)
-            ref = _kernel_grad_per_sample(g, x, shape, s, pad)
+            got = nn_ops._conv_kernel_grad(g, x, k)
+            ref = _kernel_grad_per_sample(g, x, (g_shape[0], x_shape[0], k, k), *_same(k))
             if whole:
                 assert got.tobytes() == ref.tobytes()
             else:
                 assert _rounding_only(got, ref)
-                cut.add(shape)
+                cut.add((x_shape, k))
     assert bool(cut) == (size != 32)    # the default model at 64x64 cuts, the desk one not
+
+
+def _upconvs(cfg, size):
+    """(input sample shape, output channels) of each up-conv of ``cfg`` at size x size."""
+    return [((2 * cfg.stage_width(level), size >> level + 1, size >> level + 1),
+             cfg.stage_width(level)) for level in range(cfg.depth)]
+
+
+# (calls, batches): every up-conv of the desk config at 32x32 and of the default model at
+# 64x64, and one whose stride-2 columns hold more than 4*_BAND elements, as at 256x512
+UPCONV_CASES = {
+    "desk_32": (_upconvs(desk_unet_config(), 32), (1, 4)),
+    "default_64": (_upconvs(UnetConfig(), 64), (1, 4)),
+    "large_128x256": ([((32, 128, 256), 16)], (1,)),
+}
+
+
+@pytest.mark.parametrize("calls, batches", UPCONV_CASES.values(), ids=UPCONV_CASES.keys())
+def test_upconv_grads_equal_one_gemm_per_sample(calls, batches):
+    # the up-conv's backward is a 1x1 conv of its output phases, which must give the bits
+    # of one GEMM per sample of the stride-2 conv it is the adjoint of, at every size: the
+    # input gradient is that conv of the output gradient, and the kernel gradient the sum
+    # over samples of each input sample times that conv's whole columns, transposed
+    r = rng(60)
+    for (c, h, w), o in calls:
+        kern = r.normal(size=(c, o, 2, 2))
+        for n in batches:
+            x, g = r.normal(size=(n, c, h, w)), r.normal(size=(n, o, 2 * h, 2 * w))
+            xt, kt = Tensor(x, requires_grad=True), Tensor(kern, requires_grad=True)
+            with Tape() as tape:
+                y = transposed_conv2d(xt, Conv2dParams(kt, Tensor(np.zeros(o))))
+                grads = backward(tape, dot(y, g), {"x": xt, "k": kt})
+            gx = _one_gemm_per_sample(g, kern, 2, 0, h, w).reshape(x.shape)
+            gk = _kernel_grad_per_sample(x, g, kern.shape, 2, 0)
+            assert grads["x"].tobytes() == gx.tobytes()
+            assert grads["k"].tobytes() == gk.tobytes()
+
+
+# (sample shape, output channels, batches): the head of the desk config at 32x32 and of
+# the default model at 64x64, and one with more than 4*_BAND elements, as at 256x512
+ONE_BY_ONE_CASES = {
+    "desk_32": ((8, 32, 32), 3, (1, 4)),
+    "default_64": ((16, 64, 64), 19, (1, 4)),
+    "large_256x512": ((16, 256, 512), 19, (1,)),
+}
+
+
+@pytest.mark.parametrize("shape, o, batches", ONE_BY_ONE_CASES.values(),
+                         ids=ONE_BY_ONE_CASES.keys())
+def test_1x1_conv_equals_one_gemm_per_sample(shape, o, batches):
+    # a 1x1 conv reads each sample in place as its columns and is never row-expanded, so
+    # its forward pass, input gradient and kernel gradient have the bits of one GEMM per
+    # sample at every size (the zero bias is added to the reference as conv2d adds it)
+    (c, h, w), r = shape, rng(61)
+    kern = r.normal(size=(o, c, 1, 1))
+    for n in batches:
+        x, g = r.normal(size=(n, c, h, w)), r.normal(size=(n, o, h, w))
+        xt, kt = Tensor(x, requires_grad=True), Tensor(kern, requires_grad=True)
+        with Tape() as tape:
+            y = conv2d(xt, Conv2dParams(kt, Tensor(np.zeros(o))))
+            grads = backward(tape, dot(y, g), {"x": xt, "k": kt})
+        ref = _one_gemm_per_sample(x, kern, 1, 0, h, w).reshape(y.shape) + np.zeros((o, 1, 1))
+        assert y.data.tobytes() == ref.tobytes()
+        gx = _one_gemm_per_sample(g, kern.transpose(1, 0, 2, 3), 1, 0, h, w)
+        assert grads["x"].tobytes() == gx.reshape(x.shape).tobytes()
+        assert grads["k"].tobytes() == _kernel_grad_per_sample(g, x, kern.shape, 1, 0).tobytes()
 
 
 def _expanded_calls(monkeypatch):
@@ -468,10 +509,10 @@ def _expanded_calls(monkeypatch):
     calls happen."""
     core, calls = nn_ops._row_expanded, []
 
-    def spy(a, kh, *args):
+    def spy(a, k):
         bands = []
-        calls.append((a.shape[1:], kh, bands))
-        for i, y0, y1, views in core(a, kh, *args):
+        calls.append((a.shape[1:], k, bands))
+        for i, y0, y1, views in core(a, k):
             if i == 0:
                 bands.append(y1 - y0)
             yield i, y0, y1, views
@@ -483,9 +524,10 @@ def _expanded_calls(monkeypatch):
 @pytest.mark.parametrize("cfg, size", [(UnetConfig(), 64), (desk_unet_config(), 32)],
                          ids=["default_64", "desk_32"])
 def test_row_expanded_takes_exactly_the_large_calls(cfg, size, monkeypatch):
-    # a conv core call is row-expanded iff its columns exceed 4*_BAND elements: at 64x64
-    # the default model's full-resolution 3x3 convs and dec1.conv1, their input and kernel
-    # gradients, and no call of the desk config at 32x32, so desk-train keeps its bits
+    # a conv core call is row-expanded iff it is not 1x1 and its columns exceed 4*_BAND
+    # elements: at 64x64 the default model's full-resolution 3x3 convs and dec1.conv1,
+    # their input and kernel gradients, and no call of the desk config at 32x32, so
+    # desk-train keeps its bits
     expanded, routed = _expanded_calls(monkeypatch), []
 
     def spy_on(name, fits):
@@ -500,14 +542,13 @@ def test_row_expanded_takes_exactly_the_large_calls(cfg, size, monkeypatch):
         monkeypatch.setattr(nn_ops, name, spy)
         monkeypatch.setattr(attention, name, spy)
 
-    spy_on("_conv", lambda x, kernel, s, pad, ho, wo: _columns_fit(
-        x.shape[1], *kernel.shape[2:], ho, wo))
-    spy_on("_conv_kernel_grad", lambda g, x, shape, s, pad: _columns_fit(
-        x.shape[1], *shape[2:], *g.shape[2:]))
+    spy_on("_conv", lambda x, kernel: _one_gemm(x.shape[1], kernel.shape[2], *x.shape[2:]))
+    spy_on("_conv_kernel_grad", lambda g, x, k: _one_gemm(x.shape[1], k, *x.shape[2:]))
     _one_pass(cfg, size, batch=4)
     assert sorted({taken for fits, taken in routed if fits}) == [0]
     assert sorted({taken for fits, taken in routed if not fits}) == ([1] if size == 64 else [])
     assert sum(taken for _, taken in routed) == len(expanded)
+    assert all(k > 1 for _, k, _ in expanded)    # no 1x1 conv is row-expanded
 
 
 def test_row_expanded_conv2d_vs_loop_oracle(monkeypatch):
@@ -538,9 +579,9 @@ def test_row_expanded_gate_conv_vs_loop_oracle(monkeypatch):
     r = rng(57)
     pools, k, dz = r.normal(size=(1, 2, 300, 128)), r.normal(size=(1, 2, 7, 7)), \
         r.normal(size=(1, 1, 300, 128))
-    got = nn_ops._conv(pools, k, 1, 3, 300, 128).reshape(dz.shape)
+    got = nn_ops._conv(pools, k).reshape(dz.shape)
     assert _rounding_only(got, loop_conv2d(pools, k, np.zeros(1), 1, 3))
-    got = nn_ops._conv_kernel_grad(dz, pools, k.shape, 1, 3)
+    got = nn_ops._conv_kernel_grad(dz, pools, 7)
     gk = loop_conv2d(pools.transpose(1, 0, 2, 3), dz.transpose(1, 0, 2, 3), np.zeros(2), 1, 3)
     assert _rounding_only(got, gk.transpose(1, 0, 2, 3))
     assert expanded == [((2, 300, 128), 7, [286, 14])] * 2
@@ -553,7 +594,7 @@ def test_row_expanded_gate_input_grad_vs_loop_oracle(monkeypatch):
     r = rng(58)
     k, dz = r.normal(size=(1, 2, 7, 7)), r.normal(size=(1, 1, 600, 128))
     flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    got = nn_ops._conv_input_grad(dz, k, 3)
+    got = nn_ops._conv_input_grad(dz, k)
     assert _rounding_only(got, loop_conv2d(dz, flipped, np.zeros(2), 1, 3))
     assert expanded == [((1, 600, 128), 7, [579, 21])]
 
@@ -566,7 +607,7 @@ def test_row_expanded_kernel_grad_keeps_whole_sample_bytes(monkeypatch):
     expanded = _expanded_calls(monkeypatch)
     r = rng(59)
     x, g = r.normal(size=(4, 32, 64, 64)), r.normal(size=(4, 16, 64, 64))
-    got = nn_ops._conv_kernel_grad(g, x, (16, 32, 3, 3), 1, 1)
+    got = nn_ops._conv_kernel_grad(g, x, 3)
     assert expanded == [((32, 64, 64), 3, [64])]
     assert got.tobytes() == _kernel_grad_per_sample(g, x, (16, 32, 3, 3), 1, 1).tobytes()
 
