@@ -36,9 +36,9 @@ class LossConfig:
         if not self.dice_smooth > 0.0:
             raise ConfigError(f"dice_smooth must be positive, got {self.dice_smooth}")
         if self.class_weights is not None:
-            self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
-            if self.class_weights.ndim != 1 or np.any(self.class_weights <= 0):
-                raise ConfigError("class_weights must be a 1-D vector of positive floats")
+            w = self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
+            if w.ndim != 1 or not np.all((w > 0) & np.isfinite(w)):
+                raise ConfigError(f"class_weights must be 1-D, positive and finite, got {w}")
 
 
 def _check_class_range(kind: str, values: Array, k: int, counted: Array | bool = True) -> None:

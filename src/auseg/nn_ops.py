@@ -18,12 +18,10 @@ kernel row's GEMM reads a strided view of it. Every other call copies them per
 sample with ``_columns``. ``_conv`` multiplies the kernel, or each kernel row, by
 each band's columns, ``_conv_kernel_grad`` adds each band's output gradient times
 their transpose, and ``_conv_input_grad`` is ``_conv`` of the output gradient
-with the kernel flipped, channels swapped. ``transposed_conv2d``'s forward pass
-is s*s 1x1 GEMMs per sample, one per output phase as in sub-pixel convolution;
-its backward stacks the output gradient's phases as channels (space to depth),
-so both its gradients are those of a 1x1 conv of the phases. No convolution
-holds a padded copy of the batch or more than 4 MiB of one sample's columns,
-beyond that one copy of the up-conv's output gradient.
+with the kernel flipped, channels swapped. ``transposed_conv2d`` is one 1x1 conv
+each way between its input and its output's s*s phases as channels, as in sub-pixel
+convolution, so every GEMM runs in ``_conv`` or ``_conv_kernel_grad``. No conv holds
+a padded batch or over 4 MiB of a sample's columns, beyond the up-conv's phases.
 """
 from __future__ import annotations
 
@@ -185,8 +183,9 @@ def _conv_kernel_grad(g: Array, x: Array, k: int) -> Array:
     for i, y0, y1, views in bands:
         gi = g[i, :, y0:y1].reshape(o, -1)
         for u, view in zip(range(0, k, step), views):
-            # a kernel row's view is the left operand, which BLAS runs faster at the
-            # model's shapes; a whole sample's product keeps its form, and so its bits
+            # both forms give the same bytes; speed picks one. A transposed product is added
+            # with strided reads, 2.6-3.7x slower for the wide kernels of the deep levels,
+            # but the view as left operand runs faster for few channels over many pixels
             prod = gi @ view.T if step == k else (view @ gi.T).T
             gk[:, :, u:u + step] += prod.reshape(o, c, step, k)
     return gk
@@ -236,10 +235,10 @@ def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """Learned upsampling by s, the size of the square kernel [in_ch, out_ch, s, s]:
     [N, in_ch, H, W] -> [N, out_ch, s*H, s*W], no padding.
 
-    Output phase (r, t), every s-th row and column from (r, t), is one 1x1 GEMM per
-    sample with ``kernel[:, :, r, t]``. Its adjoint, the input gradient, is a 1x1 conv
-    of the output phases stacked as channels in the kernel's (o, r, t) order, kernel
-    [in_ch, out_ch*s*s, 1, 1]; the kernel gradient is its own, operands swapped.
+    Output phase (r, t) is every s-th row and column from (r, t). ``k1``, the kernel as
+    [in_ch, out_ch*s*s, 1, 1], is a 1x1 conv from the phases stacked as channels in
+    (o, r, t) order to ``x``: the forward pass runs its adjoint and lays the phases out,
+    and the gradients are those of a 1x1 conv of the output gradient's phases.
     """
     kernel, bias = p.kernel, p.bias
     in_ch, out_ch, s, kw = kernel.shape
@@ -247,21 +246,22 @@ def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     if s != kw:
         raise ShapeError(f"transposed_conv2d needs a square kernel, got {s}x{kw}")
     n, _, h, w = x.shape
+    k1 = kernel.data.reshape(in_ch, -1, 1, 1)
 
+    phases = _conv(x.data, k1.transpose(1, 0, 2, 3)).reshape(n, out_ch, s, s, h, w)
     out = np.empty((n, out_ch, s * h, s * w))
     for r, t in np.ndindex(s, s):
-        k2 = np.ascontiguousarray(kernel.data[:, :, r, t].T)
-        for i in range(n):
-            out[i, :, r::s, t::s] = (k2 @ x.data[i].reshape(in_ch, -1)).reshape(out_ch, h, w)
+        out[:, :, r::s, t::s] = phases[:, :, r, t]
     out += bias.data[:, None, None]
 
     def bwd(g: Array):
         phases = g.reshape(n, out_ch, h, s, w, s).transpose(0, 1, 3, 5, 2, 4).reshape(n, -1, h, w)
         gx = gk = None
         if x.requires_grad:
-            gx = _conv(phases, kernel.data.reshape(in_ch, -1, 1, 1)).reshape(x.shape)
+            gx = _conv(phases, k1).reshape(x.shape)
         if kernel.requires_grad:
-            gk = _conv_kernel_grad(x.data, phases, 1).reshape(kernel.shape)
+            gk = _conv_kernel_grad(x.data, phases, 1)
+            gk.shape = kernel.shape    # in place, so the array still owns its memory
         return gx, gk, g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
 
     return record_op("transposed_conv2d", (x, kernel, bias), out, bwd)

@@ -113,7 +113,8 @@ class TestTrain:
                                       "crop_h = -4", "reduction_ratio = 0",
                                       "dice_smooth = inf", "eta_max = inf",
                                       "weight_decay = inf", "ignore_index = -5",
-                                      "ignore_index = 256", "num_classes = 1"])
+                                      "ignore_index = 256", "num_classes = 1",
+                                      "class_weights = 1,nan,1", "class_weights = 1,inf,1"])
     def test_out_of_range_value_exit_2_before_any_artifact(self, trained, tmp_path, capsys,
                                                            line):
         # the line replaces the key's base value: a key given twice exits 2 on its own

@@ -91,3 +91,32 @@ def test_dead_code_checker_finds_uncalled_names():
               "    def size(self): return LIMIT\n    def spare(self): pass\n"
               "def make(): return Box().size()\n")
     assert definitions(source) - references(source) == {"SPARE", "spare", "make"}
+
+
+# the one convolution core: every matrix product of the ops runs in these functions
+GEMM_HOMES = {"_conv", "_conv_kernel_grad"}
+
+
+def gemm_sites(source: str) -> list[str]:
+    """Each ``@`` and ``np.matmul`` (or ``dot``, ``einsum``, ``tensordot``) outside the
+    top-level functions of GEMM_HOMES, named by its top-level definition and line."""
+    sites = []
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(getattr(node, "op", None), ast.MatMult)
+                    or isinstance(node, ast.Attribute)
+                    and node.attr in {"matmul", "dot", "einsum", "tensordot"}):
+                sites.append(f"{name} (line {node.lineno})")
+    return [s for s in sites if s.split()[0] not in GEMM_HOMES]
+
+
+def test_every_gemm_of_the_ops_runs_in_the_core():
+    assert gemm_sites((ROOT / "src" / "auseg" / "nn_ops.py").read_text()) == []
+
+
+def test_gemm_checker_finds_products_outside_the_core():
+    source = ("import numpy as np\ndef _conv(a, b):\n    return a @ b\n"
+              "def up(a, b):\n    c = a\n    c @= b\n    return np.matmul(a, b)\n"
+              "class Op:\n    def run(self, a, b): return np.einsum('ij,jk', a, b)\n")
+    assert gemm_sites(source) == ["up (line 6)", "up (line 7)", "Op (line 9)"]

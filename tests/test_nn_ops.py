@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -386,8 +388,8 @@ def test_conv_bands_equal_one_gemm_per_sample(cfg, size, monkeypatch):
     # element the bits of the whole-sample product wherever the core runs one GEMM per
     # sample; a row-expanded call splits the sum over kernel rows, so there only rounding
     # may differ. This covers every shape the models run (the 3x3 convs, the head, the
-    # 7x7 gate, the input gradients of conv2d and the gate, the up-conv's 1x1 conv of its
-    # output phases) and one shape cut into bands
+    # 7x7 gate, the input gradients of conv2d and the gate, the up-conv's 1x1 convs into
+    # and out of its output phases) and one shape cut into bands
     if cfg is None:
         calls, batches = [CUT_BAND_CALL], (1,)
         assert not _one_gemm(16, 3, 128, 256)
@@ -453,25 +455,50 @@ UPCONV_CASES = {
 }
 
 
+def _upconv_per_phase(x, kernel, bias):
+    """The up-conv's forward as one GEMM per sample and output phase (r, t), written at
+    every s-th row and column from (r, t), plus the bias."""
+    (n, c, h, w), (_, o, s, _) = x.shape, kernel.shape
+    out = np.empty((n, o, s * h, s * w))
+    for r, t in np.ndindex(s, s):
+        k2 = np.ascontiguousarray(kernel[:, :, r, t].T)
+        for i in range(n):
+            out[i, :, r::s, t::s] = (k2 @ x[i].reshape(c, -1)).reshape(o, h, w)
+    return out + bias[:, None, None]
+
+
 @pytest.mark.parametrize("calls, batches", UPCONV_CASES.values(), ids=UPCONV_CASES.keys())
-def test_upconv_grads_equal_one_gemm_per_sample(calls, batches):
-    # the up-conv's backward is a 1x1 conv of its output phases, which must give the bits
-    # of one GEMM per sample of the stride-2 conv it is the adjoint of, at every size: the
-    # input gradient is that conv of the output gradient, and the kernel gradient the sum
-    # over samples of each input sample times that conv's whole columns, transposed
+def test_upconv_grads_equal_one_gemm_per_sample(calls, batches, monkeypatch):
+    # the up-conv is a 1x1 conv between its input and its output phases, which must give
+    # the bits of the direct products at every size: the forward pass those of one GEMM
+    # per sample and phase, the input gradient those of one GEMM per sample of the stride-2
+    # conv it is the adjoint of, and the kernel gradient the sum over samples of each input
+    # sample times that conv's whole columns, transposed. The kernel gradient reaches the
+    # caller as the array the core returned, not a copy of it (the spy holds it weakly:
+    # ``backward`` copies a gradient that something else still refers to)
+    core, returned = nn_ops._conv_kernel_grad, []
+
+    def spy(*args):
+        gk = core(*args)
+        returned.append(weakref.ref(gk))
+        return gk
+
+    monkeypatch.setattr(nn_ops, "_conv_kernel_grad", spy)
     r = rng(60)
     for (c, h, w), o in calls:
-        kern = r.normal(size=(c, o, 2, 2))
+        kern, bias = r.normal(size=(c, o, 2, 2)), r.normal(size=o)
         for n in batches:
             x, g = r.normal(size=(n, c, h, w)), r.normal(size=(n, o, 2 * h, 2 * w))
             xt, kt = Tensor(x, requires_grad=True), Tensor(kern, requires_grad=True)
             with Tape() as tape:
-                y = transposed_conv2d(xt, Conv2dParams(kt, Tensor(np.zeros(o))))
+                y = transposed_conv2d(xt, Conv2dParams(kt, Tensor(bias)))
                 grads = backward(tape, dot(y, g), {"x": xt, "k": kt})
             gx = _one_gemm_per_sample(g, kern, 2, 0, h, w).reshape(x.shape)
             gk = _kernel_grad_per_sample(x, g, kern.shape, 2, 0)
+            assert y.data.tobytes() == _upconv_per_phase(x, kern, bias).tobytes()
             assert grads["x"].tobytes() == gx.tobytes()
             assert grads["k"].tobytes() == gk.tobytes()
+            assert np.shares_memory(grads["k"], returned[-1]())
 
 
 # (sample shape, output channels, batches): the head of the desk config at 32x32 and of
