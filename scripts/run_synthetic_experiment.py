@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """The paper's studies at desk scale on the synthetic dataset, each an ``auseg`` run.
 
-Generates the train/val splits once, trains and evaluates the attention-gated model
-(attention-unet) and its twin without attention gates (plain-unet) on the same seed,
-data and schedule, then sweeps the full-scale learning-rate grid. Under --out it
-leaves data/, one config and one run directory per model (resolved.cfg, trainlog.csv,
-losscurve.svg, best.ckpt, final.ckpt, eval_val.csv) and sweep/sweep.{txt,csv}.
-Desk-scale numbers measure the harness, not the full-resolution benchmark.
+Generates the train/val splits once, sweeps the attention-gated model (attention-unet)
+over the full-scale learning-rate grid, trains its twin without attention gates
+(plain-unet) on the same seed, data and schedule, and evaluates both at eta_max 0.003.
+Under --out it leaves data/, one config per model, attention-unet/ with one run
+directory per rate and sweep.{txt,csv}, and plain-unet/. A run directory holds
+resolved.cfg, trainlog.csv, losscurve.svg, best.ckpt and final.ckpt, and the two
+evaluated ones eval_val.csv. Desk-scale numbers measure the harness, not the
+full-resolution benchmark.
 
 Usage: python scripts/run_synthetic_experiment.py [--out runs/synthetic] [--seed 7] [--epochs 30]
 """
@@ -55,13 +57,14 @@ def studies(out: Path, texts: dict[str, str]):
         yield ["synth", "--out", str(data / split), "--count", str(count),
                "--size", "32", "32", "--classes", "3", "--seed", str(data_seed)]
     for name, text in texts.items():
-        cfg = out / f"{name}.cfg"
-        cfg.write_text(text)
-        yield ["train", "--config", str(cfg), "--out", str(out / name)]
-        yield ["eval", "--ckpt", str(out / name / "best.ckpt"), "--data", str(data),
-               "--split", "val"]
+        (out / f"{name}.cfg").write_text(text)
     yield ["sweep-lr", "--config", str(out / "attention-unet.cfg"), "--lrs", LRS,
-           "--out", str(out / "sweep")]
+           "--out", str(out / "attention-unet")]
+    yield ["train", "--config", str(out / "plain-unet.cfg"), "--out", str(out / "plain-unet")]
+    # attention-unet's sweep run at the configs' eta_max, and its twin
+    for run_dir in (out / "attention-unet" / "0.003", out / "plain-unet"):
+        yield ["eval", "--ckpt", str(run_dir / "best.ckpt"), "--data", str(data),
+               "--split", "val"]
 
 
 def run(argv=None) -> int:

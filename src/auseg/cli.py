@@ -22,7 +22,7 @@ from .losses_metrics import eval_report_csv, format_eval_report
 from .runconfig import RunConfig, load_config, parse_config_text
 from .svgplot import write_loss_svg
 from .tensor import Tensor
-from .training import (evaluate, format_sweep_report, init_rng, lr_sweep, parse_lrs,
+from .training import (EpochRow, evaluate, format_sweep_report, init_rng, parse_lrs,
                        sweep_report_csv, train)
 from .unet import build_model, check_extents, predict_labels
 from .verification import format_gradcheck_table, run_gradcheck_suite
@@ -32,7 +32,7 @@ EXIT_CHECK = 1
 
 
 def _load_run(cfg: RunConfig):
-    """A run's training and validation samples and train settings. Before any
+    """A run's training and validation samples and loss config. Before any
     training, every crop must fit its training image, and the model must take
     every extent it will see: the crop (or whole training image) and each
     validation image."""
@@ -50,18 +50,16 @@ def _load_run(cfg: RunConfig):
         check_extents(unet_cfg, cfg.crop_h or h, cfg.crop_w or w)
     for s in val_samples:
         check_extents(unet_cfg, *s.image.shape[1:])
-    loss_cfg = cfg.loss_config(train_labels=[s.label for s in train_samples])
-    return train_samples, val_samples, cfg.train_settings(loss_cfg)
+    return train_samples, val_samples, cfg.loss_config(
+        train_labels=[s.label for s in train_samples])
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.validate()
-    train_samples, val_samples, settings = _load_run(cfg)
+def _train_run(cfg: RunConfig, data, out_dir: Path) -> EpochRow:
+    """Train ``cfg``'s model on ``data``, what ``_load_run`` returned, and write the
+    five run artifacts into ``out_dir``; returns the best epoch's log row."""
+    train_samples, val_samples, loss_cfg = data
+    settings = cfg.train_settings(loss_cfg)
     model = build_model(cfg.unet_config(), init_rng(cfg.seed))
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = cfg.resolved_text()
     (out_dir / "resolved.cfg").write_text(resolved)
@@ -75,6 +73,15 @@ def cmd_train(args) -> int:
     best = result.log.best_row()
     print(f"done: best epoch {best.epoch} val_loss {best.val_loss:.6f} "
           f"mIoU {best.val_miou:.4f} PA {best.val_pa:.4f}")
+    return best
+
+
+def cmd_train(args) -> int:
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg.seed = args.seed
+        cfg.validate()
+    _train_run(cfg, _load_run(cfg), Path(args.out))
     return EXIT_OK
 
 
@@ -167,16 +174,19 @@ def cmd_synth(args) -> int:
 def cmd_sweep_lr(args) -> int:
     cfg = load_config(args.config)
     lrs = parse_lrs(args.lrs)
-    train_samples, val_samples, settings = _load_run(cfg)
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    rows = lr_sweep(cfg.unet_config(), train_samples, val_samples, settings, lrs)
+    data = _load_run(cfg)
+    out = Path(args.out)
+    for lr in lrs:    # every rate's run directory exists before any training
+        (out / f"{lr:.9g}").mkdir(parents=True, exist_ok=True)
+    eta_min = cfg.eta_min
+    rows = []
+    for lr in lrs:    # each run's resolved.cfg is the config that reproduces it
+        cfg.eta_max, cfg.eta_min = lr, min(eta_min, lr)
+        rows.append((lr, _train_run(cfg, data, out / f"{lr:.9g}")))
     report = format_sweep_report(rows)
     print(report, end="")
-    if out_dir:
-        (out_dir / "sweep.txt").write_text(report)
-        (out_dir / "sweep.csv").write_text(sweep_report_csv(rows))
+    (out / "sweep.txt").write_text(report)
+    (out / "sweep.csv").write_text(sweep_report_csv(rows))
     return EXIT_OK
 
 
@@ -221,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-lr", help="train once per learning rate and tabulate")
     p.add_argument("--config", required=True)
     p.add_argument("--lrs", required=True, help="comma-separated learning rates")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", required=True, help="one run directory per rate, and the table")
     p.set_defaults(func=cmd_sweep_lr)
     return parser
 

@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Array, Tensor, record_op
 
 
@@ -245,6 +245,8 @@ def transposed_conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     _check_conv("transposed_conv2d", x, in_ch, bias, out_ch)
     if s != kw:
         raise ShapeError(f"transposed_conv2d needs a square kernel, got {s}x{kw}")
+    if p.relu or p.keep is not None or p.rate:
+        raise ContractError("transposed_conv2d takes no relu, keep or rate; leave them unset")
     n, _, h, w = x.shape
     k1 = kernel.data.reshape(in_ch, -1, 1, 1)
 

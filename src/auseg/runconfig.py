@@ -97,7 +97,7 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.9g}"
+        return f"{value:.9g}" if float(f"{value:.9g}") == value else repr(value)
     return str(value)
 
 

@@ -1,5 +1,6 @@
 """AdamW with decoupled weight decay, cosine-annealed learning rate,
-early stopping, the train/validate loop, and the learning-rate sweep harness.
+early stopping, the train/validate loop, and the learning-rate sweep's rate
+list and report (``auseg sweep-lr`` runs ``auseg train`` once per rate).
 
 L2 regularization is realized solely as AdamW's decoupled decay (applied to
 every parameter). The schedule advances per epoch. Two runs with the same
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ from .data import Sample, batch_iter, color_jitter, horizontal_flip, random_crop
 from .errors import ConfigError, ContractError, NumericError, check_range
 from .losses_metrics import LossConfig, combined_loss, confusion_accumulate, miou, pixel_accuracy
 from .tensor import Tape, Tensor, backward
-from .unet import UnetConfig, UnetModel, build_model, forward
+from .unet import UnetModel, forward
 
 # AdamW's moment decays and denominator guard, as in Loshchilov & Hutter (2019)
 BETA1 = 0.9
@@ -294,53 +295,30 @@ def train(model: UnetModel, train_samples: Sequence[Sample], val_samples: Sequen
     return TrainResult(log=log, best_state=best_state)
 
 
-@dataclass
-class SweepRow:
-    lr: float
-    val_miou: float
-    val_pa: float
-
-
 def parse_lrs(text: str) -> list[float]:
     """The learning rates of a comma-separated list such as ``--lrs``; there must be
-    at least one, and each must be positive and finite."""
+    at least one, each must be positive and finite, and no two may print alike at 9
+    significant digits, the name of a rate's run directory."""
     try:
         lrs = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"--lrs must be comma-separated floats, got {text!r}") from exc
     if not lrs or not all(0 < lr < math.inf for lr in lrs):
         raise ConfigError(f"--lrs must list positive finite learning rates, got {text!r}")
+    if len({f"{lr:.9g}" for lr in lrs}) < len(lrs):
+        raise ConfigError(f"--lrs must name each rate once, got {text!r}")
     return lrs
 
 
-def lr_sweep(unet_cfg: UnetConfig, train_samples: Sequence[Sample],
-             val_samples: Sequence[Sample], cfg: TrainSettings,
-             lrs: Sequence[float]) -> list[SweepRow]:
-    """One full training run per learning rate, identical seeds/data. Each row holds
-    the validation mIoU and PA of the run's best epoch, whose parameters are its
-    best checkpoint. Rows keep the input grid order.
-    """
-    if len(lrs) < 1:
-        raise ConfigError("learning-rate sweep needs at least one rate")
-    rows = []
-    for lr in lrs:
-        run_cfg = replace(cfg, schedule=replace(cfg.schedule, eta_max=lr,
-                                                eta_min=min(cfg.schedule.eta_min, lr)))
-        model = build_model(unet_cfg, init_rng(cfg.seed))
-        best = train(model, train_samples, val_samples, run_cfg).log.best_row()
-        rows.append(SweepRow(lr=lr, val_miou=best.val_miou, val_pa=best.val_pa))
-    return rows
-
-
-def format_sweep_report(rows: Sequence[SweepRow]) -> str:
+def format_sweep_report(rows: Sequence[tuple[float, EpochRow]]) -> str:
     lines = ["Learning Rate | mIoU | PA"]
-    for r in rows:
-        lines.append(f"{r.lr:.9g} | {100 * r.val_miou:.1f} | {100 * r.val_pa:.1f}")
+    for lr, r in rows:
+        lines.append(f"{lr:.9g} | {100 * r.val_miou:.1f} | {100 * r.val_pa:.1f}")
     return "\n".join(lines) + "\n"
 
 
-def sweep_report_csv(rows: Sequence[SweepRow]) -> str:
+def sweep_report_csv(rows: Sequence[tuple[float, EpochRow]]) -> str:
     lines = ["learning_rate,miou,pa"]
-    for r in rows:
-        lines.append(f"{r.lr:.9g},{r.val_miou:.9g},{r.val_pa:.9g}")
+    for lr, r in rows:
+        lines.append(f"{lr:.9g},{r.val_miou:.9g},{r.val_pa:.9g}")
     return "\n".join(lines) + "\n"

@@ -16,6 +16,8 @@ from auseg.runconfig import RunConfig, parse_config_text
 from auseg.verification import TOL_SINGLE, UNITS, UnitResult, format_gradcheck_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# what `auseg train` writes into --out, and `sweep-lr` into each rate's directory
+RUN_ARTIFACTS = ["resolved.cfg", "trainlog.csv", "losscurve.svg", "best.ckpt", "final.ckpt"]
 
 CONFIG = """\
 seed = 3
@@ -98,7 +100,7 @@ class TestSynth:
 
 class TestTrain:
     def test_artifacts_present(self, trained):
-        for name in ("resolved.cfg", "trainlog.csv", "losscurve.svg", "best.ckpt", "final.ckpt"):
+        for name in RUN_ARTIFACTS:
             assert (trained["out"] / name).is_file(), name
 
     def test_unknown_key_exit_2(self, trained, capsys):
@@ -168,6 +170,15 @@ class TestTrain:
             default = "" if default == "(empty)" else default
             lines += [f"{key} = {default}" for key in keys.split(" / ")]
         assert lines == RunConfig().resolved_text().splitlines()
+
+    def test_resolved_config_round_trips_every_float(self):
+        # a float that 9 significant digits cannot hold is echoed in full, so the
+        # checkpoint holds the config that trained; shorter floats keep their bytes
+        cfg = RunConfig(eta_max=0.00123456789012, alpha=1 / 3, dropout_rate=0.0)
+        text = cfg.resolved_text()
+        assert parse_config_text(text) == cfg
+        assert "alpha = 0.3333333333333333\n" in text and "dropout_rate = 0\n" in text
+        assert "eta_min = 1e-06\n" in text
 
     def test_non_utf8_config_exit_2_names_byte(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -366,28 +377,54 @@ class TestSweep:
         sweep_out = tmp_path / "sweep"
         assert main(["sweep-lr", "--config", str(trained["cfg"]),
                      "--lrs", "0.002", "--out", str(sweep_out)]) == 0
-        table = capsys.readouterr().out.splitlines()
-        assert table[0] == "Learning Rate | mIoU | PA"
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-2] == "Learning Rate | mIoU | PA"    # after the run's own log
 
         csv_lines = (sweep_out / "sweep.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "learning_rate,miou,pa"
         lr, sweep_miou, sweep_pa = csv_lines[1].split(",")
         assert float(lr) == 0.002
         # the config trains at eta_max 0.002, so the single-rate sweep must
-        # reproduce the standalone run's best-checkpoint metrics
+        # reproduce the standalone run: its best-checkpoint metrics and bytes
         best = best_row(trained["out"])
         assert float(sweep_miou) == pytest.approx(float(best["miou"]), abs=1e-8)
         assert float(sweep_pa) == pytest.approx(float(best["pa"]), abs=1e-8)
+        assert ((sweep_out / "0.002" / "best.ckpt").read_bytes()
+                == (trained["out"] / "best.ckpt").read_bytes())
 
-    def test_bad_lrs_exit_2(self, trained):
-        assert main(["sweep-lr", "--config", str(trained["cfg"]), "--lrs", "abc"]) == 2
+    def test_rows_follow_lrs_order_and_each_rate_keeps_its_run(self, trained, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep-lr", "--config", str(trained["cfg"]),
+                     "--lrs", "0.004,0.001,0.002", "--out", str(out)]) == 0
+        csv_lines = (out / "sweep.csv").read_text().strip().splitlines()
+        assert [line.split(",")[0] for line in csv_lines[1:]] == ["0.004", "0.001", "0.002"]
+        for lr in ("0.004", "0.001", "0.002"):
+            assert sorted(p.name for p in (out / lr).iterdir()) == sorted(RUN_ARTIFACTS)
+            # each rate's echo is the config that reproduces its run
+            echo = parse_config_text((out / lr / "resolved.cfg").read_text())
+            assert echo.eta_max == float(lr)
+
+    def test_bad_lrs_exit_2(self, trained, tmp_path):
+        assert main(["sweep-lr", "--config", str(trained["cfg"]), "--lrs", "abc",
+                     "--out", str(tmp_path / "s")]) == 2
+
+    def test_rates_naming_one_directory_exit_2_before_data(self, trained, tmp_path,
+                                                           monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("the sweep read data")
+
+        monkeypatch.setattr("auseg.cli.load_split", fail)
+        assert main(["sweep-lr", "--config", str(trained["cfg"]), "--lrs", "0.003,0.0030",
+                     "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err.startswith("config error: --lrs must name each rate")
+        assert not (tmp_path / "s").exists()
 
     @pytest.fixture
     def no_training(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("the sweep started training")
 
-        monkeypatch.setattr("auseg.cli.lr_sweep", fail)
+        monkeypatch.setattr("auseg.cli.train", fail)
 
     @pytest.mark.parametrize("lrs", ["0.003,-1", "0", "0.002,nan", "0.002,inf", ","])
     def test_non_positive_lr_exit_2_before_training(self, trained, tmp_path, no_training, lrs):
@@ -412,8 +449,10 @@ class TestSweep:
                      "--size", "18", "18", "--classes", "3"]) == 0
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG.format(root=data).replace("depth = 1", "depth = 2"))
-        assert main(["sweep-lr", "--config", str(cfg), "--lrs", "0.002"]) == 3
+        assert main(["sweep-lr", "--config", str(cfg), "--lrs", "0.002",
+                     "--out", str(tmp_path / "s")]) == 3
         assert "input extents 18x18 must be divisible by 4" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("error, code, prefix", [

@@ -1,5 +1,6 @@
-"""Every module under src/auseg, tests/ and scripts/ uses each name it imports, and
-every definition under src/auseg has a caller outside the tests.
+"""Every module under src/auseg, tests/ and scripts/ uses each name it imports, every
+definition under src/auseg has a caller outside the tests, every matrix product of the
+ops runs in the convolution core, and training runs in one function.
 
 ``src/auseg/__init__.py`` is skipped by the import check: its imports are the public API.
 """
@@ -120,3 +121,35 @@ def test_gemm_checker_finds_products_outside_the_core():
               "def up(a, b):\n    c = a\n    c @= b\n    return np.matmul(a, b)\n"
               "class Op:\n    def run(self, a, b): return np.einsum('ij,jk', a, b)\n")
     assert gemm_sites(source) == ["up (line 6)", "up (line 7)", "Op (line 9)"]
+
+
+# the one place training runs: `auseg train` calls it once, `auseg sweep-lr` once per rate
+TRAIN_HOME = "cli._train_run"
+
+
+def train_sites(source: str, module: str) -> list[str]:
+    """Each call of ``train``, bare or as an attribute, outside TRAIN_HOME, named by
+    ``module``, its top-level definition and line."""
+    sites = []
+    for top in ast.parse(source).body:
+        name = f"{module}.{getattr(top, 'name', '<module>')}"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "train" in (getattr(node.func, "id", None),
+                                                          getattr(node.func, "attr", None)):
+                sites.append(f"{name} (line {node.lineno})")
+    return [s for s in sites if s.split()[0] != TRAIN_HOME]
+
+
+def test_training_runs_only_in_its_home():
+    files = [*(ROOT / "src" / "auseg").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    assert [s for p in sorted(files) for s in train_sites(p.read_text(), p.stem)] == []
+
+
+def test_train_checker_finds_calls_outside_the_home():
+    source = ("from . import training\nfrom .training import train\n"
+              "def _train_run(m):\n    return train(m)\n"
+              "def sweep(m):\n    for _ in range(2):\n        training.train(m)\n"
+              "class Loop:\n    def go(self): return train(self)\n")
+    assert train_sites(source, "cli") == ["cli.sweep (line 7)", "cli.Loop (line 9)"]
+    assert train_sites(source, "run") == ["run._train_run (line 4)", "run.sweep (line 7)",
+                                          "run.Loop (line 9)"]

@@ -130,6 +130,13 @@ class TestTransposedConv2d:
         with pytest.raises(ShapeError, match="transposed_conv2d needs a square kernel"):
             transposed_conv2d(Tensor(np.zeros((1, 2, 3, 3))), p)
 
+    def test_relu_and_dropout_are_rejected(self):
+        p = params(np.ones((2, 3, 2, 2)), np.zeros(3))
+        x = Tensor(np.ones((1, 2, 2, 3)))
+        for field in ({"relu": True}, {"keep": np.zeros((1, 3, 4, 6))}, {"rate": 0.5}):
+            with pytest.raises(ContractError, match="transposed_conv2d takes no relu, keep or "):
+                transposed_conv2d(x, Conv2dParams(p.kernel, p.bias, **field))
+
     def test_gradcheck(self):
         r = rng(13)
         x = Tensor(r.normal(size=(1, 3, 3, 3)), requires_grad=True)

@@ -1,9 +1,11 @@
 """``scripts/run_synthetic_experiment.py`` runs every study through ``auseg`` end to end
-at one epoch, its sweep rejects a bad ``--lrs`` before it reads any data, and an
+at one epoch, training each run once: the sweep's run at eta_max 0.003 is the one the
+ablation evaluates. Its sweep rejects a bad ``--lrs`` before it reads any data, and an
 ``--out`` it cannot make or an ``--epochs 0`` exits 2 before any training."""
 import contextlib
 import importlib.util
 import io
+import itertools
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,8 @@ import pytest
 from auseg.cli import main
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_experiment.py"
-RUN_ARTIFACTS = ["resolved.cfg", "trainlog.csv", "losscurve.svg", "best.ckpt", "final.ckpt",
-                 "eval_val.csv"]
+RUN_ARTIFACTS = ["resolved.cfg", "trainlog.csv", "losscurve.svg", "best.ckpt", "final.ckpt"]
+RATES = ["0.005", "0.003", "0.002", "0.001", "0.0005"]
 
 
 def load_script():
@@ -35,17 +37,23 @@ def experiment(tmp_path_factory):
 def test_ablation_prints_both_rows(experiment):
     out, printed = experiment
     assert "\nattention-unet " in printed and "\nplain-unet " in printed
-    for name in ("attention-unet", "plain-unet"):
-        assert sorted(p.name for p in (out / name).iterdir()) == sorted(RUN_ARTIFACTS)
+    for run_dir in (out / "attention-unet" / "0.003", out / "plain-unet"):
+        assert {p.name for p in run_dir.iterdir()} == {*RUN_ARTIFACTS, "eval_val.csv"}
     assert "attention_enabled = false" in (out / "plain-unet" / "resolved.cfg").read_text()
 
 
 def test_lr_sweep_prints_table(experiment):
     out, printed = experiment
-    table = printed[printed.index("Learning Rate | mIoU | PA\n"):].splitlines()
-    assert [row.split(" | ")[0] for row in table[1:]] == [
-        "0.005", "0.003", "0.002", "0.001", "0.0005"]
-    assert sorted(p.name for p in (out / "sweep").iterdir()) == ["sweep.csv", "sweep.txt"]
+    lines = printed.splitlines()
+    rows = itertools.takewhile(lambda line: line.count(" | ") == 2,
+                               lines[lines.index("Learning Rate | mIoU | PA") + 1:])
+    assert [row.split(" | ")[0] for row in rows] == RATES
+    sweep = out / "attention-unet"
+    assert {p.name for p in sweep.iterdir()} == {*RATES, "sweep.csv", "sweep.txt"}
+    for lr in RATES:
+        assert {p.name for p in (sweep / lr).iterdir()} - {"eval_val.csv"} == set(RUN_ARTIFACTS)
+    assert [lr for lr in RATES if (sweep / lr / "eval_val.csv").exists()] == ["0.003"]
+    assert not (out / "sweep").exists()
 
 
 @pytest.mark.parametrize("lrs", ["0", "abc", ","])
@@ -58,7 +66,8 @@ def test_lr_sweep_bad_lrs_exit_2_before_data(monkeypatch, tmp_path, capsys, lrs)
     cfg = tmp_path / "attention-unet.cfg"
     cfg.write_text(load_script().CONFIG.format(seed=7, epochs=1, data=tmp_path / "data",
                                                name="attention-unet", attention="true"))
-    assert main(["sweep-lr", "--config", str(cfg), "--lrs", lrs]) == 2
+    assert main(["sweep-lr", "--config", str(cfg), "--lrs", lrs,
+                 "--out", str(tmp_path / "attention-unet")]) == 2
     assert capsys.readouterr().err.startswith("config error: --lrs must ")
 
 
@@ -67,7 +76,6 @@ def test_out_naming_a_file_exit_2_before_training(monkeypatch, tmp_path, capsys)
         raise AssertionError("the script started training")
 
     monkeypatch.setattr("auseg.cli.train", fail)
-    monkeypatch.setattr("auseg.cli.lr_sweep", fail)
     taken = tmp_path / "afile"
     taken.write_text("")
     assert load_script().run(["--out", str(taken)]) == 2

@@ -20,11 +20,11 @@ from auseg.data import synth_generate
 import auseg
 from auseg import training, unet
 from auseg.errors import ConfigError, ContractError, NumericError
-from auseg.losses_metrics import LossConfig, combined_loss
+from auseg.losses_metrics import LossConfig, combined_loss, miou, pixel_accuracy
 from auseg.tensor import Tape, Tensor
-from auseg.training import (AdamWState, CosineSchedule, EarlyStopper, TrainSettings,
+from auseg.training import (AdamWState, CosineSchedule, EarlyStopper, EpochRow, TrainSettings,
                             adamw_step, cosine_lr, early_stop_check, evaluate,
-                            format_sweep_report, init_rng, lr_sweep, train)
+                            format_sweep_report, init_rng, sweep_report_csv, train)
 from auseg.unet import build_model, forward
 
 
@@ -364,38 +364,29 @@ class TestNonFiniteParameter:
 
 class TestSweep:
     def test_single_lr_matches_standalone(self):
-        _, train_s, val_s, settings = tiny_setup(epochs=2)
-        cfg = desk_unet_config()
-        cfg = type(cfg)(**{**cfg.__dict__, "depth": 1, "base_channels": 4,
-                           "dropout_rate": 0.1})
-        rows = lr_sweep(cfg, train_s, val_s, settings, [settings.schedule.eta_max])
-
-        model = build_model(cfg, init_rng(settings.seed))
+        # a sweep reports each rate's best row; re-evaluating a standalone run's
+        # best checkpoint must reproduce the reported mIoU and PA
+        model, train_s, val_s, settings = tiny_setup(epochs=2)
+        lr = settings.schedule.eta_max
         result = train(model, train_s, val_s, settings)
+        csv_lines = sweep_report_csv([(lr, result.log.best_row())]).strip().splitlines()
+        assert csv_lines[0] == "learning_rate,miou,pa"
+        reported_lr, reported_miou, reported_pa = csv_lines[1].split(",")
+
         model.load_state_arrays(result.best_state)
         _, cm = evaluate(model, val_s, settings.loss, settings.batch_size)
-        from auseg.losses_metrics import miou, pixel_accuracy
-        assert rows[0].val_miou == miou(cm)
-        assert rows[0].val_pa == pixel_accuracy(cm)
+        assert float(reported_lr) == lr
+        assert reported_miou == f"{miou(cm):.9g}"
+        assert reported_pa == f"{pixel_accuracy(cm):.9g}"
 
     def test_report_columns(self):
-        _, train_s, val_s, settings = tiny_setup(epochs=1)
-        cfg = desk_unet_config()
-        cfg = type(cfg)(**{**cfg.__dict__, "depth": 1, "base_channels": 4})
-        rows = lr_sweep(cfg, train_s, val_s, settings, [2e-3, 5e-4])
-        report = format_sweep_report(rows)
-        lines = report.strip().splitlines()
-        assert lines[0] == "Learning Rate | mIoU | PA"
-        assert len(lines) == 3
-        assert lines[1].startswith("0.002 | ")
+        def best(miou, pa):
+            return EpochRow(epoch=0, train_loss=1.0, val_loss=1.0, lr=0.0, val_miou=miou,
+                            val_pa=pa, seconds=0.0)
 
-    def test_grid_order_preserved(self):
-        _, train_s, val_s, settings = tiny_setup(epochs=1)
-        cfg = desk_unet_config()
-        cfg = type(cfg)(**{**cfg.__dict__, "depth": 1, "base_channels": 4})
-        grid = [5e-3, 5e-4]
-        rows = lr_sweep(cfg, train_s, val_s, settings, grid)
-        assert [r.lr for r in rows] == grid
+        report = format_sweep_report([(2e-3, best(0.25, 0.751)), (5e-4, best(0.5, 0.9))])
+        assert report.splitlines() == ["Learning Rate | mIoU | PA", "0.002 | 25.0 | 75.1",
+                                       "0.0005 | 50.0 | 90.0"]
 
 
 # One desk-config training step (8 images, batch 8) plus a one-image validation
